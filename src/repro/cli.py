@@ -24,11 +24,11 @@ Subcommands:
   recorded JSONL trace, as a sortable table and/or JSON;
 * ``lint``     — rcast-lint determinism & protocol-invariant checks.
 
-``run`` grew streaming-telemetry knobs: ``--streaming`` folds
-fixed-memory distribution aggregates into the metrics, ``--live``
-renders an in-place progress line, ``--telemetry-out`` streams progress
-records as JSONL, and ``--trace-rotate`` size-rotates (optionally
-gzipped) trace output.  ``sweep`` shares ``--live``/``--telemetry-out``
+``run`` metrics always carry fixed-memory delay / energy-per-bit
+distribution summaries.  Its telemetry knobs: ``--live`` renders an
+in-place progress line, ``--telemetry-out`` streams progress records as
+JSONL, and ``--trace-rotate`` size-rotates (optionally gzipped) trace
+output.  ``sweep`` shares ``--live``/``--telemetry-out``
 at replication granularity.
 
 ``run --faults plan.json`` injects a deterministic fault plan (see
@@ -140,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="BYTES",
                        help="rotate the trace file every BYTES uncompressed "
                             "bytes (numbered parts next to --trace-out)")
-    run_p.add_argument("--streaming", action="store_true",
-                       help="fold streaming distribution aggregates "
-                            "(delay / energy-per-bit histograms, quantiles, "
-                            "reservoir) into the run metrics")
     run_p.add_argument("--live", action="store_true",
                        help="render an in-place live progress line "
                             "(virtual time, ev/s, ETA, fault counts)")
@@ -212,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--max-memory-regression",
                          dest="max_memory_regression",
                          type=float, default=0.50,
-                         help="tolerated streaming peak-heap growth vs "
+                         help="tolerated peak-heap growth vs "
                               "baseline (default 0.50)")
 
     for name in _FIGURES:
@@ -378,8 +374,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ConfigurationError as exc:
             raise SystemExit(f"--faults: {exc}")
         config = replace(config, faults=plan)
-    if args.streaming:
-        config = replace(config, streaming=True)
     # perf_counter, not time.time(): monotonic, immune to NTP clock steps.
     # This module is on the rcast-lint R002 allowlist because reporting
     # elapsed wall time to a human is the one legitimate wall-clock use —

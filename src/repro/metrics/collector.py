@@ -33,10 +33,11 @@ implementation.  Post-fold deliveries or re-drops (possible only past
 the grace/hold horizons) are detected via a bounded recently-folded set
 and counted in :attr:`MetricsCollector.compaction_conflicts`.
 
-With ``streaming=True`` the same fold path additionally feeds
-fixed-memory distribution aggregates (:mod:`repro.obs.stream`):
-delay and per-node energy-per-bit summaries appear as the optional
-``delay_dist`` / ``energy_per_bit_dist`` fields of :class:`RunMetrics`.
+The same fold path feeds fixed-memory distribution aggregates
+(:mod:`repro.obs.stream`) on every run: the delay and per-node
+energy-per-bit summaries are the ``delay_dist`` / ``energy_per_bit_dist``
+fields of :class:`RunMetrics`.  They draw only from private ``obs:*``
+streams, so they change no other field and no trace record.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class _DataRecord:
 class MetricsCollector:
     """Event sink for one simulation run."""
 
-    def __init__(self, num_nodes: int, streaming: bool = False,
-                 seed: int = 0, drop_grace_s: float = DROP_GRACE_S,
+    def __init__(self, num_nodes: int, seed: int = 0,
+                 drop_grace_s: float = DROP_GRACE_S,
                  inflight_hold_s: float = INFLIGHT_HOLD_S) -> None:
         self.num_nodes = num_nodes
         self.roles = RoleTracker(num_nodes)
@@ -115,10 +116,8 @@ class MetricsCollector:
         self._clock = 0.0
         self._folded_undelivered: Set[int] = set()
         self._folded_order: Deque[int] = deque()
-        # -- streaming distribution aggregates (fixed memory) --
-        self.streaming = streaming
-        self._delay_stats: Optional[StreamStats] = (
-            StreamStats("delay", seed) if streaming else None)
+        # -- distribution aggregates (fixed memory) --
+        self._delay_stats = StreamStats("delay", seed)
 
     # ------------------------------------------------------------------
     # Events (called by routing/traffic layers)
@@ -215,8 +214,7 @@ class MetricsCollector:
         self._n_delivered += 1
         self._delay_sum += delay
         self._delivered_bits += record.payload_bytes * 8
-        if self._delay_stats is not None:
-            self._delay_stats.push(delay)
+        self._delay_stats.push(delay)
 
     def _fold_undelivered(self, record: _DataRecord) -> None:
         reason = record.drop_reason or "in_flight"
@@ -257,11 +255,6 @@ class MetricsCollector:
         total_energy = float(energy.sum())
         control = sum(self.transmissions.get(k, 0)
                       for k in ("rreq", "rrep", "rerr"))
-        delay_dist: Optional[Dict[str, Any]] = None
-        energy_per_bit_dist: Optional[Dict[str, Any]] = None
-        if self._delay_stats is not None:
-            delay_dist = self._delay_stats.summary()
-            energy_per_bit_dist = self._energy_per_bit_summary(energy)
         return RunMetrics(
             scheme=scheme,
             sim_time=sim_time,
@@ -287,8 +280,8 @@ class MetricsCollector:
             drop_reasons=dict(self._drop_counts),
             events_processed=events_processed,
             fault_counts=dict(fault_counts) if fault_counts else {},
-            delay_dist=delay_dist,
-            energy_per_bit_dist=energy_per_bit_dist,
+            delay_dist=self._delay_stats.summary(),
+            energy_per_bit_dist=self._energy_per_bit_summary(energy),
             compaction_conflicts=self.compaction_conflicts,
             overhear_decisions=overhear_decisions,
             overhear_elections=overhear_elections,
@@ -345,8 +338,10 @@ class RunMetrics:
     events_processed: int = 0
     #: non-zero fault-injection counters (empty for fault-free runs)
     fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: streaming-mode distribution summaries (None in batch mode)
-    delay_dist: Optional[Dict[str, Any]] = None
+    #: end-to-end delay distribution summary (:meth:`StreamStats.summary`)
+    delay_dist: Dict[str, Any] = field(default_factory=dict)
+    #: per-node energy-per-bit distribution; None when nothing was
+    #: delivered (the run-level ``energy_per_bit`` is then infinite)
     energy_per_bit_dist: Optional[Dict[str, Any]] = None
     #: outcome reversals past the compaction horizon (0 in healthy runs)
     compaction_conflicts: int = 0
@@ -413,8 +408,7 @@ class RunMetrics:
             "role_numbers": [int(v) for v in self.role_numbers],
         } | ({"fault_counts": dict(self.fault_counts)}
              if self.fault_counts else {}) \
-          | ({"delay_dist": self.delay_dist}
-             if self.delay_dist is not None else {}) \
+          | {"delay_dist": self.delay_dist} \
           | ({"energy_per_bit_dist": self.energy_per_bit_dist}
              if self.energy_per_bit_dist is not None else {}) \
           | ({"compaction_conflicts": self.compaction_conflicts}

@@ -101,13 +101,12 @@ class PositionService:
         self._cs_tuples: List[Tuple[int, ...]] = [empty_tuple] * self.num_nodes
         self._neighbor_sets: List[FrozenSet[int]] = [empty_set] * self.num_nodes
         self._cs_sets: List[FrozenSet[int]] = [empty_set] * self.num_nodes
-        #: int64 views of the same ascending relations, interned alongside
+        #: int64 views of the ascending tx relation, interned alongside
         #: the tuples — the channel fancy-indexes its radio-state mirrors
         #: with these, so they must only be reallocated when membership
         #: actually changes (callers hold on to the returned object).
         self._neighbor_arrays: List[NDArray[np.int64]] = (
             [empty_idx] * self.num_nodes)
-        self._cs_arrays: List[NDArray[np.int64]] = [empty_idx] * self.num_nodes
         #: cumulative count of neighbor-set changes observed per node,
         #: feeding the mobility decision factor.
         self.link_changes: NDArray[np.int64] = np.zeros(self.num_nodes,
@@ -190,7 +189,6 @@ class PositionService:
         nbr_arrays = self._neighbor_arrays
         cs_tuples = self._cs_tuples
         cs_sets = self._cs_sets
-        cs_arrays = self._cs_arrays
         link_changes = self.link_changes
         for node in range(num_nodes):
             fresh = new_tx[node]
@@ -208,10 +206,8 @@ class PositionService:
             if fresh_cs != cs_tuples[node]:
                 cs_tuples[node] = fresh_cs
                 cs_sets[node] = frozenset(fresh_cs)
-                cs_arrays[node] = np.asarray(fresh_cs, dtype=np.int64)
             elif not bootstrapped:
                 cs_sets[node] = frozenset(fresh_cs)
-                cs_arrays[node] = np.asarray(fresh_cs, dtype=np.int64)
         self._bootstrapped = True
         for listener in self._refresh_listeners:
             listener()
@@ -266,15 +262,6 @@ class PositionService:
         if self._sim.now >= self._valid_until:
             self._refresh_now()
         return self._neighbor_arrays[node]
-
-    def cs_index_array(self, node: int) -> NDArray[np.int64]:
-        """Ascending int64 array of nodes within cs range of ``node``.
-
-        Interned and read-only, like :meth:`neighbor_index_array`.
-        """
-        if self._sim.now >= self._valid_until:
-            self._refresh_now()
-        return self._cs_arrays[node]
 
     def neighbor_count(self, node: int) -> int:
         """Number of radio neighbors (Rcast's ``P_R`` denominator)."""

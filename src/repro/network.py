@@ -22,6 +22,7 @@ key           MAC             power manager    overhearing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -141,13 +142,6 @@ class SimulationConfig:
     # Energy
     battery_joules: Optional[float] = None
 
-    # Observability
-    #: fold streaming distribution aggregates (delay, energy-per-bit;
-    #: :mod:`repro.obs.stream`) during the run.  Off by default; the
-    #: shared ``RunMetrics`` fields are bit-identical either way, the
-    #: flag only adds the optional ``*_dist`` summaries.
-    streaming: bool = False
-
     # Fault injection
     #: deterministic fault plan for the run; ``None`` (or an empty plan)
     #: builds no injector at all — behaviour is byte-identical to a build
@@ -160,10 +154,20 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; choose one of {SCHEMES}"
             )
-        if self.sim_time <= 0:
-            raise ConfigurationError("sim_time must be positive")
-        if self.packet_rate <= 0:
-            raise ConfigurationError("packet_rate must be positive")
+        # ``not 0 < x < inf`` also rejects NaN, which fails every
+        # comparison: a NaN or infinite horizon never ends the run.
+        if not 0 < self.sim_time < math.inf:
+            raise ConfigurationError("sim_time must be positive and finite")
+        if not 0 < self.packet_rate < math.inf:
+            raise ConfigurationError(
+                "packet_rate must be positive and finite")
+        if not 0 < self.bitrate < math.inf:
+            raise ConfigurationError("bitrate must be positive and finite")
+        if self.queue_capacity <= 0:
+            raise ConfigurationError("queue_capacity must be positive")
+        if self.battery_joules is not None and not self.battery_joules > 0:
+            raise ConfigurationError(
+                "battery_joules must be positive (None = unbounded)")
         unknown = set(self.rcast_factors) - {"sender", "mobility", "battery"}
         if unknown:
             raise ConfigurationError(f"unknown rcast factors: {sorted(unknown)}")
@@ -429,8 +433,7 @@ def build_network(config: SimulationConfig,
         for i in range(config.num_nodes)
     }
     channel = Channel(sim, positions, radios, bitrate=config.bitrate, trace=trace)
-    metrics = MetricsCollector(config.num_nodes, streaming=config.streaming,
-                               seed=config.seed)
+    metrics = MetricsCollector(config.num_nodes, seed=config.seed)
 
     nodes: List[Node] = []
     psm_macs: Dict[int, PsmMac] = {}

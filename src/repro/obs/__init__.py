@@ -12,9 +12,9 @@ Modules
     bounded ring buffer, JSONL file writer, and a category/node/time-window
     filtering decorator that composes with any sink.
 ``metrics``
-    Counter/gauge registry plus a :class:`TimelineRecorder` that samples
-    per-node residual energy, awake fraction, MAC queue depth and engine
-    queue gauges on a fixed virtual-time period.
+    A :class:`TimelineRecorder` that samples per-node residual energy,
+    awake fraction, MAC queue depth and engine queue gauges on a fixed
+    virtual-time period.
 ``profiler``
     Opt-in event-loop profiler: per-callback wall time and event counts,
     events/sec, heap depth — the one legitimate wall-clock consumer in the
@@ -26,7 +26,7 @@ Modules
     Fixed-memory online aggregators: Welford moments, deterministic
     reservoir sampling (``obs:*`` derived RNG streams), fixed-bucket
     streaming histograms with interpolated quantiles.  The collector's
-    ``streaming=True`` distribution summaries come from here.
+    per-run distribution summaries come from here.
 ``live``
     In-place live progress lines for single runs and sweeps, plus the
     ``--telemetry-out`` JSONL feed; with :mod:`profiler`, the other
@@ -46,13 +46,7 @@ Modules
 
 from repro.obs.live import LiveRunMonitor, LiveSweepMonitor, TelemetryWriter
 from repro.obs.manifest import RunManifest, config_hash
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    TimelineRecorder,
-    TimelineSample,
-)
+from repro.obs.metrics import TimelineRecorder, TimelineSample
 from repro.obs.profiler import CallbackStats, ProfileReport, SimulationProfiler
 from repro.obs.sinks import FilteredSink, JsonlSink, RingBufferSink
 from repro.obs.spans import PacketFlight, SpanHop, assemble_flights
@@ -65,13 +59,10 @@ from repro.obs.stream import (
 
 __all__ = [
     "CallbackStats",
-    "Counter",
     "FilteredSink",
-    "Gauge",
     "JsonlSink",
     "LiveRunMonitor",
     "LiveSweepMonitor",
-    "MetricsRegistry",
     "PacketFlight",
     "ProfileReport",
     "ReservoirSampler",

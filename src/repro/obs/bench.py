@@ -28,17 +28,15 @@ in rcast-lint's R002 rule alongside ``cli.py`` and ``obs/profiler.py``.
 
 Baselines: ``events_per_sec`` is hardware-dependent, so regression checks
 compare against a *committed* baseline JSON (see ``rcast-repro bench
---baseline``) rather than an absolute number.  :data:`PRE_PR_BASELINE`
-records the pre-overhaul reference measured while this harness was built,
-so speedup claims in the output stay reproducible in spirit: re-measure
-both sides on one machine, interleaved, and compare best-of-N.
+--baseline``) rather than an absolute number.  Speedup claims re-measure
+both sides on one machine, interleaved, and compare wall time.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.constants import ARENA_H_M, ARENA_W_M
 from repro.mobility.base import Arena
@@ -52,16 +50,15 @@ from repro.sim.rng import derived_stream
 
 #: JSON schema tag for BENCH_hotpath.json consumers (CI, plots).
 #: v2 (wake-on-idle DCF era): top-level ``events``/``wall_time_s`` mirror
-#: the workload, and ``speedup_vs_pre_pr`` became an object with separate
-#: ``wall_time`` and ``events_per_sec`` ratios — events/sec alone is not
-#: comparable across a change to the *event model* (eliminating poll
-#: events shrinks the numerator without slowing the simulation), so
-#: speedup claims must quote wall time on the fixed workload.
+#: the workload — events/sec alone is not comparable across a change to
+#: the *event model* (eliminating poll events shrinks the numerator
+#: without slowing the simulation), so speedup claims must quote wall
+#: time on the fixed workload.
 #: v3 (streaming-telemetry era): a ``memory`` section records the
-#: tracemalloc peak heap of the workload under both collector modes plus
-#: collector/timeline byte estimates, and ``compare_to_baseline`` gates
-#: the streaming peak like it gates events/sec — unlike wall time, peak
-#: heap on a deterministic workload is stable across machines.
+#: tracemalloc peak heap of the workload plus collector/timeline byte
+#: estimates, and ``compare_to_baseline`` gates the peak like it gates
+#: events/sec — unlike wall time, peak heap on a deterministic workload
+#: is stable across machines.
 #: v4 (epoch-batching era): the ``workload`` section is *uninstrumented
 #: only*; the profiler run and its top-callback table live in a separate
 #: ``workload_profiled`` section with its own wall time and events/sec.
@@ -70,7 +67,10 @@ from repro.sim.rng import derived_stream
 #: speedup ratio derived from them; the regression gate reads only the
 #: uninstrumented section.  Stage/memory/profile sections are optional
 #: (``--workload-only`` CI runs omit them).
-SCHEMA = "rcast-bench-hotpath/4"
+#: v5: the collector has one mode (distribution summaries always on), so
+#: ``memory`` holds one peak instead of a per-mode split, and the
+#: pre-overhaul reference and its speedup ratios are gone.
+SCHEMA = "rcast-bench-hotpath/5"
 
 #: The fig7-style workload per bench scale: the heaviest cell of the
 #: bench-scale fig7 sweep (rcast, mobile, the scale's top packet rate).
@@ -95,27 +95,6 @@ WORKLOADS: Dict[str, Dict[str, Any]] = {
                   sim_time=120.0, num_connections=20, mobility="waypoint",
                   max_speed=2.0, pause_time=0.0, seed=1,
                   arena_w=2121.0, arena_h=2121.0),
-}
-
-#: Pre-overhaul reference for the ``bench`` workload — the denominator of
-#: the speedup figures reported by this harness and quoted in DESIGN.md
-#: §11.  Measured at commit bcec123 (poll-model DCF, per-receiver Python
-#: delivery loop) immediately before the wake-on-idle overhaul, best-of-3
-#: on the machine that produced the committed BENCH_hotpath.json.
-PRE_PR_BASELINE: Dict[str, Any] = {
-    "workload": "bench",
-    "events": 1474641,
-    "wall_time_s": 12.965,
-    "events_per_sec": 113737,
-    "commit": "bcec123",
-    "note": ("Poll-model reference for the wake-on-idle DCF overhaul.  The "
-             "overhaul changes the *event model* — it eliminates ~2.67x of "
-             "the heap events (busy-poll attempts) without changing what "
-             "is simulated — so events/sec is NOT comparable across it: "
-             "the honest figure is the wall-time ratio on this fixed "
-             "workload.  Wall times are hardware- and load-dependent; "
-             "re-measure both sides interleaved on one machine before "
-             "quoting a ratio, never absolute numbers across machines."),
 }
 
 
@@ -260,16 +239,16 @@ def bench_engine_drain(events: int = 200_000, repeat: int = 3) -> Dict[str, Any]
 
 def bench_memory(scale: str = "bench",
                  timeline_capacity: int = 1024) -> Dict[str, Any]:
-    """Peak-heap accounting of the workload under both collector modes.
+    """Peak-heap accounting of the workload.
 
-    Each mode runs once under ``tracemalloc`` (≈2x wall overhead, which
-    is why this stage stays out of the throughput figures) with a
+    The workload runs once under ``tracemalloc`` (≈2x wall overhead,
+    which is why this stage stays out of the throughput figures) with a
     columnar :class:`~repro.obs.metrics.TimelineRecorder` observing at
-    1 Hz virtual time — the same observability surface the
-    ``--streaming`` CLI path wires up.  Alongside the interpreter-level
-    peak, two analytic estimates localize where observability memory
-    goes: the collector's peak pending-record footprint and the
-    timeline's columnar block size.
+    1 Hz virtual time — the same observability surface ``rcast-repro run
+    --sample-interval`` wires up.  Alongside the interpreter-level peak,
+    two analytic estimates localize where observability memory goes: the
+    collector's peak pending-record footprint and the timeline's
+    columnar block size.
     """
     import sys
     import tracemalloc
@@ -280,33 +259,30 @@ def bench_memory(scale: str = "bench",
     # One dict slot (key + entry) on top of the dataclass itself; an
     # estimate, not an audit — tracemalloc has the ground truth.
     record_bytes = sys.getsizeof(_DataRecord(0, 0, 0, 0.0, 0)) + 96
-    modes: Dict[str, Any] = {}
-    for mode in ("batch", "streaming"):
-        config = SimulationConfig(**WORKLOADS[scale],
-                                  streaming=(mode == "streaming"))
-        network = build_network(config)
-        recorder = TimelineRecorder(period=1.0, capacity=timeline_capacity)
-        peak_pending = 0
+    network = build_network(SimulationConfig(**WORKLOADS[scale]))
+    recorder = TimelineRecorder(period=1.0, capacity=timeline_capacity)
+    peak_pending = 0
 
-        def observe(net: Any) -> None:
-            nonlocal peak_pending
-            recorder.observe(net)
-            pending = net.metrics.pending_records
-            if pending > peak_pending:
-                peak_pending = pending
+    def observe(net: Any) -> None:
+        nonlocal peak_pending
+        recorder.observe(net)
+        pending = net.metrics.pending_records
+        if pending > peak_pending:
+            peak_pending = pending
 
-        tracemalloc.start()
-        network.run(observer=observe, observe_period=1.0)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        modes[mode] = {
-            "tracemalloc_peak_bytes": peak,
-            "peak_pending_records": peak_pending,
-            "collector_bytes_estimate": peak_pending * record_bytes,
-            "timeline_nbytes": recorder.nbytes,
-            "timeline_samples": len(recorder),
-        }
-    return {"scale": scale, "observe_period_s": 1.0, "modes": modes}
+    tracemalloc.start()
+    network.run(observer=observe, observe_period=1.0)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "scale": scale,
+        "observe_period_s": 1.0,
+        "tracemalloc_peak_bytes": peak,
+        "peak_pending_records": peak_pending,
+        "collector_bytes_estimate": peak_pending * record_bytes,
+        "timeline_nbytes": recorder.nbytes,
+        "timeline_samples": len(recorder),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +374,6 @@ def run_hotpath_bench(scale: str = "bench", repeat: int = 3,
         "events": workload["events"],
         "wall_time_s": workload["wall_time_s"],
         "events_per_sec": workload["events_per_sec"],
-        "baseline": dict(PRE_PR_BASELINE),
     }
     if not workload_only:
         nodes = int(WORKLOADS[scale]["num_nodes"])
@@ -411,18 +386,6 @@ def run_hotpath_bench(scale: str = "bench", repeat: int = 3,
         result["workload_profiled"] = bench_workload_profiled(scale,
                                                               top_n=top_n)
         result["memory"] = bench_memory(scale)
-    if scale == PRE_PR_BASELINE["workload"]:
-        # Wall time is the honest cross-event-model figure; the ev/s and
-        # event-count ratios are kept so the event-model shift itself is
-        # visible in the artifact (see the SCHEMA note).
-        result["speedup_vs_pre_pr"] = {
-            "wall_time": (PRE_PR_BASELINE["wall_time_s"]
-                          / workload["wall_time_s"]),
-            "events_per_sec": (workload["events_per_sec"]
-                               / PRE_PR_BASELINE["events_per_sec"]),
-            "events_ratio": (workload["events"]
-                             / PRE_PR_BASELINE["events"]),
-        }
     return result
 
 
@@ -430,10 +393,9 @@ def run_hotpath_bench(scale: str = "bench", repeat: int = 3,
 # Regression gate
 # ----------------------------------------------------------------------
 
-def _streaming_peak(payload: Dict[str, Any]) -> Optional[float]:
-    """The streaming-mode tracemalloc peak of a v3 payload, if present."""
-    peak = (payload.get("memory", {}).get("modes", {})
-            .get("streaming", {}).get("tracemalloc_peak_bytes"))
+def _memory_peak(payload: Dict[str, Any]) -> Optional[float]:
+    """The tracemalloc peak of a v5 payload's ``memory`` section, if any."""
+    peak = payload.get("memory", {}).get("tracemalloc_peak_bytes")
     return float(peak) if peak else None
 
 
@@ -446,8 +408,8 @@ def compare_to_baseline(result: Dict[str, Any], baseline: Dict[str, Any],
     ``baseline`` is a previously-committed BENCH_hotpath.json (or the
     reduced ``benchmarks/baseline_hotpath.json``); ``events_per_sec``
     may regress at most ``max_regression``, and — when both payloads
-    carry a v3 ``memory`` section — the streaming-mode tracemalloc peak
-    may grow at most ``max_memory_regression``.  Both only for a
+    carry a ``memory`` section — the tracemalloc peak may grow at most
+    ``max_memory_regression``.  Both only for a
     matching scale.  Wall time is recorded but deliberately not gated:
     CI runners differ too much in raw speed for a committed wall floor,
     while events/sec stays meaningful as long as the committed baseline
@@ -467,12 +429,12 @@ def compare_to_baseline(result: Dict[str, Any], baseline: Dict[str, Any],
                f"({ratio:.2f}x, floor {floor:,.0f})")
     if eps < floor:
         return False, f"REGRESSION: {verdict}"
-    base_peak = _streaming_peak(baseline)
-    peak = _streaming_peak(result)
+    base_peak = _memory_peak(baseline)
+    peak = _memory_peak(result)
     if base_peak is not None and peak is not None:
         ceiling = base_peak * (1.0 + max_memory_regression)
         mem_verdict = (
-            f"streaming peak heap {peak / 1e6:.1f}MB vs baseline "
+            f"peak heap {peak / 1e6:.1f}MB vs baseline "
             f"{base_peak / 1e6:.1f}MB (ceiling {ceiling / 1e6:.1f}MB)")
         if peak > ceiling:
             return False, f"REGRESSION: {mem_verdict}"
@@ -489,26 +451,18 @@ def format_result(result: Dict[str, Any]) -> str:
         f"best of {result['workload']['repeat']} in "
         f"{result['workload']['wall_time_s']:.3f}s, uninstrumented)",
     ]
-    if "speedup_vs_pre_pr" in result:
-        speedup = result["speedup_vs_pre_pr"]
-        lines.append(
-            f"  vs pre-PR baseline  : wall {speedup['wall_time']:.2f}x "
-            f"(baseline {result['baseline']['wall_time_s']:.3f}s); "
-            f"ev/s ratio {speedup['events_per_sec']:.2f}x at "
-            f"{speedup['events_ratio']:.2f}x the events — not a slowdown, "
-            "the event model changed")
     for name, stage in result.get("stages", {}).items():
         rate_key = next(k for k in stage if k.endswith("_per_sec"))
         lines.append(f"  {name:<19} : {stage[rate_key]:,.0f} "
                      f"{rate_key.replace('_per_sec', '')}/s "
                      f"({stage['wall_time_s']:.3f}s)")
     if "memory" in result:
-        for mode, mem in result["memory"]["modes"].items():
-            lines.append(
-                f"  peak heap ({mode:<9}): "
-                f"{mem['tracemalloc_peak_bytes'] / 1e6:7.1f}MB  "
-                f"(pending records {mem['peak_pending_records']:,}, "
-                f"timeline {mem['timeline_nbytes'] / 1e3:,.0f}kB)")
+        mem = result["memory"]
+        lines.append(
+            f"  peak heap           : "
+            f"{mem['tracemalloc_peak_bytes'] / 1e6:7.1f}MB  "
+            f"(pending records {mem['peak_pending_records']:,}, "
+            f"timeline {mem['timeline_nbytes'] / 1e3:,.0f}kB)")
     profiled = result.get("workload_profiled")
     if profiled is not None:
         lines.append(
@@ -539,7 +493,6 @@ def load_json(path: str) -> Dict[str, Any]:
 
 
 __all__ = [
-    "PRE_PR_BASELINE",
     "SCHEMA",
     "WORKLOADS",
     "bench_engine_drain",

@@ -1,11 +1,10 @@
-"""Runtime metrics: counters, gauges, and periodic timeline snapshots.
+"""Runtime metrics: periodic timeline snapshots.
 
-:class:`MetricsRegistry` is a tiny name-spaced counter/gauge store for
-ad-hoc instrumentation.  :class:`TimelineRecorder` is the load-bearing
-piece: handed to :meth:`repro.network.Network.run` as an observer, it is
-called on a fixed virtual-time period (the engine's restartable ``run()``
-makes this free) and snapshots per-node residual energy, the awake
-fraction, total MAC queue depth and the engine's queue gauges.  The
+:class:`TimelineRecorder`, handed to :meth:`repro.network.Network.run`
+as an observer, is called on a fixed virtual-time period (the engine's
+restartable ``run()`` makes this free) and snapshots per-node residual
+energy, the awake fraction, total MAC queue depth and the engine's queue
+gauges.  The
 timeline is exported alongside ``RunMetrics.to_dict()`` by the CLI's
 ``--json-out``.
 
@@ -30,61 +29,6 @@ from numpy.typing import NDArray
 
 if TYPE_CHECKING:
     from repro.network import Network
-
-
-class Counter:
-    """Monotonically increasing named counter."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be non-negative)."""
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount!r}")
-        self.value += amount
-
-
-class Gauge:
-    """Named point-in-time value."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge value."""
-        self.value = value
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named counters and gauges."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-
-    def counter(self, name: str) -> Counter:
-        """The counter named ``name``, created on first use."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge named ``name``, created on first use."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def to_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-safe snapshot, names sorted for stable output."""
-        return {
-            "counters": {name: float(c.value) for name, c
-                         in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g
-                       in sorted(self._gauges.items())},
-        }
 
 
 @dataclass(frozen=True)
@@ -253,9 +197,6 @@ class TimelineRecorder:
 
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "TimelineSample",
     "TimelineRecorder",
 ]

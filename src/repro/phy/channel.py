@@ -15,12 +15,13 @@ Delivery semantics (matching what the paper's results actually depend on):
 * **Carrier sense** — a sender defers when any active transmission's sender
   is within its carrier-sense range (the MAC layer implements backoff).
 
-Delivery classification is vectorized: each transmission snapshots the
-position service's interned int64 neighbor index array, and the channel
-maintains a write-through numpy mirror of every radio's "blocked until"
-time (``tx_until`` while awake, +inf while dozing), so audibility,
-eligibility and corruption resolve as boolean masks with a handful of
-numpy ops per frame instead of a per-receiver attribute walk.
+Delivery classification is vectorized and has one encoding: each
+transmission snapshots the position service's interned int64 neighbor
+index array, and the channel maintains a write-through numpy mirror of
+every radio's "blocked until" time (``tx_until`` while awake, +inf while
+dozing), so audibility, eligibility and corruption resolve as boolean
+masks over the audible set with a handful of numpy ops per frame instead
+of a per-receiver attribute walk, at every audible-set size.
 Receiver callbacks still fire in ascending node order (the index arrays are
 ascending), so the event schedule the MAC layers observe is deterministic.
 
@@ -49,7 +50,6 @@ from numpy.typing import NDArray
 from repro.constants import BITRATE_BPS, MAC_HEADER_BYTES
 from repro.errors import ChannelError
 from repro.mobility.manager import PositionService
-from repro.phy.energy import RadioState
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.trace import NULL_TRACE, TraceSink
@@ -60,18 +60,9 @@ if TYPE_CHECKING:
 
 _tx_ids = itertools.count()
 
-#: Hoisted for the inlined ``can_receive`` checks in transmit/_finish.
-_SLEEP = RadioState.SLEEP
-
 #: Shared zero-length mask/index for transmissions with no audible nodes.
 _EMPTY_MASK: NDArray[np.bool_] = np.empty(0, dtype=bool)
 _EMPTY_IDX: NDArray[np.int64] = np.empty(0, dtype=np.int64)
-
-#: Audible-set size at or below which delivery classification runs as a
-#: plain int bitmask instead of the numpy pipeline: at sparse-topology
-#: sizes the vector ops' fixed overhead (array allocation, count_nonzero,
-#: fancy gather) dominates the handful of element tests.
-_SCALAR_AUDIBLE_MAX = 8
 
 
 def reset_tx_ids() -> None:
@@ -86,9 +77,13 @@ class Transmission:
     __slots__ = (
         "tx_id", "sender", "frame", "start", "end",
         "audible", "audible_set", "audible_idx",
-        "eligible_mask", "corrupt_mask", "overlaps",
-        "scalar", "eligible_bits", "corrupt_bits", "waiters_touched",
+        "eligible_mask", "corrupt_mask", "overlaps", "waiters_touched",
     )
+
+    #: Always ``False``: classification has one encoding (numpy masks over
+    #: the audible set).  Kept as a class attribute, not a slot, for
+    #: audits that count transmissions by encoding; they now count zero.
+    scalar = False
 
     def __init__(self, sender: int, frame: Frame, start: float, end: float) -> None:
         self.tx_id = next(_tx_ids)
@@ -113,11 +108,6 @@ class Transmission:
         self.corrupt_mask: Optional[NDArray[np.bool_]] = None
         #: transmissions that overlapped this one in time
         self.overlaps: List["Transmission"] = []
-        #: small audible sets skip numpy: eligibility/corruption live in
-        #: plain int bitmasks over audible positions (bit i = audible[i])
-        self.scalar = False
-        self.eligible_bits = 0
-        self.corrupt_bits = 0
         #: idle-waiters whose busy count this transmission incremented;
         #: ``None`` until the first touch (most frames race no waiter).
         #: May contain duplicates/stale entries — teardown decrements via
@@ -129,34 +119,13 @@ class Transmission:
         """Airtime of this transmission in seconds."""
         return self.end - self.start
 
-    @property
-    def eligible_at_start(self) -> Set[int]:
-        """Audible nodes whose radio could decode at start (derived view)."""
-        if self.scalar:
-            bits = self.eligible_bits
-            return {n for i, n in enumerate(self.audible) if bits >> i & 1}
-        return set(self.audible_idx[self.eligible_mask].tolist())
-
-    @property
-    def corrupted_at(self) -> Set[int]:
-        """Receivers where this frame is already known corrupted (derived)."""
-        if self.scalar:
-            bits = self.corrupt_bits
-            return {n for i, n in enumerate(self.audible) if bits >> i & 1}
-        if self.corrupt_mask is None:
-            return set()
-        return set(self.audible_idx[self.corrupt_mask].tolist())
-
     def corrupt_everywhere(self) -> None:
         """Mark the frame corrupted at every audible receiver.
 
         Fault-injection hook: a sender crashing mid-frame truncates the
         transmission, so no receiver decodes it.
         """
-        if self.scalar:
-            self.corrupt_bits = (1 << len(self.audible)) - 1
-        else:
-            self.corrupt_mask = np.ones(len(self.audible), dtype=bool)
+        self.corrupt_mask = np.ones(len(self.audible), dtype=bool)
 
 
 class Channel:
@@ -404,25 +373,13 @@ class Channel:
         # and int64 array, shared — no per-transmission allocation for the
         # relation.
         positions = self.positions
-        audible = tx.audible = positions.sorted_neighbors(sender_id)
+        tx.audible = positions.sorted_neighbors(sender_id)
         tx.audible_set = positions.neighbors(sender_id)
         idx = tx.audible_idx = positions.neighbor_index_array(sender_id)
         if idx.size:
-            blocked = self._blocked_until
-            if len(audible) <= _SCALAR_AUDIBLE_MAX:
-                # Sparse audible set: a handful of mirror element reads
-                # into an int bitmask beats the vector pipeline's fixed
-                # overhead (see _SCALAR_AUDIBLE_MAX).
-                tx.scalar = True
-                bits = 0
-                for pos, node in enumerate(audible):
-                    if blocked[node] <= now:
-                        bits |= 1 << pos
-                tx.eligible_bits = bits
-            else:
-                # Radio.can_receive() for all audible nodes at once: one
-                # gather from the blocked-until mirror (doze = +inf).
-                tx.eligible_mask = blocked[idx] <= now
+            # Radio.can_receive() for all audible nodes at once: one
+            # gather from the blocked-until mirror (doze = +inf).
+            tx.eligible_mask = self._blocked_until[idx] <= now
 
         # Record mutual overlap with every currently active transmission and
         # mark collisions eagerly where interference domains intersect.
@@ -479,13 +436,6 @@ class Channel:
             if (other_sender not in audible_set
                     and other_cs.isdisjoint(audible_set)):
                 continue
-            if tx.scalar:
-                bits = tx.corrupt_bits
-                for pos, node in enumerate(tx.audible):
-                    if node in other_cs or node == other_sender:
-                        bits |= 1 << pos
-                tx.corrupt_bits = bits
-                continue
             corrupt = tx.corrupt_mask
             if corrupt is None:
                 # The pre-check guarantees a hit: either the interfering
@@ -507,41 +457,26 @@ class Channel:
         delivered: Set[int] = set()
         delivery_order: List[int] = []
         if audible:
-            if tx.scalar:
-                # Sparse audible set: classify with int bitmasks and a few
-                # mirror element reads (see _SCALAR_AUDIBLE_MAX).  The
-                # audible tuple is ascending, so appending surviving nodes
-                # in position order yields the sorted delivery order.
-                blocked = self._blocked_until
-                eligible_bits = tx.eligible_bits
-                clean_bits = eligible_bits & ~tx.corrupt_bits
-                n_eligible = eligible_bits.bit_count()
-                n_clean = clean_bits.bit_count()
-                for pos, node in enumerate(audible):
-                    if clean_bits >> pos & 1 and blocked[node] <= now:
-                        delivery_order.append(node)
-                n_deliver = len(delivery_order)
+            idx = tx.audible_idx
+            eligible = tx.eligible_mask
+            n_eligible = int(np.count_nonzero(eligible))
+            corrupt = tx.corrupt_mask
+            if corrupt is None:
+                clean = eligible
+                n_clean = n_eligible
             else:
-                idx = tx.audible_idx
-                eligible = tx.eligible_mask
-                n_eligible = int(np.count_nonzero(eligible))
-                corrupt = tx.corrupt_mask
-                if corrupt is None:
-                    clean = eligible
-                    n_clean = n_eligible
-                else:
-                    clean = eligible & ~corrupt
-                    n_clean = int(np.count_nonzero(clean))
-                # Radio.can_receive() at frame end, one mirror gather:
-                # nobody fell asleep or started transmitting mid-frame.
-                deliver = clean & (self._blocked_until[idx] <= now)
-                n_deliver = int(np.count_nonzero(deliver))
-                # ``audible_idx`` is ascending, so the surviving indices
-                # are the sorted delivery order directly — receiver
-                # callbacks re-enter the MAC layer, and firing them in
-                # node order keeps event scheduling independent of mask
-                # layout.
-                delivery_order = idx[deliver].tolist()
+                clean = eligible & ~corrupt
+                n_clean = int(np.count_nonzero(clean))
+            # Radio.can_receive() at frame end, one mirror gather:
+            # nobody fell asleep or started transmitting mid-frame.
+            deliver = clean & (self._blocked_until[idx] <= now)
+            n_deliver = int(np.count_nonzero(deliver))
+            # ``audible_idx`` is ascending, so the surviving indices
+            # are the sorted delivery order directly — receiver
+            # callbacks re-enter the MAC layer, and firing them in
+            # node order keeps event scheduling independent of mask
+            # layout.
+            delivery_order = idx[deliver].tolist()
             # not eligible at start, or eligible-and-clean but unable to
             # decode at the end -> missed; eligible but corrupted -> collided
             self.frames_missed_asleep += (

@@ -39,33 +39,16 @@ def test_run_hotpath_bench_smoke_payload():
     assert profiled["profiler_top"]
     assert profiled["wall_time_s"] > 0
     assert profiled["events_per_sec"] > 0
-    # v3: memory accounting for both collector modes.
+    # v5: one collector mode, so memory accounting is a single peak.
     memory = result["memory"]
-    assert set(memory["modes"]) == {"batch", "streaming"}
-    for mem in memory["modes"].values():
-        assert mem["tracemalloc_peak_bytes"] > 0
-        assert mem["peak_pending_records"] > 0
-        assert mem["timeline_nbytes"] > 0
-        assert mem["timeline_samples"] > 0
+    assert memory["tracemalloc_peak_bytes"] > 0
+    assert memory["peak_pending_records"] > 0
+    assert memory["timeline_nbytes"] > 0
+    assert memory["timeline_samples"] > 0
     assert "peak heap" in bench.format_result(result)
-    # The pre-PR reference is recorded for provenance even off-scale; the
-    # speedup figures only apply to the baseline's own workload.
-    assert result["baseline"] == bench.PRE_PR_BASELINE
-    assert "speedup_vs_pre_pr" not in result
     # Round-trips through JSON (the CI artifact).
     assert json.loads(json.dumps(result)) == result
     assert bench.format_result(result).startswith("hotpath bench [smoke]")
-
-
-def test_speedup_vs_pre_pr_reports_wall_and_event_ratios(monkeypatch):
-    """v2 speedup is an object: wall time is the cross-event-model figure."""
-    monkeypatch.setitem(bench.PRE_PR_BASELINE, "workload", "smoke")
-    result = bench.run_hotpath_bench("smoke", repeat=1, top_n=1)
-    speedup = result["speedup_vs_pre_pr"]
-    assert set(speedup) == {"wall_time", "events_per_sec", "events_ratio"}
-    assert speedup["wall_time"] > 0
-    assert speedup["events_ratio"] > 0
-    assert "wall" in bench.format_result(result)
 
 
 def test_run_hotpath_bench_rejects_unknown_scale():
@@ -115,8 +98,7 @@ def test_compare_to_baseline_gate():
 
 
 def _with_memory(payload, peak_bytes):
-    return dict(payload, memory={
-        "modes": {"streaming": {"tracemalloc_peak_bytes": peak_bytes}}})
+    return dict(payload, memory={"tracemalloc_peak_bytes": peak_bytes})
 
 
 def test_compare_to_baseline_memory_gate():
@@ -138,7 +120,7 @@ def test_compare_to_baseline_memory_gate():
         _with_memory(baseline, 100 * 2**20), 0.30,
         max_memory_regression=0.10)
     assert not ok
-    # Old v2 baseline without a memory section: gate is skipped.
+    # A baseline without a memory section: the memory gate is skipped.
     ok, msg = bench.compare_to_baseline(
         _with_memory(result, 500 * 2**20), baseline, 0.30)
     assert ok

@@ -1,39 +1,11 @@
-"""Tests for the metrics registry and timeline recorder."""
+"""Tests for the timeline recorder."""
 
 import pytest
 
 from repro.network import build_network
-from repro.obs.metrics import MetricsRegistry, TimelineRecorder
+from repro.obs.metrics import TimelineRecorder
 
 from tests.conftest import line_config
-
-
-class TestRegistry:
-    def test_counter_get_or_create(self):
-        reg = MetricsRegistry()
-        reg.counter("tx").inc()
-        reg.counter("tx").inc(2)
-        assert reg.counter("tx").value == 3
-
-    def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("tx").inc(-1)
-
-    def test_gauge_set(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth").set(4.5)
-        assert reg.gauge("depth").value == 4.5
-
-    def test_to_dict_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("zulu").inc()
-        reg.counter("alpha").inc(5)
-        reg.gauge("g").set(1.0)
-        out = reg.to_dict()
-        assert list(out["counters"]) == ["alpha", "zulu"]
-        assert out["counters"]["alpha"] == 5.0
-        assert out["gauges"] == {"g": 1.0}
 
 
 class TestTimelineRecorder:

@@ -139,6 +139,31 @@ def test_radio_falling_asleep_mid_frame_misses():
     assert inbox == []
 
 
+@pytest.mark.parametrize("receivers", [3, 12])
+def test_corrupt_everywhere_mid_frame_delivers_nothing(receivers):
+    """A sender crashing mid-frame (the fault injector's hook) is heard
+    by nobody: every eligible receiver's copy is collided, the dozing
+    one's is missed, and the three outcomes add up to the audible set."""
+    positions = [(0.0, 50.0)] + [(10.0 * k, 50.0)
+                                 for k in range(1, receivers + 1)]
+    sim, channel, radios = make_channel(positions)
+    inbox = collect_rx(channel, range(len(positions)))
+    done = []
+    channel.attach(0, lambda f, s: None, lambda f, d: done.append(d))
+    radios[1].sleep()
+    tx = channel.transmit(0, FakeFrame(0, -1, size_bytes=1000))
+    assert len(tx.audible) == receivers
+    sim.schedule(tx.duration / 2, tx.corrupt_everywhere)
+    sim.run()
+    assert inbox == []
+    assert done == [set()]
+    assert channel.frames_delivered == 0
+    assert channel.frames_collided == receivers - 1
+    assert channel.frames_missed_asleep == 1
+    assert (channel.frames_delivered + channel.frames_missed_asleep
+            + channel.frames_collided) == len(tx.audible)
+
+
 def test_collision_when_two_senders_overlap():
     # 0 and 2 both in range of 1; they transmit simultaneously.
     sim, channel, _ = make_channel([(0.0, 50.0), (100.0, 50.0), (200.0, 50.0)])

@@ -42,6 +42,33 @@ def test_bad_rate_rejected():
         small(packet_rate=0.0)
 
 
+@pytest.mark.parametrize("overrides", [
+    # a non-finite horizon or rate never ends the run
+    dict(sim_time=float("nan")),
+    dict(sim_time=float("inf")),
+    dict(packet_rate=float("inf")),
+    # a NaN rate drove the energy meter backwards
+    dict(packet_rate=float("nan")),
+    # an empty queue underflowed on the first dequeue
+    dict(queue_capacity=0),
+    dict(queue_capacity=-1),
+    # a non-positive bitrate escaped as ChannelError from build_network
+    dict(bitrate=0.0),
+    dict(bitrate=-1e6),
+    dict(bitrate=float("nan")),
+    # a zero battery divided by zero in the battery factor
+    dict(battery_joules=0.0, rcast_factors=("sender", "battery")),
+    # a negative battery read as full forever
+    dict(battery_joules=-5.0),
+    dict(battery_joules=float("nan")),
+], ids=lambda overrides: ",".join(
+    f"{k}={'+'.join(v) if isinstance(v, tuple) else v}"
+    for k, v in overrides.items()))
+def test_degenerate_config_fails_fast(overrides):
+    with pytest.raises(ConfigurationError):
+        small(**overrides)
+
+
 def test_unknown_rcast_factor_rejected():
     with pytest.raises(ConfigurationError):
         small(rcast_factors=("bogus",))
