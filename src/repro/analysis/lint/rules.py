@@ -200,12 +200,12 @@ class WallClock(Rule):
     id = "R002"
     name = "wall-clock"
     # The CLI reports elapsed wall time to humans, the opt-in profiler
-    # (repro.obs.profiler) times callbacks around the fire interceptor, the
-    # hot-path bench harness (repro.obs.bench) times whole runs, and the live
-    # progress monitors (repro.obs.live) rate-limit rendering and compute
-    # ev/s; none of these reads feeds back into simulated behaviour, so all
-    # four modules are allowlisted (and use perf_counter anyway).
-    allow = ("cli.py", "obs/profiler.py", "obs/bench.py", "obs/live.py")
+    # (repro.obs.profiler) times callbacks around the fire interceptor, and
+    # the live progress monitors (repro.obs.live) rate-limit rendering and
+    # compute ev/s; none of these reads feeds back into simulated
+    # behaviour, so all three modules are allowlisted (and use
+    # perf_counter anyway).
+    allow = ("cli.py", "obs/profiler.py", "obs/live.py")
 
     def run(self, ctx: FileContext) -> Iterator[Finding]:
         for node, bound_name in ctx.imports.from_time_wallclock:

@@ -8,9 +8,6 @@ Subcommands:
   timeline);
 * ``profile``  — run one simulation under the event-loop profiler and
   print per-callback event counts, wall-time shares, and events/sec;
-* ``bench``    — hot-path benchmark harness: stage microbenchmarks plus
-  fig7-workload events/sec, written to ``BENCH_hotpath.json``; with
-  ``--baseline`` it exits non-zero on a >30% events/sec regression;
 * ``table1``   — the scheme-behaviour comparison (Table 1);
 * ``fig5`` .. ``fig9`` — regenerate one figure of the paper;
 * ``ablation`` — the extension studies (factors / tap / rreq);
@@ -172,44 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="callback categories to show (default 10)")
     profile_p.add_argument("--json-out", dest="json_out", default=None,
                            help="write the profile report as JSON")
-
-    bench_p = sub.add_parser(
-        "bench", help="hot-path benchmark: stage microbenchmarks + "
-                      "fig7-workload events/sec (perf-regression harness)"
-    )
-    bench_p.add_argument("--scale", choices=("smoke", "bench", "large"),
-                         default="bench")
-    bench_p.add_argument("--repeat", type=int, default=3,
-                         help="runs per stage; best wall time wins "
-                              "(default 3)")
-    bench_p.add_argument("--top", type=int, default=8,
-                         help="profiler callbacks to record (default 8)")
-    bench_p.add_argument("--workload-only", dest="workload_only",
-                         action="store_true",
-                         help="skip microbenchmark stages, the profiled "
-                              "run and the tracemalloc memory stage "
-                              "(CI shape for --scale large)")
-    bench_p.add_argument("--max-wall-time", dest="max_wall_time",
-                         type=float, default=None,
-                         help="fail when the uninstrumented workload "
-                              "exceeds this many wall seconds (hang/"
-                              "regression backstop; generous values "
-                              "only — runners vary)")
-    bench_p.add_argument("--json-out", dest="json_out",
-                         default="BENCH_hotpath.json",
-                         help="result path (default BENCH_hotpath.json)")
-    bench_p.add_argument("--baseline", default=None,
-                         help="baseline JSON to gate against "
-                              "(exit 1 on regression)")
-    bench_p.add_argument("--max-regression", dest="max_regression",
-                         type=float, default=0.30,
-                         help="tolerated events/sec drop vs baseline "
-                              "(default 0.30)")
-    bench_p.add_argument("--max-memory-regression",
-                         dest="max_memory_regression",
-                         type=float, default=0.50,
-                         help="tolerated peak-heap growth vs "
-                              "baseline (default 0.50)")
 
     for name in _FIGURES:
         fig_p = sub.add_parser(name, help=f"reproduce {name}")
@@ -532,35 +491,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    result = bench.run_hotpath_bench(scale=args.scale, repeat=args.repeat,
-                                     top_n=args.top,
-                                     workload_only=args.workload_only)
-    print(bench.format_result(result))
-    print(f"wrote {bench.write_json(result, args.json_out)}")
-    exit_code = 0
-    if args.max_wall_time is not None:
-        wall = float(result["wall_time_s"])
-        if wall > args.max_wall_time:
-            print(f"REGRESSION: workload wall time {wall:.1f}s breaches "
-                  f"the {args.max_wall_time:.1f}s ceiling")
-            exit_code = 1
-        else:
-            print(f"ok: workload wall time {wall:.1f}s under the "
-                  f"{args.max_wall_time:.1f}s ceiling")
-    if args.baseline:
-        ok, message = bench.compare_to_baseline(
-            result, bench.load_json(args.baseline),
-            max_regression=args.max_regression,
-            max_memory_regression=args.max_memory_regression)
-        print(message)
-        if not ok:
-            exit_code = 1
-    return exit_code
-
-
 def _cmd_spans(args: argparse.Namespace) -> int:
     from repro.obs.spans import (
         SORT_KEYS,
@@ -664,8 +594,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "spans":
         return _cmd_spans(args)
     if args.command == "lint":

@@ -51,10 +51,6 @@ class ExperimentScale:
         """Pause time that makes random waypoint effectively static."""
         return self.sim_time
 
-    def pause_times(self) -> Tuple[float, float]:
-        """(mobile, static) pause times, clipped to the simulated time."""
-        return (min(self.mobile_pause, self.sim_time), self.static_pause)
-
 
 #: Exact paper parameters (hours of CPU for the full figure set).
 PAPER_SCALE = ExperimentScale(

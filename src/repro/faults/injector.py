@@ -47,7 +47,7 @@ from repro.faults.plan import (
     RandomDepletions,
 )
 from repro.sim.events import PRIORITY_KERNEL
-from repro.sim.rng import derive_seed, derived_stream
+from repro.sim.rng import derived_stream
 from repro.sim.trace import NULL_TRACE, TraceSink
 
 if TYPE_CHECKING:
@@ -392,10 +392,6 @@ class FaultInjector:
         self._down.clear()
         for rule in self._loss_rules:
             rule.reset()
-
-    def derive_rule_seed(self, index: int, name: str) -> int:
-        """Seed a plan-scoped stream would use (introspection for tests)."""
-        return derive_seed(self.seed, f"faults:{index}:{name}")
 
 
 __all__ = ["FaultInjector", "FAULT_CATEGORY"]

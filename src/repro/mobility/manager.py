@@ -275,12 +275,6 @@ class PositionService:
             self._refresh_now()
         return b in self._neighbor_sets[a]
 
-    def in_cs_range(self, a: int, b: int) -> bool:
-        """True when ``b`` is within carrier-sense range of ``a``."""
-        if self._sim.now >= self._valid_until:
-            self._refresh_now()
-        return b in self._cs_sets[a]
-
     def distance(self, a: int, b: int) -> float:
         """Distance between the cached positions of two nodes."""
         if self._sim.now >= self._valid_until:

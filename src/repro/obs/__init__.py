@@ -35,13 +35,6 @@ Modules
     Post-hoc flight recorder: correlates ``dsr``/``dcf``/``chan`` trace
     records by packet uid into end-to-end flights with per-layer
     latency and energy attribution (``rcast-repro spans``).
-``bench``
-    Hot-path benchmark harness behind ``rcast-repro bench``: stage
-    microbenchmarks (snapshot refresh, neighbor query, transmit/finish,
-    engine drain) plus fig7-workload events/sec, emitted as
-    ``BENCH_hotpath.json`` with a committed-baseline regression gate.
-    Imported lazily (``from repro.obs import bench``) because it pulls in
-    the full network build stack.
 """
 
 from repro.obs.live import LiveRunMonitor, LiveSweepMonitor, TelemetryWriter

@@ -1402,7 +1402,7 @@ class TestR012:
         assert diags == []
 
     def test_outside_sim_paths_is_clean(self):
-        diags = lint(SCANNING_HANDLER, rel="obs/bench.py", rules=["R012"])
+        diags = lint(SCANNING_HANDLER, rel="obs/spans.py", rules=["R012"])
         assert diags == []
 
     def test_suppression(self):

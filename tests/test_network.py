@@ -194,3 +194,36 @@ def test_aodv_end_to_end_delivery():
     config = small("odpm", routing="aodv", sim_time=20.0, packet_rate=0.5)
     metrics = run_simulation(config)
     assert metrics.pdr > 0.7
+
+
+#: Peak-heap ceiling for the smoke workload below: 3 MiB x 1.5.  The run
+#: peaks near 1.07 MB; peak heap on a deterministic workload is
+#: machine-stable, so a breach means an unbounded buffer crept back into
+#: the hot path, not a slow machine.
+SMOKE_HEAP_CEILING_BYTES = 4_718_592
+
+
+def test_smoke_workload_peak_heap_under_ceiling():
+    import tracemalloc
+
+    from repro.obs.metrics import TimelineRecorder
+
+    # The fig7 rcast cell at smoke size, mobile, observed at 1 Hz by the
+    # same timeline `rcast-repro run --sample-interval` wires up.
+    network = build_network(SimulationConfig(
+        scheme="rcast", num_nodes=30, packet_rate=2.0, sim_time=30.0,
+        num_connections=6, mobility="waypoint", max_speed=2.0,
+        pause_time=0.0, seed=1,
+    ))
+    recorder = TimelineRecorder(period=1.0)
+    tracemalloc.start()
+    try:
+        network.run(observer=recorder.observe, observe_period=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(recorder) == 30
+    assert peak < SMOKE_HEAP_CEILING_BYTES, (
+        f"peak heap {peak:,} B breaches the {SMOKE_HEAP_CEILING_BYTES:,} B "
+        "ceiling"
+    )
