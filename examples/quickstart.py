@@ -8,6 +8,8 @@ and prints every headline metric the paper reports.
 Run:  python examples/quickstart.py
 """
 
+from dataclasses import replace
+
 from repro import SimulationConfig, run_simulation
 
 
@@ -46,7 +48,7 @@ def main() -> None:
     print(f"max role number          : {int(metrics.role_numbers.max())}")
 
     # The same scenario under a different scheme is one line away:
-    baseline = run_simulation(config.with_scheme("ieee80211"))
+    baseline = run_simulation(replace(config, scheme="ieee80211"))
     saved = (1 - metrics.total_energy / baseline.total_energy) * 100
     print(f"\nvs always-on 802.11      : {baseline.total_energy:.1f} J "
           f"-> Rcast saves {saved:.0f}%")

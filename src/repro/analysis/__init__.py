@@ -1,4 +1,4 @@
-"""Analysis tools: topology structure, cache staleness, and rcast-lint.
+"""Analysis tools: route-cache staleness audits and rcast-lint.
 
 ``python -m repro.analysis`` runs the rcast-lint static checker (see
 :mod:`repro.analysis.lint`).
@@ -6,19 +6,11 @@
 
 from repro.analysis.lint import Diagnostic, lint_paths, lint_source
 from repro.analysis.staleness import StalenessReport, audit_staleness
-from repro.analysis.topology import (
-    TopologySnapshot,
-    connectivity_over_time,
-    snapshot_topology,
-)
 
 __all__ = [
     "Diagnostic",
     "StalenessReport",
-    "TopologySnapshot",
     "audit_staleness",
-    "connectivity_over_time",
     "lint_paths",
     "lint_source",
-    "snapshot_topology",
 ]

@@ -127,6 +127,13 @@ NUM_CONNECTIONS = 20
 #: CBR payload size, bytes.
 PACKET_BYTES = 512
 
+#: When the CBR sources start sending, seconds.
+TRAFFIC_START_S = 1.0
+
+#: Sources stop this long before the end of the run so late packets do not
+#: skew PDR, seconds (capped at half the active window for short runs).
+TRAFFIC_STOP_GUARD_S = 10.0
+
 #: Simulated duration, seconds.
 SIM_TIME_S = 1125.0
 

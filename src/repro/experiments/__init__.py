@@ -41,7 +41,6 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import (
     AggregateMetrics,
     aggregate,
-    run_and_aggregate,
     run_replications,
 )
 from repro.experiments.scenarios import (
@@ -66,7 +65,6 @@ __all__ = [
     "make_config",
     "parallel_map",
     "resolve_workers",
-    "run_and_aggregate",
     "run_grid",
     "run_replications",
     "sweep",

@@ -181,21 +181,9 @@ def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
     )
 
 
-def run_and_aggregate(
-    config: SimulationConfig,
-    repetitions: int,
-    workers: Optional[int] = None,
-    on_event: "Optional[ProgressCallback]" = None,
-) -> AggregateMetrics:
-    """Convenience composition of :func:`run_replications` + :func:`aggregate`."""
-    return aggregate(run_replications(config, repetitions, workers=workers,
-                                      on_event=on_event))
-
-
 __all__ = [
     "AggregateMetrics",
     "NonFiniteReplicationWarning",
     "aggregate",
     "run_replications",
-    "run_and_aggregate",
 ]

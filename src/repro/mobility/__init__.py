@@ -3,16 +3,15 @@
 The paper uses the random waypoint model (max speed 20 m/s, pause time 0 to
 1125 s) in a 1500 x 300 m arena.  :class:`~repro.mobility.waypoint.RandomWaypoint`
 implements it analytically — a node's position at any time is computed from
-its current leg, with no per-tick integration.  Additional models
-(:class:`~repro.mobility.static.StaticPlacement`,
-:class:`~repro.mobility.random_direction.RandomDirection`) support tests and
-extension studies.  :class:`~repro.mobility.manager.PositionService` layers
-vectorized neighbor queries on top of any model.
+its current leg, with no per-tick integration.
+:class:`~repro.mobility.static.StaticPlacement` covers the static scenarios
+and hand-placed test topologies.
+:class:`~repro.mobility.manager.PositionService` layers vectorized neighbor
+queries on top of either model.
 """
 
 from repro.mobility.base import Arena, MobilityModel
 from repro.mobility.manager import PositionService
-from repro.mobility.random_direction import RandomDirection
 from repro.mobility.static import StaticPlacement
 from repro.mobility.waypoint import RandomWaypoint
 
@@ -20,7 +19,6 @@ __all__ = [
     "Arena",
     "MobilityModel",
     "PositionService",
-    "RandomDirection",
     "RandomWaypoint",
     "StaticPlacement",
 ]

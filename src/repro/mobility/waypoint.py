@@ -22,7 +22,6 @@ from numpy.typing import NDArray
 
 from repro.errors import ConfigurationError
 from repro.mobility.base import Arena, MobilityModel
-from repro.sim.rng import RngRegistry
 
 
 @dataclass
@@ -105,25 +104,6 @@ class RandomWaypoint(MobilityModel):
         self.pause_time = pause_time
         self._legs: List[_Leg] = [self._initial_leg() for _ in range(num_nodes)]
         self._last_query = 0.0
-
-    @classmethod
-    def from_registry(
-        cls,
-        num_nodes: int,
-        arena: Arena,
-        rngs: RngRegistry,
-        max_speed: float,
-        min_speed: float = 0.1,
-        pause_time: float = 0.0,
-    ) -> "RandomWaypoint":
-        """Construct using the registry's ``"mobility"`` stream."""
-        # Shares build_network's "mobility" stream name on purpose: this
-        # constructor replaces build_mobility for bench/standalone runs, so
-        # the same registry name keeps those runs on the identical mobility
-        # sequence; the two call paths never run against one registry.
-        return cls(num_nodes, arena,
-                   rngs.stream("mobility"),  # rcast-lint: disable=R007 -- intentional shared name, exclusive call paths
-                   max_speed, min_speed, pause_time)
 
     # ------------------------------------------------------------------
 

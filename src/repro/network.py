@@ -23,7 +23,7 @@ key           MAC             power manager    overhearing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import constants
@@ -52,14 +52,12 @@ from repro.mac.psm import PsmMac
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.mobility.base import Arena, MobilityModel
 from repro.mobility.manager import PositionService
-from repro.mobility.random_direction import RandomDirection
 from repro.mobility.static import StaticPlacement
 from repro.mobility.waypoint import RandomWaypoint
 from repro.node import Node
 from repro.phy.channel import Channel, reset_tx_ids
 from repro.phy.energy import EnergyMeter
 from repro.phy.radio import Radio
-from repro.routing.dsr.config import DsrConfig
 from repro.routing.dsr.protocol import DsrProtocol
 from repro.routing.packets import reset_uid_counter
 from repro.sim.engine import Simulator
@@ -67,12 +65,10 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import NULL_TRACE, TraceSink
 from repro.traffic.cbr import CbrSource
 from repro.traffic.pairs import choose_connections
-from repro.traffic.poisson import PoissonSource
 
 if TYPE_CHECKING:
     from repro.analysis.sanitizer import SanitizerReport
     from repro.mac.span import SpanElection
-    from repro.routing.aodv.config import AodvConfig
     from repro.routing.aodv.protocol import AodvProtocol
 
 #: All supported scheme keys.
@@ -94,10 +90,9 @@ class SimulationConfig:
     tx_range: float = constants.TX_RANGE_M
     cs_range: float = constants.CS_RANGE_M
     bitrate: float = constants.BITRATE_BPS
-    neighbor_refresh: float = constants.NEIGHBOR_REFRESH_S
 
     # Mobility
-    mobility: str = "waypoint"  # 'waypoint' | 'static' | 'random_direction'
+    mobility: str = "waypoint"  # 'waypoint' | 'static'
     max_speed: float = constants.MAX_SPEED_MPS
     pause_time: float = 600.0
     #: explicit static coordinates (mobility='static' only); None = uniform
@@ -107,26 +102,17 @@ class SimulationConfig:
     beacon_interval: float = constants.BEACON_INTERVAL_S
     atim_window: float = constants.ATIM_WINDOW_S
     queue_capacity: int = 64
-    #: ATIM-window announcement capacity per node per beacon interval
-    max_announcements: int = 8
     #: residual clock-sync error: each PSM node gets a uniform random clock
     #: offset in [0, clock_jitter) seconds (0 = the paper's perfect sync)
     clock_jitter: float = 0.0
-    odpm_rrep_timeout: float = constants.ODPM_RREP_TIMEOUT_S
-    odpm_data_timeout: float = constants.ODPM_DATA_TIMEOUT_S
 
-    # Traffic
-    traffic: str = "cbr"  # 'cbr' | 'poisson' | 'none'
+    # Traffic (CBR; 0 connections = no traffic)
     num_connections: int = constants.NUM_CONNECTIONS
     packet_rate: float = 0.4
     packet_bytes: int = constants.PACKET_BYTES
-    traffic_start: float = 1.0
-    traffic_stop_guard: float = 10.0
 
     # Routing
     routing: str = "dsr"  # 'dsr' (paper) | 'aodv' (footnote-1 baseline)
-    dsr: DsrConfig = field(default_factory=DsrConfig)
-    aodv: Optional["AodvConfig"] = None
 
     # Rcast options
     rcast_factors: Tuple[str, ...] = ()
@@ -171,6 +157,10 @@ class SimulationConfig:
         unknown = set(self.rcast_factors) - {"sender", "mobility", "battery"}
         if unknown:
             raise ConfigurationError(f"unknown rcast factors: {sorted(unknown)}")
+        if self.mobility not in ("waypoint", "static"):
+            raise ConfigurationError(
+                f"unknown mobility model {self.mobility!r}"
+            )
         if self.routing not in ("dsr", "aodv"):
             raise ConfigurationError(
                 f"unknown routing protocol {self.routing!r}"
@@ -186,10 +176,6 @@ class SimulationConfig:
             )
         if isinstance(self.faults, dict):
             self.faults = FaultPlan.from_dict(self.faults)
-
-    def with_scheme(self, scheme: str) -> "SimulationConfig":
-        """Copy of this config targeting a different scheme."""
-        return replace(self, scheme=scheme)
 
 
 class Network:
@@ -312,21 +298,14 @@ def build_mobility(config: SimulationConfig, rngs: RngRegistry,
             config.num_nodes, arena, rng,
             max_speed=config.max_speed, pause_time=config.pause_time,
         )
-    if config.mobility == "static":
-        if config.positions is not None:
-            if len(config.positions) != config.num_nodes:
-                raise ConfigurationError(
-                    f"{len(config.positions)} positions for "
-                    f"{config.num_nodes} nodes"
-                )
-            return StaticPlacement(list(config.positions), arena)
-        return StaticPlacement.uniform_random(config.num_nodes, arena, rng)
-    if config.mobility == "random_direction":
-        return RandomDirection(
-            config.num_nodes, arena, rng,
-            max_speed=config.max_speed, pause_time=config.pause_time,
-        )
-    raise ConfigurationError(f"unknown mobility model {config.mobility!r}")
+    if config.positions is not None:
+        if len(config.positions) != config.num_nodes:
+            raise ConfigurationError(
+                f"{len(config.positions)} positions for "
+                f"{config.num_nodes} nodes"
+            )
+        return StaticPlacement(list(config.positions), arena)
+    return StaticPlacement.uniform_random(config.num_nodes, arena, rng)
 
 
 def _sender_policy(scheme: str) -> SenderPolicy:
@@ -379,9 +358,7 @@ def _build_mac(
     )
     power: PowerManager
     if config.scheme == "odpm":
-        power = OdpmPowerManager(config.odpm_rrep_timeout,
-                                 config.odpm_data_timeout,
-                                 node_id=node_id, trace=trace)
+        power = OdpmPowerManager(node_id=node_id, trace=trace)
         tap_in_am = True
     elif config.scheme == "span":
         from repro.mac.span import SpanPowerManager
@@ -398,7 +375,6 @@ def _build_mac(
         beacon_interval=config.beacon_interval,
         atim_window=config.atim_window,
         queue_capacity=config.queue_capacity,
-        max_announcements=config.max_announcements,
         clock_offset=(rngs.stream("clock").uniform(0.0, config.clock_jitter)
                       if config.clock_jitter > 0 else 0.0),
         tap_in_am=tap_in_am,
@@ -425,7 +401,6 @@ def build_network(config: SimulationConfig,
     positions = PositionService(
         sim, mobility,
         tx_range=config.tx_range, cs_range=config.cs_range,
-        refresh=config.neighbor_refresh,
     )
     radios: Dict[int, Radio] = {
         i: Radio(sim, i, EnergyMeter(battery_joules=config.battery_joules,
@@ -456,18 +431,13 @@ def build_network(config: SimulationConfig,
                                 span_election=span_election, epochs=epochs)
         agent: Union[DsrProtocol, "AodvProtocol"]
         if config.routing == "aodv":
-            from repro.routing.aodv.config import AodvConfig
             from repro.routing.aodv.protocol import AodvProtocol
 
-            aodv_config = (replace(config.aodv) if config.aodv is not None
-                           else AodvConfig())
-            agent = AodvProtocol(sim, i, mac, config=aodv_config,
-                                 metrics=metrics,
+            agent = AodvProtocol(sim, i, mac, metrics=metrics,
                                  rng=rngs.stream(f"aodv:{i}"), trace=trace)
         else:
-            agent = DsrProtocol(sim, i, mac, config=replace(config.dsr),
-                                metrics=metrics, rng=rngs.stream(f"dsr:{i}"),
-                                trace=trace)
+            agent = DsrProtocol(sim, i, mac, metrics=metrics,
+                                rng=rngs.stream(f"dsr:{i}"), trace=trace)
         nodes.append(Node(i, radios[i], mac, agent, rcast))
         if isinstance(mac, PsmMac):
             psm_macs[i] = mac
@@ -492,33 +462,22 @@ def build_network(config: SimulationConfig,
 
 def _attach_traffic(config: SimulationConfig, sim: Simulator,
                     rngs: RngRegistry, nodes: List[Node]) -> None:
-    if config.traffic == "none" or config.num_connections == 0:
+    if config.num_connections == 0:
         return
     pairs = choose_connections(
         config.num_nodes, config.num_connections, rngs.stream("traffic")
     )
+    start = constants.TRAFFIC_START_S
     # The guard keeps late packets from skewing PDR, but must never eat
     # more than half of the active window (short test runs).
-    window = config.sim_time - config.traffic_start
-    stop = config.sim_time - min(config.traffic_stop_guard, window / 2)
+    window = config.sim_time - start
+    stop = config.sim_time - min(constants.TRAFFIC_STOP_GUARD_S, window / 2)
     for index, (src, dst) in enumerate(pairs):
-        rng = rngs.stream(f"traffic:{index}")
-        source: Union[CbrSource, PoissonSource]
-        if config.traffic == "cbr":
-            source = CbrSource(
-                sim, nodes[src].dsr, dst,
-                rate_pps=config.packet_rate, packet_bytes=config.packet_bytes,
-                start=config.traffic_start, stop=stop, rng=rng,
-            )
-        elif config.traffic == "poisson":
-            source = PoissonSource(
-                sim, nodes[src].dsr, dst,
-                rate_pps=config.packet_rate, packet_bytes=config.packet_bytes,
-                rng=rng, start=config.traffic_start, stop=stop,
-            )
-        else:
-            raise ConfigurationError(f"unknown traffic model {config.traffic!r}")
-        nodes[src].sources.append(source)
+        nodes[src].sources.append(CbrSource(
+            sim, nodes[src].dsr, dst,
+            rate_pps=config.packet_rate, packet_bytes=config.packet_bytes,
+            start=start, stop=stop, rng=rngs.stream(f"traffic:{index}"),
+        ))
 
 
 def run_simulation(config: SimulationConfig,

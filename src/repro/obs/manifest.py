@@ -5,7 +5,7 @@ config hash, wall time, events processed — so exported results
 (``--json-out``) are self-describing and benchmark trajectories can be
 seeded from real measurements.  The config hash is a SHA-256 over the
 canonical JSON encoding of the dataclass fields, so two configs hash
-equal iff every field (including nested DSR/AODV config) is equal.
+equal iff every field (including the nested fault plan) is equal.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""Traffic generation: CBR (the paper's workload) plus a Poisson extension."""
+"""Traffic generation: the paper's CBR workload."""
 
 from repro.traffic.cbr import CbrSource
 from repro.traffic.pairs import choose_connections
-from repro.traffic.poisson import PoissonSource
 
-__all__ = ["CbrSource", "PoissonSource", "choose_connections"]
+__all__ = ["CbrSource", "choose_connections"]

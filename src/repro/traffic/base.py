@@ -2,7 +2,7 @@
 
 Traffic sources only need two things from the routing layer, so they are
 typed against this small structural protocol rather than a concrete
-protocol engine — CBR/Poisson sources drive DSR and AODV agents alike.
+protocol engine — CBR sources drive DSR and AODV agents alike.
 """
 
 from __future__ import annotations

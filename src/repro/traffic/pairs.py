@@ -12,28 +12,23 @@ def choose_connections(
     num_nodes: int,
     num_connections: int,
     rng: random.Random,
-    distinct_sources: bool = True,
 ) -> List[Tuple[int, int]]:
     """Pick ``num_connections`` (source, destination) pairs.
 
-    Sources are distinct when ``distinct_sources`` (the paper's "20 CBR
-    sources"); destinations are arbitrary nodes other than the source.
+    Sources are distinct (the paper's "20 CBR sources"); destinations are
+    arbitrary nodes other than the source.
     """
     if num_connections <= 0:
         raise ConfigurationError("num_connections must be positive")
     if num_nodes < 2:
         raise ConfigurationError("need at least two nodes for traffic")
-    if distinct_sources and num_connections > num_nodes:
+    if num_connections > num_nodes:
         raise ConfigurationError(
             f"cannot pick {num_connections} distinct sources from "
             f"{num_nodes} nodes"
         )
-    if distinct_sources:
-        sources = rng.sample(range(num_nodes), num_connections)
-    else:
-        sources = [rng.randrange(num_nodes) for _ in range(num_connections)]
     pairs = []
-    for src in sources:
+    for src in rng.sample(range(num_nodes), num_connections):
         dst = rng.randrange(num_nodes - 1)
         if dst >= src:
             dst += 1

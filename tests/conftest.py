@@ -64,7 +64,6 @@ def line_config(
         arena_h=100.0,
         mobility="static",
         positions=positions,
-        traffic="none",
         num_connections=0,
         sim_time=sim_time,
         seed=seed,

@@ -86,10 +86,10 @@ def test_aggregate_rejects_empty():
 
 def test_aggregate_handles_infinite_metrics():
     scale = tiny_scale()
-    # traffic='none' yields no deliveries -> infinite EPB/overhead.
+    # No connections yields no deliveries -> infinite EPB/overhead.
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4,
-                         traffic="none")
-    agg = runner.run_and_aggregate(config, 1)
+                         num_connections=0)
+    agg = runner.aggregate(runner.run_replications(config, 1))
     assert agg.energy_per_bit == float("inf")
 
 

@@ -161,7 +161,7 @@ def test_aggregate_equality_is_ndarray_aware():
 def test_aggregate_counts_dropped_replications():
     scale = tiny_scale()
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4,
-                         traffic="none")
+                         num_connections=0)
     runs = runner.run_replications(config, 2)
     with pytest.warns(runner.NonFiniteReplicationWarning):
         agg = runner.aggregate(runs)

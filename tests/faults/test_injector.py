@@ -186,9 +186,8 @@ class TestDeliveryImpairments:
         assert injector_b.fault_counts() == {"burst_drops": sum(seq_b)}
 
     def test_full_loss_starves_traffic(self) -> None:
-        config = line_config("ieee80211", n=3, traffic="cbr",
-                             num_connections=1, packet_rate=1.0,
-                             sim_time=15.0)
+        config = line_config("ieee80211", n=3, num_connections=1,
+                             packet_rate=1.0, sim_time=15.0)
         plan = FaultPlan((PacketLoss(rate=1.0),))
         metrics = run_simulation(replace(config, faults=plan))
         assert metrics.data_delivered == 0
@@ -225,7 +224,7 @@ class TestLifecycle:
             net.faults.arm()
 
     def test_run_is_deterministic_under_faults(self) -> None:
-        config = line_config("rcast", n=4, traffic="cbr", num_connections=1,
+        config = line_config("rcast", n=4, num_connections=1,
                              sim_time=12.0, faults=FaultPlan((
                                  NodeCrash(node=2, at=4.0, recover_at=8.0),
                                  PacketLoss(rate=0.3),
@@ -242,7 +241,7 @@ class TestLifecycle:
         from repro.experiments import runner
 
         config = line_config(
-            "rcast", n=3, traffic="cbr", num_connections=1,
+            "rcast", n=3, num_connections=1,
             packet_rate=1.0, sim_time=6.0,
             faults=FaultPlan((RandomCrashes(fraction=1.0, start=0.2,
                                             stop=0.5),)))

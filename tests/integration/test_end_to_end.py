@@ -111,7 +111,7 @@ def test_link_break_and_rediscovery_under_forced_mobility():
     positions = ((0.0, 100.0), (140.0, 160.0), (140.0, 40.0), (280.0, 100.0))
     config = SimulationConfig(
         scheme="ieee80211", num_nodes=4, arena_w=400.0, arena_h=250.0,
-        mobility="static", positions=positions, traffic="none",
+        mobility="static", positions=positions,
         num_connections=0, sim_time=40.0, seed=2, tx_range=160.0,
         cs_range=320.0,
     )
@@ -131,36 +131,6 @@ def test_link_break_and_rediscovery_under_forced_mobility():
     metrics = network.run()
     assert metrics.data_delivered == 2
     assert metrics.link_breaks >= 1
-
-
-def test_random_direction_mobility_end_to_end():
-    """Rcast's gains are not an artifact of random waypoint: the energy
-    ordering holds under the boundary-seeking random direction model too."""
-    results = {}
-    for scheme in ("ieee80211", "rcast"):
-        config = SimulationConfig(
-            scheme=scheme, num_nodes=30, arena_w=800.0, arena_h=300.0,
-            mobility="random_direction", max_speed=2.0, pause_time=0.0,
-            num_connections=5, packet_rate=0.5, sim_time=30.0, seed=6,
-        )
-        results[scheme] = run_simulation(config)
-    assert results["rcast"].pdr > 0.8
-    assert (results["rcast"].total_energy
-            < 0.75 * results["ieee80211"].total_energy)
-
-
-def test_poisson_traffic_end_to_end():
-    """The energy ordering survives bursty (non-CBR) arrivals."""
-    results = {}
-    for scheme in ("psm", "rcast"):
-        config = SimulationConfig(
-            scheme=scheme, num_nodes=30, arena_w=800.0, arena_h=300.0,
-            mobility="static", traffic="poisson", num_connections=5,
-            packet_rate=0.5, sim_time=30.0, seed=8,
-        )
-        results[scheme] = run_simulation(config)
-    assert results["rcast"].pdr > 0.85
-    assert results["rcast"].total_energy < results["psm"].total_energy
 
 
 def test_battery_config_threads_through():

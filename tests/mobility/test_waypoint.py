@@ -108,9 +108,3 @@ def test_velocity_zero_while_paused(rng):
 def test_invalid_parameters_rejected(rng, kwargs):
     with pytest.raises(ConfigurationError):
         RandomWaypoint(5, Arena(100.0, 100.0), rng, **kwargs)
-
-
-def test_from_registry_uses_mobility_stream(rngs):
-    model = RandomWaypoint.from_registry(5, Arena(100.0, 100.0), rngs,
-                                         max_speed=5.0)
-    assert model.positions_at(0.0).shape == (5, 2)

@@ -35,7 +35,7 @@ SIM_TIME = 10.0
 
 def adaptive_config(policy: str, seed: int, plan=None):
     return line_config("rcast", n=N_NODES, sim_time=SIM_TIME, seed=seed,
-                       traffic="cbr", num_connections=1, packet_rate=1.0,
+                       num_connections=1, packet_rate=1.0,
                        faults=plan, overhearing_policy=policy)
 
 

@@ -1,100 +1,38 @@
-"""Tests for topology analysis."""
+"""Scenario sanity: the paper's density gives a connected multihop network."""
 
-import pytest
+from collections import deque
 
-from repro.analysis.topology import (
-    connectivity_over_time,
-    hop_histogram,
-    snapshot_topology,
-)
-from repro.errors import ConfigurationError
 from repro.mobility.base import Arena
+from repro.mobility.manager import PositionService
 from repro.mobility.static import StaticPlacement
-from repro.mobility.waypoint import RandomWaypoint
+from repro.sim.engine import Simulator
 
 
-def line_model(n=5, spacing=100.0):
-    return StaticPlacement.line(n, spacing=spacing)
-
-
-def test_line_topology_structure():
-    snap = snapshot_topology(line_model(5), time=0.0, tx_range=150.0)
-    assert snap.num_nodes == 5
-    assert snap.num_links == 4          # adjacent only
-    assert snap.is_connected
-    assert snap.num_components == 1
-    assert snap.max_degree == 2
-    assert snap.min_degree == 1
-    assert snap.diameter_hops == 4
-
-
-def test_disconnected_topology():
-    arena = Arena(2000.0, 100.0)
-    model = StaticPlacement(
-        [(0.0, 50.0), (100.0, 50.0), (1500.0, 50.0)], arena
-    )
-    snap = snapshot_topology(model, 0.0, tx_range=150.0)
-    assert not snap.is_connected
-    assert snap.num_components == 2
-    assert snap.largest_component_fraction == pytest.approx(2 / 3)
-
-
-def test_dense_topology_degrees():
-    model = StaticPlacement.grid(3, 3, spacing=50.0)
-    snap = snapshot_topology(model, 0.0, tx_range=80.0)
-    # Center node reaches all 4-neighborhood plus diagonals (<= 70.7 m).
-    assert snap.max_degree == 8
-    assert snap.is_connected
+def _hops_from(positions, source):
+    """Hop distance from ``source`` to every node it can reach (BFS)."""
+    hops = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for neighbor in positions.sorted_neighbors(node):
+            if neighbor not in hops:
+                hops[neighbor] = hops[node] + 1
+                frontier.append(neighbor)
+    return hops
 
 
 def test_paper_scenario_is_mostly_connected(rng):
     """The paper's density (100 nodes / 1500x300 / 250 m) must be connected
     almost everywhere, or its results would be delivery-limited."""
-    arena = Arena(1500.0, 300.0)
-    model = StaticPlacement.uniform_random(100, arena, rng)
-    snap = snapshot_topology(model, 0.0, tx_range=250.0)
-    assert snap.largest_component_fraction > 0.95
-    assert snap.mean_degree > 10
-    assert snap.mean_hops >= 2.0  # genuinely multihop
-
-
-def test_connectivity_over_time(rng):
-    arena = Arena(800.0, 300.0)
-    model = RandomWaypoint(30, arena, rng, max_speed=10.0)
-    snaps = connectivity_over_time(model, tx_range=250.0, duration=50.0,
-                                   samples=5)
-    assert len(snaps) == 5
-    assert snaps[0].time == 0.0
-    assert snaps[-1].time == 50.0
-    assert all(s.num_nodes == 30 for s in snaps)
-
-
-def test_hop_histogram_line():
-    histogram = hop_histogram(line_model(4), 0.0, tx_range=150.0)
-    # Pairs at 1, 2, 3 hops: 3, 2, 1 pairs respectively.
-    assert histogram == {1: 3, 2: 2, 3: 1}
-
-
-def test_hop_histogram_unreachable():
-    arena = Arena(2000.0, 100.0)
-    model = StaticPlacement([(0.0, 50.0), (1900.0, 50.0)], arena)
-    histogram = hop_histogram(model, 0.0, tx_range=150.0)
-    assert histogram == {-1: 1}
-
-
-def test_hop_histogram_specific_pairs():
-    histogram = hop_histogram(line_model(4), 0.0, tx_range=150.0,
-                              pairs=[(0, 3), (0, 1)])
-    assert histogram == {3: 1, 1: 1}
-
-
-def test_describe_line():
-    snap = snapshot_topology(line_model(3), 0.0, tx_range=150.0)
-    assert "connected" in snap.describe()
-
-
-def test_validation():
-    with pytest.raises(ConfigurationError):
-        snapshot_topology(line_model(3), 0.0, tx_range=0.0)
-    with pytest.raises(ConfigurationError):
-        connectivity_over_time(line_model(3), 150.0, 10.0, samples=0)
+    n = 100
+    model = StaticPlacement.uniform_random(n, Arena(1500.0, 300.0), rng)
+    positions = PositionService(Simulator(), model, tx_range=250.0)
+    reach = [_hops_from(positions, node) for node in range(n)]
+    largest = max(reach, key=len)
+    assert len(largest) / n > 0.95
+    mean_degree = sum(positions.neighbor_count(i) for i in range(n)) / n
+    assert mean_degree > 10
+    # average shortest path over ordered pairs of the largest component
+    pairs = len(largest) * (len(largest) - 1)
+    mean_hops = sum(sum(reach[i].values()) for i in largest) / pairs
+    assert mean_hops >= 2.0  # genuinely multihop

@@ -61,6 +61,9 @@ def test_bad_rate_rejected():
     # a negative battery read as full forever
     dict(battery_joules=-5.0),
     dict(battery_joules=float("nan")),
+    # an unknown mobility model got past the config into build_network
+    dict(mobility="teleport"),
+    dict(mobility="random_direction"),
 ], ids=lambda overrides: ",".join(
     f"{k}={'+'.join(v) if isinstance(v, tuple) else v}"
     for k, v in overrides.items()))
@@ -77,14 +80,6 @@ def test_unknown_rcast_factor_rejected():
 def test_unknown_overhearing_policy_rejected():
     with pytest.raises(ConfigurationError, match="overhearing"):
         small(overhearing_policy="oracle")
-
-
-def test_with_scheme_copies():
-    config = small("rcast")
-    other = config.with_scheme("odpm")
-    assert other.scheme == "odpm"
-    assert config.scheme == "rcast"
-    assert other.num_nodes == config.num_nodes
 
 
 def test_unknown_mobility_rejected():
@@ -140,7 +135,7 @@ def test_rcast_factors_wiring():
 
 
 def test_traffic_none_builds_no_sources():
-    network = build_network(small(traffic="none"))
+    network = build_network(small(num_connections=0))
     assert all(not n.sources for n in network.nodes)
 
 
@@ -148,17 +143,6 @@ def test_traffic_sources_match_connections():
     network = build_network(small(num_connections=3))
     total = sum(len(n.sources) for n in network.nodes)
     assert total == 3
-
-
-def test_poisson_traffic_supported():
-    network = build_network(small(traffic="poisson"))
-    total = sum(len(n.sources) for n in network.nodes)
-    assert total == 2
-
-
-def test_unknown_traffic_rejected():
-    with pytest.raises(ConfigurationError):
-        build_network(small(traffic="fractal"))
 
 
 def test_run_twice_rejected():

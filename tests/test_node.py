@@ -8,7 +8,7 @@ from tests.conftest import line_config
 
 
 def test_node_start_starts_sources():
-    config = line_config("rcast", n=3, sim_time=5.0, traffic="cbr",
+    config = line_config("rcast", n=3, sim_time=5.0,
                          num_connections=1, packet_rate=1.0)
     network = build_network(config)
     source_node = next(n for n in network.nodes if n.sources)

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.traffic.cbr import CbrSource
 from repro.traffic.pairs import choose_connections
-from repro.traffic.poisson import PoissonSource
 
 
 class FakeDsr:
@@ -41,12 +40,6 @@ def test_pairs_distinct_sources():
     pairs = choose_connections(50, 30, rng)
     sources = [s for s, _ in pairs]
     assert len(set(sources)) == 30
-
-
-def test_pairs_non_distinct_sources_allowed():
-    rng = random.Random(2)
-    pairs = choose_connections(5, 30, rng, distinct_sources=False)
-    assert len(pairs) == 30
 
 
 def test_pairs_deterministic_for_seed():
@@ -130,41 +123,3 @@ def test_cbr_validation():
 def test_cbr_src_property():
     sim = Simulator()
     assert CbrSource(sim, FakeDsr(7), 1, 1.0, 100).src == 7
-
-
-# --- PoissonSource ----------------------------------------------------------
-
-
-def test_poisson_mean_rate():
-    sim = Simulator()
-    dsr = FakeDsr()
-    source = PoissonSource(sim, dsr, 2, rate_pps=5.0, packet_bytes=100,
-                           rng=random.Random(8), stop=200.0)
-    source.start()
-    sim.run(until=200.0)
-    # Expect ~1000 packets; allow 3-sigma slack (~sqrt(1000)*3 ~ 95).
-    assert 900 <= len(dsr.calls) <= 1100
-
-
-def test_poisson_requires_rng():
-    sim = Simulator()
-    with pytest.raises(ConfigurationError):
-        PoissonSource(sim, FakeDsr(), 1, 1.0, 100, rng=None)
-
-
-def test_poisson_validation():
-    sim = Simulator()
-    with pytest.raises(ConfigurationError):
-        PoissonSource(sim, FakeDsr(), 1, -1.0, 100, rng=random.Random(1))
-
-
-def test_poisson_deterministic_for_seed():
-    def run(seed):
-        sim = Simulator()
-        dsr = FakeDsr()
-        PoissonSource(sim, dsr, 2, 2.0, 100, rng=random.Random(seed),
-                      stop=50.0).start()
-        sim.run(until=50.0)
-        return len(dsr.calls)
-
-    assert run(4) == run(4)
