@@ -22,37 +22,36 @@ classic DSR — the paper's stale-route discussion relies on this).
 
 Hot-path note: ``add_path`` runs on every overheard path, every RREQ
 reverse path and every forwarded source route — at dense-network rates it
-is one of the busiest functions in the whole simulator.  The per-prefix /
-per-link index structures that used to answer ``extension_of`` /
-``using_link`` in O(1) cost ~20x the path storage in key tuples and
-bucket lists (>190 MB at 1,000 nodes), which made cache memory — not
-speed — the barrier to large scenarios, so they are gone.  What remains
-is one *bounded* index: every cached path starts at the owner, so every
-extension of a probe path shares its second element, and a single
-first-hop bucket dict (<= capacity keys, exactly one list slot per
-entry — a few hundred bytes per node) narrows the ``extension_of`` scan
-to the handful of same-first-hop candidates.  ``using_link`` keeps the
-linear scan but rejects non-members with two C-speed tuple probes before
-walking any hop pairs.
+is one of the busiest functions in the whole simulator, and once a segment
+is full every new path evicts one.  Eviction pops a per-segment binary
+heap of ``(last_used, added_at, seq, entry)`` tuples instead of scanning
+the segment.  Touches stay plain ``last_used`` writes and push nothing;
+the heap is repaired lazily when eviction pops a stale tuple (see
+:meth:`_Segment.pop_lru`), and each touch costs at most one such re-push,
+so eviction is amortised O(log n) rather than O(n).  The
+per-prefix / per-link index structures that used to answer
+``extension_of`` / ``using_link`` in O(1) cost ~20x the path storage in
+key tuples and bucket lists (>190 MB at 1,000 nodes), which made cache
+memory — not speed — the barrier to large scenarios, so they are gone.
+What remains is bounded: the heap (at most two tuples per entry) and a
+first-hop bucket dict — every cached path starts at the owner, so every
+extension of a probe path shares its second element, and the buckets
+(<= capacity keys, exactly one list slot per entry) narrow the
+``extension_of`` scan to the handful of same-first-hop candidates.
+``using_link`` keeps the linear scan but rejects non-members with two
+C-speed tuple probes before walking any hop pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import RoutingError
 
 #: sources that go to the primary segment
 PRIMARY_SOURCES = frozenset({"rrep", "forward", "local"})
-
-#: LRU eviction order: least recently used, oldest-inserted tie-break.
-#: attrgetter runs at C speed; eviction scans whole segments on every
-#: insertion into a full cache, which is the steady state under dense
-#: overhearing, so the key function is genuinely hot.
-_LRU_KEY = attrgetter("last_used", "added_at")
-
 
 @dataclass
 class CachedPath:
@@ -63,6 +62,9 @@ class CachedPath:
     last_used: float
     source: str = "unknown"  # 'rrep' | 'forward' | 'overhear' | 'rreq' | ...
     uses: int = 0
+    #: position in the owning segment's insertion order (set by
+    #: ``_Segment.insert``); the final LRU tie-break
+    seq: int = field(default=0, compare=False, repr=False)
 
 
 class _Segment:
@@ -78,27 +80,32 @@ class _Segment:
     and their memory is strictly bounded by the segment capacity — one
     list slot per entry — unlike the per-prefix index removed for eating
     >190 MB at 1,000 nodes.
+
+    ``heap`` orders entries for eviction by ``(last_used, added_at, seq)``.
+    ``seq`` counts insertions into this segment, so it increases along the
+    dict order and reproduces the tie-break of ``min()`` over
+    ``entries.values()`` (the first in dict order wins); a path is never
+    re-inserted over itself, so every insertion appends.
     """
 
-    __slots__ = ("entries", "by_hop")
+    __slots__ = ("entries", "by_hop", "heap", "next_seq")
 
     def __init__(self) -> None:
         self.entries: Dict[Tuple[int, ...], CachedPath] = {}
         self.by_hop: Dict[int, List[CachedPath]] = {}
+        self.heap: List[Tuple[float, float, int, CachedPath]] = []
+        self.next_seq = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def insert(self, entry: CachedPath) -> None:
-        old = self.entries.get(entry.path)
+        """Append ``entry``; its path must not already be in the segment."""
         self.entries[entry.path] = entry
-        bucket = self.by_hop.setdefault(entry.path[1], [])
-        if old is None:
-            bucket.append(entry)
-        else:
-            # Same-path overwrite keeps the dict position; mirror that in
-            # the bucket so scan order stays identical.
-            bucket[bucket.index(old)] = entry
+        self.by_hop.setdefault(entry.path[1], []).append(entry)
+        entry.seq = seq = self.next_seq
+        self.next_seq = seq + 1
+        heappush(self.heap, (entry.last_used, entry.added_at, seq, entry))
 
     def remove(self, entry: CachedPath) -> None:
         del self.entries[entry.path]
@@ -107,6 +114,35 @@ class _Segment:
         bucket.remove(entry)
         if not bucket:
             del self.by_hop[hop]
+        # Removal leaves the entry's heap tuple behind; rebuild once stale
+        # tuples outnumber live ones, so the heap stays O(capacity).
+        if len(self.heap) > 2 * len(self.entries):
+            self.heap = [(e.last_used, e.added_at, e.seq, e)
+                         for e in self.entries.values()]
+            heapify(self.heap)
+
+    def pop_lru(self) -> CachedPath:
+        """Remove and return the least recently used entry.
+
+        The victim is the entry minimising ``(last_used, added_at, seq)``.
+        Touches overwrite ``last_used`` without updating the heap, which
+        stays exact because simulated time never decreases: every live
+        entry has exactly one heap tuple, and its key is a lower bound on
+        the entry's true key.  So a popped tuple whose entry is gone is
+        skipped, one whose ``last_used`` has moved is re-pushed with the
+        current value, and one whose key is still current is the minimum.
+        """
+        heap = self.heap
+        entries = self.entries
+        while True:
+            last_used, added_at, seq, entry = heappop(heap)
+            if entries.get(entry.path) is not entry:
+                continue
+            if entry.last_used != last_used:
+                heappush(heap, (entry.last_used, added_at, seq, entry))
+                continue
+            self.remove(entry)
+            return entry
 
     def extension_of(self, path: Tuple[int, ...]) -> Optional[CachedPath]:
         """Earliest-inserted entry having ``path`` as a prefix (or equal)."""
@@ -145,6 +181,7 @@ class _Segment:
     def clear(self) -> None:
         self.entries.clear()
         self.by_hop.clear()
+        self.heap.clear()
 
 
 class RouteCache:
@@ -235,8 +272,7 @@ class RouteCache:
         return True
 
     def _evict_lru(self, segment: _Segment) -> None:
-        victim = min(segment.entries.values(), key=_LRU_KEY)
-        segment.remove(victim)
+        segment.pop_lru()
         self.evictions += 1
 
     def _expire(self, now: float) -> None:
@@ -305,15 +341,6 @@ class RouteCache:
             dst != c.path[0] and dst in c.path
             for seg in self._segments() for c in seg.entries.values()
         )
-
-    def known_destinations(self, now: float) -> Set[int]:
-        """All destinations reachable from cached paths."""
-        self._expire(now)
-        out: Set[int] = set()
-        for segment in self._segments():
-            for cached in segment.entries.values():
-                out.update(cached.path[1:])
-        return out
 
     # ------------------------------------------------------------------
     # Invalidation (route maintenance)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from repro.mobility.base import Arena
 from repro.mobility.waypoint import RandomWaypoint
 from repro.phy.energy import EnergyMeter, RadioState
-from repro.routing.dsr.cache import RouteCache
+from repro.routing.dsr.cache import PRIMARY_SOURCES, CachedPath, RouteCache
 from repro.routing.packets import DataPacket, next_uid
 from repro.sim.engine import Simulator
 from repro.metrics.stats import percentile, sample_variance
@@ -166,6 +167,163 @@ def test_cache_capacity_never_exceeded(paths):
     for i, path in enumerate(paths):
         cache.add_path(path, now=float(i), source="overhear")
         assert len(cache) <= 15
+
+
+class _MinScanCache:
+    """Reference two-segment cache that evicts by scanning with ``min()``.
+
+    Plain dicts (insertion order is segment order) and the full-segment
+    ``min(..., key=(last_used, added_at))`` eviction whose first-in-dict
+    tie-break ``RouteCache``'s heap must reproduce.
+    """
+
+    _LRU = attrgetter("last_used", "added_at")
+
+    def __init__(self, capacity, primary_capacity, timeout):
+        self.primary, self.secondary = {}, {}
+        self.capacity, self.primary_capacity = capacity, primary_capacity
+        self.timeout = timeout
+        self.hits = self.misses = self.evictions = 0
+        self.invalidations = self.insertions = self.promotions = 0
+
+    def _evict_if_full(self, seg):
+        bound = (self.primary_capacity if seg is self.primary
+                 else self.capacity)
+        if len(seg) >= bound:
+            del seg[min(seg.values(), key=self._LRU).path]
+            self.evictions += 1
+
+    def _expire(self, now):
+        if self.timeout is None:
+            return
+        for seg in (self.primary, self.secondary):
+            for entry in [e for e in seg.values()
+                          if now - e.added_at > self.timeout]:
+                del seg[entry.path]
+                self.invalidations += 1
+
+    def add_path(self, path, now, source):
+        self._expire(now)
+        for seg in (self.primary, self.secondary):
+            covering = seg.get(path) or next(
+                (e for e in seg.values() if e.path[:len(path)] == path), None)
+            if covering is not None:
+                covering.last_used = now
+                return False
+        seg = self.primary if source in PRIMARY_SOURCES else self.secondary
+        self._evict_if_full(seg)
+        seg[path] = CachedPath(path, now, now, source)
+        self.insertions += 1
+        return True
+
+    def route_to(self, dst, now):
+        self._expire(now)
+        best = best_seg = None
+        for seg in (self.primary, self.secondary):
+            for entry in seg.values():
+                if dst in entry.path[1:] and (
+                        best is None
+                        or entry.path.index(dst) < best.path.index(dst)):
+                    best, best_seg = entry, seg
+        if best is None:
+            self.misses += 1
+            return None
+        best.last_used = now
+        best.uses += 1
+        self.hits += 1
+        if best_seg is self.secondary:
+            del self.secondary[best.path]
+            self._evict_if_full(self.primary)
+            self.primary[best.path] = best
+            self.promotions += 1
+        return best.path[:best.path.index(dst) + 1]
+
+    def remove_link(self, a, b):
+        affected = 0
+        for seg in (self.primary, self.secondary):
+            cuts = [(e, i) for e in seg.values()
+                    for i in range(len(e.path) - 1)
+                    if {e.path[i], e.path[i + 1]} == {a, b}]
+            for entry, i in cuts:
+                affected += 1
+                del seg[entry.path]
+                self.invalidations += 1
+                prefix = entry.path[:i + 1]
+                if len(prefix) >= 2 and prefix not in seg:
+                    seg[prefix] = CachedPath(prefix, entry.added_at,
+                                             entry.last_used, entry.source,
+                                             entry.uses)
+        return affected
+
+    def clear(self):
+        self.invalidations += len(self.primary) + len(self.secondary)
+        self.primary.clear()
+        self.secondary.clear()
+
+
+_CACHE_COUNTERS = attrgetter("hits", "misses", "evictions", "invalidations",
+                             "insertions", "promotions")
+
+
+def _segment_state(entries):
+    return [(e.path, e.added_at, e.last_used, e.source, e.uses)
+            for e in entries.values()]
+
+
+_small_paths = st.lists(st.integers(min_value=1, max_value=8), min_size=1,
+                        max_size=3, unique=True).map(lambda t: (0, *t))
+_dt = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0])
+_add_op = st.tuples(
+    st.just("add"), _small_paths,
+    st.sampled_from(sorted(PRIMARY_SOURCES | {"overhear", "rreq"})), _dt)
+_route_op = st.tuples(st.just("route"), st.integers(min_value=1, max_value=8),
+                      _dt)
+_remove_link_op = st.tuples(st.just("remove_link"),
+                            st.integers(min_value=0, max_value=8),
+                            st.integers(min_value=1, max_value=8))
+_op_by_kind = {"add": _add_op, "route": _route_op,
+               "remove_link": _remove_link_op,
+               "clear": st.tuples(st.just("clear"))}
+# Weighted towards inserts so segments fill and evict between the rare
+# clears.
+_cache_ops = st.sampled_from(
+    ["add"] * 12 + ["route"] * 4 + ["remove_link"] * 3 + ["clear"]
+).flatmap(_op_by_kind.__getitem__)
+
+
+@given(capacity=st.integers(min_value=1, max_value=6),
+       primary_capacity=st.integers(min_value=1, max_value=6),
+       timeout=st.none() | st.sampled_from([0.5, 1.0, 2.0]),
+       ops=st.lists(_cache_ops, min_size=40, max_size=120))
+@settings(max_examples=200, deadline=None)
+def test_cache_matches_min_scan_reference(capacity, primary_capacity,
+                                          timeout, ops):
+    """Heap eviction picks the same victim as a min() scan, every time."""
+    cache = RouteCache(0, capacity=capacity, timeout=timeout,
+                       primary_capacity=primary_capacity)
+    model = _MinScanCache(capacity, primary_capacity, timeout)
+    now = 0.0
+    for op in ops:
+        if op[0] == "add":
+            _, path, source, dt = op
+            now += dt
+            got = (cache.add_path(path, now, source),
+                   model.add_path(path, now, source))
+        elif op[0] == "route":
+            _, dst, dt = op
+            now += dt
+            got = cache.route_to(dst, now), model.route_to(dst, now)
+        elif op[0] == "remove_link":
+            _, a, b = op
+            got = cache.remove_link(a, b), model.remove_link(a, b)
+        else:
+            got = cache.clear(), model.clear()
+        assert got[0] == got[1], op
+        assert (_segment_state(cache._primary.entries)
+                == _segment_state(model.primary)), op
+        assert (_segment_state(cache._secondary.entries)
+                == _segment_state(model.secondary)), op
+        assert _CACHE_COUNTERS(cache) == _CACHE_COUNTERS(model), op
 
 
 # --- Source-route indexing ----------------------------------------------------

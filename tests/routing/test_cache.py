@@ -90,8 +90,44 @@ def test_secondary_eviction_is_lru():
     cache.route_to(10, 2.0)  # freshen the first (also promotes it)
     cache.add_path((0, 3, 30), now=3.0, source="overhear")
     cache.add_path((0, 4, 40), now=4.0, source="overhear")
+    assert (0, 2, 20) not in cache  # least recently used secondary entry
+    assert (0, 3, 30) in cache
     assert cache.route_to(10, 9.0) is not None  # promoted, safe
     assert cache.route_to(40, 9.0) is not None
+
+
+def test_eviction_tie_on_last_used_evicts_older_added_at():
+    cache = RouteCache(0, capacity=2, primary_capacity=2)
+    cache.add_path((0, 1, 10), now=0.0, source="overhear")
+    cache.add_path((0, 2, 20), now=1.0, source="rrep")
+    # Promotion appends the older entry after (0, 2, 20) in the primary
+    # segment, with the same last_used.
+    cache.route_to(10, 1.0)
+    cache.add_path((0, 3, 30), now=2.0, source="rrep")
+    assert (0, 1, 10) not in cache
+    assert (0, 2, 20) in cache
+
+
+def test_eviction_full_tie_evicts_first_inserted():
+    cache = RouteCache(0, capacity=2, primary_capacity=2)
+    cache.add_path((0, 2, 20), now=0.0, source="overhear")
+    cache.add_path((0, 1, 10), now=0.0, source="overhear")
+    cache.add_path((0, 3, 30), now=1.0, source="overhear")
+    assert (0, 2, 20) not in cache
+    assert (0, 1, 10) in cache
+
+
+def test_refreshed_entry_survives_later_eviction():
+    cache = RouteCache(0, capacity=2, primary_capacity=2)
+    cache.add_path((0, 1, 10), now=0.0, source="overhear")
+    cache.add_path((0, 2, 20), now=1.0, source="overhear")
+    assert cache.add_path((0, 1, 10), now=2.0, source="overhear") is False
+    cache.add_path((0, 3, 30), now=3.0, source="overhear")
+    assert (0, 1, 10) in cache
+    assert (0, 2, 20) not in cache
+    cache.add_path((0, 4, 40), now=4.0, source="overhear")
+    assert (0, 1, 10) not in cache  # last used at 2.0, before (0, 3, 30)
+    assert (0, 3, 30) in cache
 
 
 def test_promotion_on_use():
@@ -143,13 +179,6 @@ def test_timeout_expires_entries():
     assert cache.route_to(2, 5.0) is not None
     assert cache.route_to(2, 11.0) is None
     assert cache.invalidations >= 1
-
-
-def test_known_destinations():
-    cache = RouteCache(0)
-    cache.add_path((0, 1, 2), now=0.0, source="rrep")
-    cache.add_path((0, 3), now=0.0, source="overhear")
-    assert cache.known_destinations(1.0) == {1, 2, 3}
 
 
 def test_has_route_to_does_not_touch_counters():
