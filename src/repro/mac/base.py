@@ -169,7 +169,8 @@ class AlwaysOnMac(MacBase):
         # DEFERRED cannot happen here (no deadlines without PSM).
 
     def _on_channel_receive(self, frame: Frame, sender: int) -> None:
-        if frame.dst == self.node_id or frame.is_broadcast:
+        dst = frame.dst
+        if dst == self.node_id or dst == BROADCAST:
             self._on_receive(frame.packet, sender)
         else:
             # Always-awake radios overhear everything, as classic DSR assumes.

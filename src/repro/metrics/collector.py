@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Sequence, Set
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 from numpy.typing import NDArray
@@ -101,7 +101,8 @@ class MetricsCollector:
             "data": 0, "rreq": 0, "rrep": 0, "rerr": 0,
         }
         self.link_breaks = 0
-        self.overheard_by_node = np.zeros(num_nodes, dtype=np.int64)
+        #: plain ints while running; the summary builds the int64 array
+        self.overheard_by_node: List[int] = [0] * num_nodes
         self.drop_grace_s = drop_grace_s
         self.inflight_hold_s = inflight_hold_s
         #: outcome reversals observed after a record was folded (a
@@ -276,7 +277,7 @@ class MetricsCollector:
                                  if n_delivered else float("inf")),
             role_numbers=self.roles.counts(),
             link_breaks=self.link_breaks,
-            overheard_by_node=self.overheard_by_node.copy(),
+            overheard_by_node=np.array(self.overheard_by_node, dtype=np.int64),
             drop_reasons=dict(self._drop_counts),
             events_processed=events_processed,
             fault_counts=dict(fault_counts) if fault_counts else {},

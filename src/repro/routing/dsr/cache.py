@@ -29,15 +29,18 @@ the segment.  Touches stay plain ``last_used`` writes and push nothing;
 the heap is repaired lazily when eviction pops a stale tuple (see
 :meth:`_Segment.pop_lru`), and each touch costs at most one such re-push,
 so eviction is amortised O(log n) rather than O(n).  The
-per-prefix / per-link index structures that used to answer
-``extension_of`` / ``using_link`` in O(1) cost ~20x the path storage in
+per-prefix / per-link index structures that used to answer covering
+lookups and ``using_link`` in O(1) cost ~20x the path storage in
 key tuples and bucket lists (>190 MB at 1,000 nodes), which made cache
 memory — not speed — the barrier to large scenarios, so they are gone.
 What remains is bounded: the heap (at most two tuples per entry) and a
 first-hop bucket dict — every cached path starts at the owner, so every
 extension of a probe path shares its second element, and the buckets
 (<= capacity keys, exactly one list slot per entry) narrow the
-``extension_of`` scan to the handful of same-first-hop candidates.
+covering scan to the handful of same-first-hop candidates.  They also
+guard it: a bucket exists iff some entry has that first hop (``remove``
+deletes emptied buckets, ``clear`` all of them), so a segment holding
+nothing via the path's first hop costs ``add_path`` one dict probe.
 ``using_link`` keeps the linear scan but rejects non-members with two
 C-speed tuple probes before walking any hop pairs.
 """
@@ -74,7 +77,7 @@ class _Segment:
     segment order, so "the first entry in segment order extending path P"
     is the first match in scan order.  ``by_hop`` buckets entries by their
     second element (the first hop): every extension of a probe path shares
-    that element, so ``extension_of`` scans one bucket instead of the
+    that element, so ``known`` scans one bucket instead of the
     whole segment.  Buckets hold entries in segment insertion order (a
     subsequence of the dict order), so "earliest inserted" is preserved,
     and their memory is strictly bounded by the segment capacity — one
@@ -144,18 +147,25 @@ class _Segment:
             self.remove(entry)
             return entry
 
-    def extension_of(self, path: Tuple[int, ...]) -> Optional[CachedPath]:
-        """Earliest-inserted entry having ``path`` as a prefix (or equal)."""
-        n = len(path)
-        if n < 2:
-            return None
+    def known(self, path: Tuple[int, ...]) -> Optional[CachedPath]:
+        """``path``'s own entry, else the earliest-inserted one extending it.
+
+        ``path`` must have at least two elements.  An exact match and every
+        extension share the first hop ``path[1]``, and ``by_hop`` has that
+        key iff some entry here has that first hop, so a segment without
+        one costs a single dict probe.
+        """
         bucket = self.by_hop.get(path[1])
         if bucket is None:
             return None
+        exact = self.entries.get(path)
+        if exact is not None:
+            return exact
+        n = len(path)
         last = path[n - 1]
         for entry in bucket:
             p = entry.path
-            if len(p) >= n and p[n - 1] == last and p[:n] == path:
+            if len(p) > n and p[n - 1] == last and p[:n] == path:
                 return entry
         return None
 
@@ -238,8 +248,8 @@ class RouteCache:
         Returns True when a new entry was stored, False when it duplicated
         existing knowledge (whose recency is refreshed instead).  Callers
         that already guarantee the path invariants (the DSR learning paths
-        pre-filter loops and short paths) may pass ``validate=False`` to
-        skip re-checking them.
+        build every path from a loop-free packet route) may pass
+        ``validate=False`` to skip re-checking them.
         """
         path = tuple(path)
         if validate:
@@ -252,19 +262,18 @@ class RouteCache:
                 raise RoutingError(f"path has a loop: {path}")
         if self.timeout is not None:
             self._expire(now)
-        for segment in self._segments():
-            existing = segment.entries.get(path)
-            if existing is not None:
-                existing.last_used = now
-                return False
-            # A strict prefix of an existing path adds no information.
-            covering = segment.extension_of(path)
-            if covering is not None:
-                covering.last_used = now
-                return False
-        segment = self._primary if source in PRIMARY_SOURCES else self._secondary
-        bound = (self.primary_capacity if segment is self._primary
-                 else self.capacity)
+        # An equal path, or one it is a strict prefix of, already carries
+        # this information: primary first, then secondary.
+        known = self._primary.known(path)
+        if known is None:
+            known = self._secondary.known(path)
+        if known is not None:
+            known.last_used = now
+            return False
+        if source in PRIMARY_SOURCES:
+            segment, bound = self._primary, self.primary_capacity
+        else:
+            segment, bound = self._secondary, self.capacity
         if len(segment) >= bound:
             self._evict_lru(segment)
         segment.insert(CachedPath(path, now, now, source))

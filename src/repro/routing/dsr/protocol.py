@@ -17,6 +17,13 @@ Implements the classic DSR feature set the paper builds on:
   provably can hear) and cache routes toward both endpoints.  This is the
   mechanism whose energy price under PSM the paper quantifies and Rcast
   randomizes.
+
+Every path this agent learns is a slice of a packet's route, with this
+node prepended only when it is not on that route.  Packet constructors
+reject looping routes (trip routes, RREP paths and RREQ route records,
+including the copies ``advance``/``salvaged``/``extended`` make), so
+learned paths are loop-free by construction and go to
+:meth:`RouteCache.add_path` with ``validate=False``.
 """
 
 from __future__ import annotations
@@ -296,8 +303,10 @@ class DsrProtocol:
             return
         now = self.sim.now
         # Everyone hearing a RREQ learns the reverse path to its originator.
-        reverse = (self.node_id,) + tuple(reversed(rreq.route_record))
-        self._safe_add(reverse, "rreq")
+        reverse = (self.node_id,) + rreq.route_record[::-1]
+        self.cache.add_path(reverse, now, "rreq", validate=False)
+        if self.trace.enabled:
+            self._trace_cache_add(reverse, "rreq")
 
         key = (rreq.src, rreq.request_id)
         if self.node_id == rreq.target:
@@ -451,59 +460,59 @@ class DsrProtocol:
         self.overheard_packets += 1
         if self.metrics is not None:
             self.metrics.overheard(self.node_id)
-        if packet.kind == "rerr":
+        kind = packet.kind
+        if kind == "rerr":
             # Unconditional invalidation: purge the broken link immediately.
             self.cache.remove_link(*packet.broken)
             return
         if not self.config.learn_from_overhearing:
             return
-        if packet.kind in ("data", "rrep"):
+        if kind == "data":
             self._learn_by_splicing(packet.trip_route, packet.trip_index)
-            if packet.kind == "rrep":
-                self._note_answered(packet)
-                path = packet.path
-                if transmitter in path:
-                    self._learn_by_splicing(path, path.index(transmitter))
+        elif kind == "rrep":
+            self._learn_by_splicing(packet.trip_route, packet.trip_index)
+            self._note_answered(packet)
+            path = packet.path
+            if transmitter in path:
+                self._learn_by_splicing(path, path.index(transmitter))
 
     def _learn_by_splicing(self, route: Tuple[int, ...], t_idx: int) -> None:
         """Cache routes built by splicing ourselves onto an overheard route.
 
         We heard ``route[t_idx]`` transmit, so a one-hop link to it exists;
         its suffix leads to the route's destination and its reversed prefix
-        back to the source.
+        back to the source.  Both spliced paths have at least two nodes and
+        no loop: ``route`` is a trip route or an RREP path, which the packet
+        constructors reject when looping, and this node is prepended only
+        when it is not on ``route``.
         """
-        if self.node_id in route:
+        me = self.node_id
+        if me in route:
             return
-        suffix = (self.node_id,) + route[t_idx:]
-        if len(suffix) >= 2:
-            self._safe_add(suffix, "overhear")
-        prefix = (self.node_id,) + tuple(reversed(route[: t_idx + 1]))
-        if len(prefix) >= 2:
-            self._safe_add(prefix, "overhear")
+        now = self.sim.now
+        for path in ((me,) + route[t_idx:], (me,) + route[t_idx::-1]):
+            self.cache.add_path(path, now, "overhear", validate=False)
+            if self.trace.enabled:
+                self._trace_cache_add(path, "overhear")
 
     # ------------------------------------------------------------------
     # Cache-learning helpers
     # ------------------------------------------------------------------
 
-    def _safe_add(self, path: Tuple[int, ...], source: str) -> None:
-        if len(path) < 2 or len(set(path)) != len(path):
-            return
-        # Every caller builds ``path`` starting at this node, and the loop
-        # check just ran — skip the cache's own (re-)validation.
-        self.cache.add_path(path, self.sim.now, source, validate=False)
-        if self.trace.enabled:
-            self.trace.emit(self.sim.now, "dsr", self.node_id, "cache_add",
-                            dst=path[-1], hops=len(path) - 1, source=source)
+    def _trace_cache_add(self, path: Tuple[int, ...], source: str) -> None:
+        """Emit the ``cache_add`` record for a learned path (traced runs)."""
+        self.trace.emit(self.sim.now, "dsr", self.node_id, "cache_add",
+                        dst=path[-1], hops=len(path) - 1, source=source)
 
     def _learn_along(self, route: Tuple[int, ...], my_idx: int,
                      source: str = "forward") -> None:
         """Learn the suffix and reversed prefix of a route we sit on."""
-        suffix = route[my_idx:]
-        if len(suffix) >= 2:
-            self._safe_add(suffix, source)
-        prefix = tuple(reversed(route[: my_idx + 1]))
-        if len(prefix) >= 2:
-            self._safe_add(prefix, source)
+        now = self.sim.now
+        for path in (route[my_idx:], route[my_idx::-1]):
+            if len(path) >= 2:
+                self.cache.add_path(path, now, source, validate=False)
+                if self.trace.enabled:
+                    self._trace_cache_add(path, source)
 
     def _learn_from_path(self, path: Tuple[int, ...]) -> None:
         """Learn both directions of a discovered path we appear on.

@@ -73,19 +73,9 @@ class PacketBase:
         _check_trip(self.trip_route, self.trip_index)
 
     @property
-    def current_hop(self) -> int:
-        """Node currently holding/transmitting the packet."""
-        return self.trip_route[self.trip_index]
-
-    @property
     def next_hop(self) -> int:
         """Node the packet must be transmitted to next."""
         return self.trip_route[self.trip_index + 1]
-
-    @property
-    def at_last_hop(self) -> bool:
-        """True when the next hop is the trip destination."""
-        return self.trip_index + 1 == len(self.trip_route) - 1
 
     def advance(self) -> "PacketBase":
         """Copy of the packet as forwarded by the next hop."""

@@ -335,10 +335,10 @@ def test_data_packet_advance_walks_entire_route(route):
     packet = DataPacket(src=route[0], dst=route[-1], uid=next_uid(),
                         created_at=0.0, trip_route=tuple(route), trip_index=0,
                         payload_bytes=10)
-    visited = [packet.current_hop]
-    while not packet.at_last_hop:
+    visited = [packet.trip_route[packet.trip_index]]
+    while packet.trip_index + 1 != len(packet.trip_route) - 1:
         packet = packet.advance()
-        visited.append(packet.current_hop)
+        visited.append(packet.trip_route[packet.trip_index])
     visited.append(packet.next_hop)
     assert visited == list(route)
 

@@ -65,6 +65,15 @@ def test_prefix_of_existing_adds_nothing():
     assert len(cache) == 1
 
 
+def test_primary_extension_refreshed_before_secondary_exact():
+    cache = RouteCache(0)
+    cache.add_path((0, 1, 2), now=0.0, source="overhear")  # secondary
+    cache.add_path((0, 1, 2, 3), now=0.0, source="rrep")   # primary
+    assert cache.add_path((0, 1, 2), now=5.0, source="overhear") is False
+    assert cache._primary.entries[(0, 1, 2, 3)].last_used == 5.0
+    assert cache._secondary.entries[(0, 1, 2)].last_used == 0.0
+
+
 def test_primary_and_secondary_segments():
     cache = RouteCache(0, capacity=4, primary_capacity=4)
     cache.add_path((0, 1, 2), now=0.0, source="rrep")      # primary

@@ -24,9 +24,9 @@ def test_uids_unique():
 
 def test_data_hops():
     p = data()
-    assert p.current_hop == 0
+    assert p.trip_route[p.trip_index] == 0
     assert p.next_hop == 1
-    assert not p.at_last_hop
+    assert p.trip_index + 1 != len(p.trip_route) - 1
 
 
 def test_advance_produces_new_packet():
@@ -34,19 +34,27 @@ def test_advance_produces_new_packet():
     q = p.advance()
     assert q is not p
     assert q.trip_index == 1
-    assert q.current_hop == 1
+    assert q.trip_route[q.trip_index] == 1
     assert q.next_hop == 2
     assert p.trip_index == 0  # original untouched
 
 
 def test_at_last_hop():
     p = data(idx=2)
-    assert p.at_last_hop
+    assert p.trip_index + 1 == len(p.trip_route) - 1
+    assert p.next_hop == p.trip_route[-1]
+    with pytest.raises(RoutingError):
+        p.advance()  # the trip destination never transmits the packet on
 
 
 def test_trip_validation_rejects_loop():
     with pytest.raises(RoutingError):
         data(route=(0, 1, 0, 2))
+
+
+def test_salvage_rejects_looping_route():
+    with pytest.raises(RoutingError, match="loop"):
+        data(idx=1).salvaged((1, 5, 1, 3))
 
 
 def test_trip_validation_rejects_short_route():
@@ -94,6 +102,12 @@ def test_rreq_extended_rejects_duplicate_node():
                         request_id=1, ttl=5, route_record=(0, 3))
     with pytest.raises(RoutingError):
         rreq.extended(3)
+
+
+def test_rreq_record_rejects_loop():
+    with pytest.raises(RoutingError, match="loop"):
+        RouteRequest(src=0, dst=9, uid=next_uid(), created_at=0.0,
+                     request_id=1, ttl=5, route_record=(0, 3, 0))
 
 
 def test_rreq_record_must_start_at_origin():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.routing.dsr.config import DsrConfig
+from repro.routing.packets import DataPacket, RouteReply, next_uid
 
 from tests.routing.conftest import DsrRig, line_rig
 
@@ -46,15 +47,56 @@ def test_intermediate_nodes_learn_from_forwarding(rig5):
     assert rig5.dsr[2].cache.route_to(0, rig5.sim.now) == (2, 1, 0)
 
 
-def test_overhearing_splices_route(rig5):
-    rig5.dsr[0].send_data(4, 512)
-    rig5.run(until=5.0)
-    # Node 0's transmission to 1 is overheard by... node 1 only (range 150).
-    # Node 2 overhears node 1's and node 3's transmissions: it can splice
-    # a route to 0 via 1 even though it never forwarded toward 0... it did
-    # forward.  Check a node off the path instead: none exist in a line, so
-    # verify the overheard counter moved somewhere at least.
-    assert rig5.dsr[0].overheard_packets + rig5.dsr[4].overheard_packets > 0
+def _overhear(rig, listener, packet, transmitter):
+    """Feed ``packet`` to ``listener``'s tap; return the paths it offered
+    its cache, as ``(path, source)`` in call order."""
+    cache = rig.dsr[listener].cache
+    offered = []
+    add_path = cache.add_path
+
+    def record(path, now, source="unknown", validate=True):
+        offered.append((path, source))
+        return add_path(path, now, source, validate)
+
+    cache.add_path = record
+    rig.dsr[listener]._on_promiscuous(packet, transmitter)
+    return offered
+
+
+def test_overhearing_splices_route():
+    route = (1, 2, 3, 4)
+    for t in range(len(route) - 1):
+        rig = line_rig(5)
+        packet = DataPacket(src=1, dst=4, uid=next_uid(), created_at=0.0,
+                            trip_route=route, trip_index=t, payload_bytes=512)
+        # Node 0 is off the route: it splices itself onto route[t].
+        suffix = (0,) + route[t:]
+        prefix = (0,) + tuple(reversed(route[: t + 1]))
+        offered = _overhear(rig, 0, packet, transmitter=route[t])
+        assert offered == [(suffix, "overhear"), (prefix, "overhear")]
+        cache = rig.dsr[0].cache
+        assert not cache._primary.entries
+        # At t == 0 the prefix (0, route[0]) is a prefix of the suffix,
+        # which already carries it.
+        landed = [suffix] if t == 0 else [suffix, prefix]
+        assert {p: e.source for p, e in cache._secondary.entries.items()} == {
+            p: "overhear" for p in landed}
+        # A node on the route learns nothing by splicing.
+        assert _overhear(rig, 3, packet, transmitter=route[t]) == []
+        assert len(rig.dsr[3].cache) == 0
+
+
+def test_overheard_rrep_splices_its_path(rig5):
+    # Node 3 answers a discovery for path (1, 2, 3): the RREP travels
+    # 3 -> 2 -> 1, and node 0 overhears its first hop.
+    rrep = RouteReply(src=3, dst=1, uid=next_uid(), created_at=0.0,
+                      trip_route=(3, 2, 1), trip_index=0, path=(1, 2, 3))
+    offered = _overhear(rig5, 0, rrep, transmitter=3)
+    assert offered == [
+        ((0, 3, 2, 1), "overhear"), ((0, 3), "overhear"),  # trip route
+        ((0, 3), "overhear"), ((0, 3, 2, 1), "overhear"),  # RREP path
+    ]
+    assert list(rig5.dsr[0].cache._secondary.entries) == [(0, 3, 2, 1)]
 
 
 def test_expanding_ring_first_when_neighbor_is_target():
