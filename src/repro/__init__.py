@@ -32,14 +32,12 @@ from repro.network import (
     build_network,
     run_simulation,
 )
-from repro.routing.dsr.config import DsrConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "DsrConfig",
     "MetricsCollector",
     "Network",
     "NoOverhearing",

@@ -257,12 +257,6 @@ class SuppressionIndex:
                 rules |= entry.rules
         return frozenset(rules)
 
-    def suppressed_lines(self) -> List[int]:
-        """Lines carrying an inline pragma (diagnostics / tooling)."""
-        return sorted(
-            {entry.line for entry in self.entries if not entry.file_wide}
-        )
-
 
 __all__ = [
     "ALL_RULES",

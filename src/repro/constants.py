@@ -17,7 +17,8 @@ POWER_AWAKE_W = 1.15
 #: Power drawn in the low-power sleep ("doze") state, watts (9 mA x 5 V).
 POWER_SLEEP_W = 0.045
 
-#: Finer-grained powers for the optional four-state energy model.
+#: Finer-grained per-state powers (``repro.obs.spans`` prices per-hop
+#: transmit and receive energy with them).
 POWER_TX_W = 1.50
 POWER_RX_W = 1.40
 POWER_IDLE_W = 1.15
@@ -81,8 +82,11 @@ ODPM_DATA_TIMEOUT_S = 2.0
 
 # --- DSR ---------------------------------------------------------------------
 
-#: Maximum number of routes kept per node's route cache.
+#: Maximum passively learned (secondary-segment) paths per node's route cache.
 DSR_CACHE_CAPACITY = 64
+
+#: Maximum actively used (primary-segment) paths per node's route cache.
+DSR_CACHE_PRIMARY_CAPACITY = 32
 
 #: Route-discovery retransmission backoff: initial wait before retrying a
 #: network-wide RREQ that got no answer, seconds.  Under PSM a discovery
@@ -111,6 +115,45 @@ DSR_SEND_BUFFER_CAPACITY = 64
 
 #: Seconds a packet may wait in the send buffer before being dropped.
 DSR_SEND_BUFFER_TIMEOUT_S = 30.0
+
+#: RREPs the target sends per discovery (one per arriving RREQ copy), offering
+#: alternative routes; the paper leans on this behaviour.
+DSR_MAX_REPLIES_PER_REQUEST = 3
+
+#: Maximum times one data packet may be salvaged on link failure.
+DSR_MAX_SALVAGE_COUNT = 2
+
+# --- AODV (paper-era defaults) -----------------------------------------------
+
+#: Seconds a route stays valid after its last use/update (RFC default 3 s).
+AODV_ACTIVE_ROUTE_TIMEOUT_S = 3.0
+
+#: First discovery ring TTL.
+AODV_TTL_START = 1
+
+#: TTL increment per expanding-ring retry.
+AODV_TTL_INCREMENT = 2
+
+#: TTL at which the search becomes network-wide.
+AODV_TTL_THRESHOLD = 7
+
+#: Network-wide RREQ TTL.
+AODV_NETWORK_TTL = 16
+
+#: Network-wide discovery retries before buffered packets are dropped.
+AODV_MAX_DISCOVERY_RETRIES = 3
+
+#: Base wait per discovery ring, scaled by its TTL (PSM RTT-aware), seconds.
+AODV_RING_WAIT_PER_TTL_S = 0.6
+
+#: Cap on any single discovery wait, seconds.
+AODV_MAX_RING_WAIT_S = 4.0
+
+#: Maximum data packets buffered per node awaiting a route.
+AODV_SEND_BUFFER_CAPACITY = 64
+
+#: Seconds a packet may wait in the send buffer before being dropped.
+AODV_SEND_BUFFER_TIMEOUT_S = 30.0
 
 # --- Scenario defaults (paper Section 4.1) -----------------------------------
 

@@ -23,7 +23,7 @@ optional factor contributes a multiplier in a bounded range:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -128,11 +128,6 @@ class CompositeProbability:
                  factors: "Sequence[Callable[[Announcement], float]]" = ()) -> None:
         self._base = base
         self._factors = list(factors)
-
-    @property
-    def factor_names(self) -> List[str]:
-        """Names of the active factor multipliers."""
-        return [getattr(f, "name", type(f).__name__) for f in self._factors]
 
     def __call__(self, announcement: "Announcement") -> float:
         p = self._base(announcement)

@@ -160,11 +160,6 @@ class RandomizedOverhearing:
             self.overhears += 1
         return overhear
 
-    @property
-    def empirical_rate(self) -> float:
-        """Fraction of decisions that chose to overhear so far."""
-        return self.overhears / self.decisions if self.decisions else 0.0
-
 
 __all__ = [
     "OverhearingLevel",

@@ -15,7 +15,7 @@ The PSM MAC asks it two questions:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.atim import subtype_for_level
 from repro.sim.trace import NULL_TRACE, TraceSink
@@ -98,8 +98,8 @@ class RcastManager:
             factors.append(BatteryFactor(
                 remaining_fraction_fn=lambda: energy_meter.remaining_fraction(sim.now),
             ))
-        self._probability = CompositeProbability(base, factors)
-        self.decider = RandomizedOverhearing(rng, self._probability)
+        self.decider = RandomizedOverhearing(
+            rng, CompositeProbability(base, factors))
 
     # ------------------------------------------------------------------
     # Sender side
@@ -172,15 +172,6 @@ class RcastManager:
                 sender=announcement.sender, decision=decision, p=p,
             )
         return decision
-
-    def overhearing_probability(self, announcement: "Announcement") -> float:
-        """The P_R that :meth:`should_overhear` would use (diagnostics)."""
-        return self.decider.probability(announcement)
-
-    @property
-    def active_factors(self) -> Sequence[str]:
-        """Names of the optional decision factors in effect."""
-        return self._probability.factor_names
 
 
 __all__ = ["RcastManager"]

@@ -41,7 +41,6 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import (
     AggregateMetrics,
     aggregate,
-    run_replications,
 )
 from repro.experiments.scenarios import (
     BENCH_SCALE,
@@ -66,6 +65,5 @@ __all__ = [
     "parallel_map",
     "resolve_workers",
     "run_grid",
-    "run_replications",
     "sweep",
 ]

@@ -103,12 +103,6 @@ def write_sweep_csv(result: SweepResult, path: PathLike) -> Path:
     return path
 
 
-def load_sweep_json(path: PathLike) -> Dict[str, Any]:
-    """Read back a JSON export (plain dict; no object reconstruction)."""
-    loaded: Dict[str, Any] = json.loads(Path(path).read_text())
-    return loaded
-
-
 def result_to_jsonable(obj: Any) -> Any:
     """Recursively convert any experiment result object to JSON-safe data.
 
@@ -156,7 +150,6 @@ __all__ = [
     "sweep_to_dict",
     "write_sweep_json",
     "write_sweep_csv",
-    "load_sweep_json",
     "result_to_jsonable",
     "write_result_json",
 ]

@@ -74,9 +74,9 @@ def resolve_workers(workers: Optional[int]) -> int:
 def replication_config(config: SimulationConfig, rep: int) -> SimulationConfig:
     """The exact config replication ``rep`` runs: base config + derived seed.
 
-    Both the serial path (:func:`repro.experiments.runner.run_replications`)
-    and the worker processes go through this function, so the per-rep seeds
-    are identical no matter where a replication executes.
+    Both the serial path and the worker processes go through this
+    function, so the per-rep seeds are identical no matter where a
+    replication executes.
     """
     return replace(config, seed=replication_seed(config.seed, rep))
 

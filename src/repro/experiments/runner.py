@@ -1,11 +1,11 @@
-"""Replication running and aggregation.
+"""Replication aggregation.
 
-The paper repeats every scenario ten times; :func:`run_replications` does
-the same with deterministically derived seeds and :func:`aggregate` folds
-the per-run :class:`~repro.metrics.collector.RunMetrics` into means with
-95% confidence half-widths.  ``workers`` shards replications across a
-process pool (:mod:`repro.experiments.parallel`); results are reassembled
-in repetition order, so the aggregate is bit-identical for any worker
+The paper repeats every scenario ten times;
+:func:`~repro.experiments.parallel.run_grid` runs the replications with
+deterministically derived seeds, serially or across a process pool, and
+reassembles them in repetition order.  :func:`aggregate` folds the per-run
+:class:`~repro.metrics.collector.RunMetrics` into means with 95%
+confidence half-widths, so the aggregate is bit-identical for any worker
 count.
 """
 
@@ -14,47 +14,17 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.metrics.collector import RunMetrics
 from repro.metrics.stats import confidence_interval_95, mean
-from repro.network import SimulationConfig, run_simulation
-
-if TYPE_CHECKING:
-    from repro.experiments.parallel import ProgressCallback
 
 
 class NonFiniteReplicationWarning(RuntimeWarning):
     """Raised when :func:`aggregate` drops non-finite replication values."""
-
-
-def run_replications(
-    config: SimulationConfig,
-    repetitions: int,
-    workers: Optional[int] = None,
-    on_event: "Optional[ProgressCallback]" = None,
-) -> List[RunMetrics]:
-    """Run ``config`` ``repetitions`` times with derived seeds.
-
-    ``workers=None`` (or 1) runs serially in-process; any other value
-    shards the replications across a process pool.  The returned list is
-    always in repetition order (index ``rep`` ran with seed
-    ``replication_seed(config.seed, rep)``), whichever path executed it.
-    """
-    from repro.experiments.parallel import (
-        replication_config,
-        resolve_workers,
-        run_grid,
-    )
-
-    if resolve_workers(workers) == 1 and on_event is None:
-        return [run_simulation(replication_config(config, rep))
-                for rep in range(repetitions)]
-    return run_grid({None: config}, repetitions, workers=workers,
-                    on_event=on_event)[None]
 
 
 @dataclass(eq=False)
@@ -185,5 +155,4 @@ __all__ = [
     "AggregateMetrics",
     "NonFiniteReplicationWarning",
     "aggregate",
-    "run_replications",
 ]

@@ -46,11 +46,6 @@ class ExperimentScale:
     #: match the paper's effective link-churn rate.
     mobile_max_speed: float = 20.0
 
-    @property
-    def static_pause(self) -> float:
-        """Pause time that makes random waypoint effectively static."""
-        return self.sim_time
-
 
 #: Exact paper parameters (hours of CPU for the full figure set).
 PAPER_SCALE = ExperimentScale(

@@ -328,10 +328,6 @@ class FaultInjector:
         node.dsr.reset_cold()
         node.mac.resume()
 
-    def is_down(self, node_id: int) -> bool:
-        """True while ``node_id`` is crashed or depleted."""
-        return node_id in self._down
-
     # ------------------------------------------------------------------
     # Delivery-time impairments (called by Channel._finish)
     # ------------------------------------------------------------------

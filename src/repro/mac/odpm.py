@@ -43,11 +43,6 @@ class OdpmPowerManager(PowerManager):
         #: number of PS->AM transitions (mode-switch overhead diagnostics)
         self.switches_to_am = 0
 
-    @property
-    def am_deadline(self) -> float:
-        """Absolute time until which the node stays in AM."""
-        return self._am_until
-
     def mode(self, now: float) -> PowerMode:
         """AM while a keep-alive is armed, PS otherwise."""
         return PowerMode.AM if now < self._am_until else PowerMode.PS

@@ -58,10 +58,6 @@ class TxQueue:
         """Dequeue the head entry."""
         return self._queue.popleft()
 
-    def peek(self) -> QueuedFrame:
-        """Head entry without removing it."""
-        return self._queue[0]
-
     def remove(self, entry: QueuedFrame) -> bool:
         """Remove a specific entry; True when it was present."""
         try:

@@ -13,7 +13,7 @@ salvage re-routes).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,10 +33,6 @@ class RoleTracker:
         for node in route[1:-1]:
             self._counts[node] += 1
 
-    def role_number(self, node: int) -> int:
-        """Role number of one node."""
-        return int(self._counts[node])
-
     def counts(self) -> NDArray[np.int64]:
         """Copy of the per-node role-number vector."""
         return self._counts.copy()
@@ -44,11 +40,6 @@ class RoleTracker:
     def max_role(self) -> int:
         """Largest role number in the network (paper Fig. 9 discussion)."""
         return int(self._counts.max()) if self.num_nodes else 0
-
-    def top_k(self, k: int) -> List[Tuple[int, int]]:
-        """The ``k`` most-burdened nodes as (node, role) pairs."""
-        order = np.argsort(self._counts)[::-1][:k]
-        return [(int(n), int(self._counts[n])) for n in order]
 
 
 __all__ = ["RoleTracker"]

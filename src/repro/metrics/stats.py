@@ -38,11 +38,6 @@ def population_variance(values: Sequence[float]) -> float:
     return sum((v - mu) ** 2 for v in values) / len(values)
 
 
-def std_dev(values: Sequence[float]) -> float:
-    """Sample standard deviation."""
-    return math.sqrt(sample_variance(values))
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, q in [0, 100]; 0.0 for empty input."""
     if not 0 <= q <= 100:
@@ -266,7 +261,6 @@ __all__ = [
     "mean",
     "sample_variance",
     "population_variance",
-    "std_dev",
     "percentile",
     "t_critical_95",
     "confidence_interval_95",

@@ -32,12 +32,6 @@ class Arena:
         """Project (x, y) onto the arena."""
         return (min(max(x, 0.0), self.width), min(max(y, 0.0), self.height))
 
-    @property
-    def diagonal(self) -> float:
-        """Length of the arena diagonal (an upper bound on any leg length)."""
-        return float(np.hypot(self.width, self.height))
-
-
 class MobilityModel:
     """Interface: positions of ``num_nodes`` nodes as a function of time.
 

@@ -80,9 +80,4 @@ class StaticPlacement(MobilityModel):
         """The fixed position of one node."""
         return (float(self._coords[node, 0]), float(self._coords[node, 1]))
 
-    def velocity_of(self, node: int, time: float) -> Tuple[float, float]:
-        """Always zero."""
-        return (0.0, 0.0)
-
-
 __all__ = ["StaticPlacement"]

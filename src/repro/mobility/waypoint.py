@@ -157,17 +157,4 @@ class RandomWaypoint(MobilityModel):
         leg = self._advance(node, time)
         return leg.position_at(time)
 
-    def velocity_of(self, node: int, time: float) -> Tuple[float, float]:
-        """Instantaneous velocity vector of ``node`` at ``time``."""
-        leg = self._advance(node, time)
-        if time - leg.start_time >= leg.travel_time:
-            return (0.0, 0.0)  # pausing
-        dist = float(np.hypot(leg.dest_x - leg.start_x, leg.dest_y - leg.start_y))
-        if dist == 0:
-            return (0.0, 0.0)
-        ux = (leg.dest_x - leg.start_x) / dist
-        uy = (leg.dest_y - leg.start_y) / dist
-        return (ux * leg.speed, uy * leg.speed)
-
-
 __all__ = ["RandomWaypoint"]

@@ -9,8 +9,7 @@ Modules
 -------
 ``sinks``
     Trace sinks beyond the in-memory :class:`~repro.sim.trace.TraceLog`:
-    bounded ring buffer, JSONL file writer, and a category/node/time-window
-    filtering decorator that composes with any sink.
+    a JSONL file writer and a category filter that composes with any sink.
 ``metrics``
     A :class:`TimelineRecorder` that samples per-node residual energy,
     awake fraction, MAC queue depth and engine queue gauges on a fixed
@@ -41,7 +40,7 @@ from repro.obs.live import LiveRunMonitor, LiveSweepMonitor, TelemetryWriter
 from repro.obs.manifest import RunManifest, config_hash
 from repro.obs.metrics import TimelineRecorder, TimelineSample
 from repro.obs.profiler import CallbackStats, ProfileReport, SimulationProfiler
-from repro.obs.sinks import FilteredSink, JsonlSink, RingBufferSink
+from repro.obs.sinks import FilteredSink, JsonlSink
 from repro.obs.spans import PacketFlight, SpanHop, assemble_flights
 from repro.obs.stream import (
     ReservoirSampler,
@@ -59,7 +58,6 @@ __all__ = [
     "PacketFlight",
     "ProfileReport",
     "ReservoirSampler",
-    "RingBufferSink",
     "RunManifest",
     "SimulationProfiler",
     "SpanHop",

@@ -11,84 +11,13 @@ from __future__ import annotations
 
 import gzip
 import json
-from collections import deque
 from pathlib import Path
 from types import TracebackType
-from typing import (
-    Deque,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    TextIO,
-    Type,
-    Union,
-)
+from typing import Iterable, List, Optional, TextIO, Type, Union
 
-from repro.sim.trace import TraceRecord, TraceSink, matches
+from repro.sim.trace import TraceRecord, TraceSink
 
 PathLike = Union[str, Path]
-
-
-class RingBufferSink:
-    """Keep the most recent ``capacity`` records in memory.
-
-    Useful for long runs where only the tail matters (e.g. inspecting the
-    window around a failure) without TraceLog's unbounded growth.
-    """
-
-    def __init__(self, capacity: int = 10_000) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity!r}")
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
-        self._emitted = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Ring buffers always record."""
-        return True
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained records."""
-        maxlen = self._records.maxlen
-        assert maxlen is not None
-        return maxlen
-
-    @property
-    def emitted(self) -> int:
-        """Total records ever emitted (retained or evicted)."""
-        return self._emitted
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted because the buffer wrapped."""
-        return self._emitted - len(self._records)
-
-    def emit(self, time: float, category: str, node: int, event: str,
-             **fields: object) -> None:
-        """Append a record, evicting the oldest once at capacity."""
-        self._emitted += 1
-        self._records.append(
-            TraceRecord(time, category, node, event, tuple(fields.items()))
-        )
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        node: Optional[int] = None,
-        t_min: Optional[float] = None,
-        t_max: Optional[float] = None,
-    ) -> List[TraceRecord]:
-        """Retained records matching the constraints (TraceLog-compatible)."""
-        return [rec for rec in self._records
-                if matches(rec, category, node, t_min, t_max)]
 
 
 class JsonlSink:
@@ -223,53 +152,25 @@ def read_jsonl(path: PathLike) -> List[TraceRecord]:
 
 
 class FilteredSink:
-    """Forward only matching records to an inner sink.
+    """Forward only the records of the given ``categories`` to an inner sink."""
 
-    Filters compose: ``categories`` / ``nodes`` restrict to membership,
-    ``t_min`` / ``t_max`` bound the (inclusive) virtual-time window.  Any
-    constraint left ``None`` passes everything.
-    """
-
-    def __init__(
-        self,
-        inner: TraceSink,
-        categories: Optional[Iterable[str]] = None,
-        nodes: Optional[Iterable[int]] = None,
-        t_min: Optional[float] = None,
-        t_max: Optional[float] = None,
-    ) -> None:
+    def __init__(self, inner: TraceSink, categories: Iterable[str]) -> None:
         self._inner = inner
-        self._categories = set(categories) if categories is not None else None
-        self._nodes = set(nodes) if nodes is not None else None
-        self._t_min = t_min
-        self._t_max = t_max
+        self._categories = set(categories)
 
     @property
     def enabled(self) -> bool:
         """Enabled iff the wrapped sink is."""
         return self._inner.enabled
 
-    @property
-    def inner(self) -> TraceSink:
-        """The wrapped sink."""
-        return self._inner
-
     def emit(self, time: float, category: str, node: int, event: str,
              **fields: object) -> None:
-        """Forward the record iff every active constraint matches."""
-        if self._categories is not None and category not in self._categories:
-            return
-        if self._nodes is not None and node not in self._nodes:
-            return
-        if self._t_min is not None and time < self._t_min:
-            return
-        if self._t_max is not None and time > self._t_max:
-            return
-        self._inner.emit(time, category, node, event, **fields)
+        """Forward the record iff its category is selected."""
+        if category in self._categories:
+            self._inner.emit(time, category, node, event, **fields)
 
 
 __all__ = [
-    "RingBufferSink",
     "JsonlSink",
     "FilteredSink",
     "read_jsonl",

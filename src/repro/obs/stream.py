@@ -111,10 +111,6 @@ class ReservoirSampler:
         """Current sample, in reservoir slot order (not sorted)."""
         return tuple(self._values)
 
-    def sorted_values(self) -> Tuple[float, ...]:
-        """Current sample, ascending."""
-        return tuple(sorted(self._values))
-
     def __len__(self) -> int:
         return len(self._values)
 

@@ -16,7 +16,6 @@ from repro.phy.propagation import (
     DiskReception,
     FreeSpaceModel,
     TwoRayGroundModel,
-    reception_threshold,
 )
 from repro.phy.radio import Radio
 
@@ -29,5 +28,4 @@ __all__ = [
     "RadioState",
     "Transmission",
     "TwoRayGroundModel",
-    "reception_threshold",
 ]

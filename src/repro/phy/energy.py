@@ -3,9 +3,10 @@
 The paper measures energy exactly as ``power(state) x time-in-state`` with
 two effective states: awake (1.15 W, covering idle listening, receive and
 transmit alike) and sleep (0.045 W).  :class:`EnergyMeter` implements that
-accounting generally over the four radio states so extension studies can
-distinguish tx/rx if desired; with the default power table, IDLE/RX/TX all
-cost 1.15 W, reproducing the paper's model.
+accounting over the three radio states the radio enters (sleep, idle
+listening, transmit); with the default power table, IDLE and TX both cost
+1.15 W, reproducing the paper's model.  Reception is not a state of its
+own: a receiving radio is idle listening.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class RadioState(enum.Enum):
 
     SLEEP = "sleep"
     IDLE = "idle"
-    RX = "rx"
     TX = "tx"
 
     @property
@@ -32,11 +32,10 @@ class RadioState(enum.Enum):
         return self is not RadioState.SLEEP
 
 
-#: The paper's two-level power table, expressed over four states.
+#: The paper's two-level power table, expressed over three states.
 PAPER_POWER_TABLE: Dict[RadioState, float] = {
     RadioState.SLEEP: POWER_SLEEP_W,
     RadioState.IDLE: POWER_AWAKE_W,
-    RadioState.RX: POWER_AWAKE_W,
     RadioState.TX: POWER_AWAKE_W,
 }
 

@@ -110,16 +110,6 @@ class TwoRayGroundModel:
         return math.sqrt(num / (threshold * (4 * math.pi) ** 2 * fs.system_loss))
 
 
-def reception_threshold(
-    tx_power: float = DEFAULT_TX_POWER_W,
-    target_range: float = 250.0,
-    model: TwoRayGroundModel = None,
-) -> float:
-    """Receive-power threshold that yields ``target_range`` under two-ray."""
-    model = model or TwoRayGroundModel()
-    return model.received_power(tx_power, target_range)
-
-
 @dataclass(frozen=True)
 class DiskReception:
     """Deterministic disk reception rule derived from the threshold models.
@@ -138,21 +128,6 @@ class DiskReception:
         if self.cs_range < self.rx_range:
             raise ConfigurationError("cs_range must be >= rx_range")
 
-    @classmethod
-    def from_two_ray(
-        cls,
-        tx_power: float = DEFAULT_TX_POWER_W,
-        rx_threshold: float = DEFAULT_RX_THRESHOLD_W,
-        cs_threshold: float = DEFAULT_CS_THRESHOLD_W,
-        model: TwoRayGroundModel = None,
-    ) -> "DiskReception":
-        """Derive the disk radii from two-ray thresholds (ns-2 defaults)."""
-        model = model or TwoRayGroundModel()
-        return cls(
-            rx_range=model.range_for_threshold(tx_power, rx_threshold),
-            cs_range=model.range_for_threshold(tx_power, cs_threshold),
-        )
-
     def receivable(self, distance: float) -> bool:
         """Can a frame be decoded at this distance?"""
         return distance <= self.rx_range
@@ -166,7 +141,6 @@ __all__ = [
     "FreeSpaceModel",
     "TwoRayGroundModel",
     "DiskReception",
-    "reception_threshold",
     "DEFAULT_TX_POWER_W",
     "DEFAULT_RX_THRESHOLD_W",
     "DEFAULT_CS_THRESHOLD_W",

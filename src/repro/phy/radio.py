@@ -2,9 +2,9 @@
 
 The radio is the single authority on whether a node can hear the channel.
 MAC layers call :meth:`sleep` / :meth:`wake`; the channel calls
-:meth:`can_receive` when deciding frame delivery and briefly marks TX/RX
-states for the four-state energy extension (with the paper's power table
-those states cost the same as idle, so the headline numbers are unaffected).
+:meth:`can_receive` when deciding frame delivery and marks the TX state for
+the length of each transmission (with the paper's power table it costs the
+same as idle listening, so the headline numbers are unaffected).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class Radio:
         self.node_id = node_id
         self.meter = meter if meter is not None else EnergyMeter()
         self._tx_until = 0.0
-        self._rx_until = 0.0
         #: write-through mirror of "cannot decode until": ``tx_until`` while
         #: awake, +inf while dozing.  Bound by the channel so delivery
         #: classification can gather radio state for all receivers with one
@@ -115,17 +114,6 @@ class Radio:
     def end_tx(self) -> None:
         """Return from TX to idle listening (channel callback)."""
         if self.meter.state is RadioState.TX:
-            self.meter.transition(RadioState.IDLE, self.sim.now)
-
-    def note_rx(self, duration: float) -> None:
-        """Mark the radio as receiving for ``duration`` seconds."""
-        if self.meter.state is RadioState.IDLE:
-            self.meter.transition(RadioState.RX, self.sim.now)
-            self._rx_until = self.sim.now + duration
-
-    def end_rx(self) -> None:
-        """Return from RX to idle listening (channel callback)."""
-        if self.meter.state is RadioState.RX:
             self.meter.transition(RadioState.IDLE, self.sim.now)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ broadcasts re-propagated by nodes that invalidated something), and no
 gratuitous RREPs.
 """
 
-from repro.routing.aodv.config import AodvConfig
 from repro.routing.aodv.packets import (
     AodvData,
     AodvRerr,
@@ -26,7 +25,6 @@ from repro.routing.aodv.protocol import AodvProtocol
 from repro.routing.aodv.table import AodvRoute, RoutingTable
 
 __all__ = [
-    "AodvConfig",
     "AodvData",
     "AodvProtocol",
     "AodvRerr",

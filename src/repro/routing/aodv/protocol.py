@@ -15,8 +15,19 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.constants import (
+    AODV_ACTIVE_ROUTE_TIMEOUT_S,
+    AODV_MAX_DISCOVERY_RETRIES,
+    AODV_MAX_RING_WAIT_S,
+    AODV_NETWORK_TTL,
+    AODV_RING_WAIT_PER_TTL_S,
+    AODV_SEND_BUFFER_CAPACITY,
+    AODV_SEND_BUFFER_TIMEOUT_S,
+    AODV_TTL_INCREMENT,
+    AODV_TTL_START,
+    AODV_TTL_THRESHOLD,
+)
 from repro.mac.frames import BROADCAST
-from repro.routing.aodv.config import AodvConfig
 from repro.routing.aodv.packets import AodvData, AodvRerr, AodvRrep, AodvRreq
 from repro.routing.aodv.table import RoutingTable
 from repro.routing.packets import next_uid
@@ -55,7 +66,6 @@ class AodvProtocol:
         sim: "Simulator",
         node_id: int,
         mac: "MacBase",
-        config: Optional[AodvConfig] = None,
         metrics: "Optional[MetricsCollector]" = None,
         rng: Optional[random.Random] = None,
         trace: TraceSink = NULL_TRACE,
@@ -63,10 +73,9 @@ class AodvProtocol:
         self.sim = sim
         self.node_id = node_id
         self.mac = mac
-        self.config = config if config is not None else AodvConfig()
         self.metrics = metrics
         self.trace = trace
-        self.table = RoutingTable(node_id, self.config.active_route_timeout)
+        self.table = RoutingTable(node_id, AODV_ACTIVE_ROUTE_TIMEOUT_S)
         self._seq = 0
         self._rreq_ids = itertools.count()
         self._seen_rreqs: Set[Tuple[int, int]] = set()
@@ -117,7 +126,7 @@ class AodvProtocol:
             self.data_originated += 1
         else:
             self._buffer(_BufferedSend(uid, dst, payload_bytes, now,
-                                       now + self.config.send_buffer_timeout))
+                                       now + AODV_SEND_BUFFER_TIMEOUT_S))
             self._start_discovery(dst)
         return uid
 
@@ -163,12 +172,11 @@ class AodvProtocol:
     def _start_discovery(self, target: int) -> None:
         if target in self._discoveries:
             return
-        state = _Discovery(target, ttl=self.config.ttl_start)
+        state = _Discovery(target, ttl=AODV_TTL_START)
         self._discoveries[target] = state
         self._send_rreq(state)
 
     def _send_rreq(self, state: _Discovery) -> None:
-        cfg = self.config
         state.attempts += 1
         self._seq += 1
         rreq = AodvRreq(
@@ -182,8 +190,8 @@ class AodvProtocol:
         if self.metrics is not None:
             self.metrics.transmission("rreq")
         self.mac.send(rreq, BROADCAST)
-        wait = min(cfg.ring_wait_per_ttl * max(state.ttl, 1),
-                   cfg.max_ring_wait)
+        wait = min(AODV_RING_WAIT_PER_TTL_S * max(state.ttl, 1),
+                   AODV_MAX_RING_WAIT_S)
         state.timer = self.sim.schedule(wait, self._discovery_timeout, state)
 
     def _discovery_timeout(self, state: _Discovery) -> None:
@@ -192,15 +200,14 @@ class AodvProtocol:
         if self.table.lookup(state.target, self.sim.now) is not None:
             self._complete_discovery(state.target)
             return
-        cfg = self.config
-        if state.ttl < cfg.network_ttl:
+        if state.ttl < AODV_NETWORK_TTL:
             # Expanding ring: widen and retry without consuming a retry.
-            state.ttl = (cfg.network_ttl if state.ttl >= cfg.ttl_threshold
-                         else min(state.ttl + cfg.ttl_increment,
-                                  cfg.network_ttl))
+            state.ttl = (AODV_NETWORK_TTL if state.ttl >= AODV_TTL_THRESHOLD
+                         else min(state.ttl + AODV_TTL_INCREMENT,
+                                  AODV_NETWORK_TTL))
             self._send_rreq(state)
             return
-        if state.attempts >= cfg.max_discovery_retries + 1:
+        if state.attempts >= AODV_MAX_DISCOVERY_RETRIES + 1:
             del self._discoveries[state.target]
             self._drop_buffered(state.target, "no_route")
             return
@@ -286,7 +293,7 @@ class AodvProtocol:
                 self._buffer(_BufferedSend(
                     packet.uid, packet.dst, packet.payload_bytes,
                     packet.created_at,
-                    self.sim.now + self.config.send_buffer_timeout,
+                    self.sim.now + AODV_SEND_BUFFER_TIMEOUT_S,
                 ))
                 self._start_discovery(packet.dst)
             elif self.metrics is not None:
@@ -346,7 +353,7 @@ class AodvProtocol:
 
     def _buffer(self, entry: _BufferedSend) -> None:
         self._sweep_buffer()
-        if len(self._send_buffer) >= self.config.send_buffer_capacity:
+        if len(self._send_buffer) >= AODV_SEND_BUFFER_CAPACITY:
             victim = self._send_buffer.pop(0)
             if self.metrics is not None:
                 self.metrics.data_dropped(victim.uid, "buffer_overflow")
@@ -409,8 +416,7 @@ class AodvProtocol:
         storage variant RFC 3561 permits); losing it would let stale RREPs
         poison fresh discoveries.
         """
-        self.table = RoutingTable(self.node_id,
-                                  self.config.active_route_timeout)
+        self.table = RoutingTable(self.node_id, AODV_ACTIVE_ROUTE_TIMEOUT_S)
         self._seen_rreqs.clear()
         self.down = False
 

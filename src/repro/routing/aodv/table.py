@@ -127,10 +127,5 @@ class RoutingTable:
         self.invalidations += 1
         return True
 
-    def valid_destinations(self, now: float) -> List[int]:
-        """Destinations currently reachable."""
-        return [d for d in list(self._routes)
-                if self.lookup(d, now) is not None]
-
 
 __all__ = ["AodvRoute", "RoutingTable"]

@@ -1,7 +1,5 @@
 """Dynamic Source Routing (Johnson & Maltz).
 
-* :mod:`repro.routing.dsr.config` — tunables (cache size, ring search,
-  salvaging, cache replies, promiscuous learning).
 * :mod:`repro.routing.dsr.cache` — the per-node path route cache, the data
   structure whose staleness/locality dynamics the paper studies.
 * :mod:`repro.routing.dsr.protocol` — the protocol engine: route discovery
@@ -11,7 +9,6 @@
 """
 
 from repro.routing.dsr.cache import CachedPath, RouteCache
-from repro.routing.dsr.config import DsrConfig
 from repro.routing.dsr.protocol import DsrProtocol
 
-__all__ = ["CachedPath", "DsrConfig", "DsrProtocol", "RouteCache"]
+__all__ = ["CachedPath", "DsrProtocol", "RouteCache"]

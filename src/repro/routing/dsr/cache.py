@@ -17,9 +17,6 @@ without the split, dense unconditional overhearing churns sources' caches
 and triggers spurious rediscovery storms.  A secondary route is promoted to
 primary the first time it is actually used.
 
-An optional ``timeout`` expires entries by age (off by default, as in
-classic DSR — the paper's stale-route discussion relies on this).
-
 Hot-path note: ``add_path`` runs on every overheard path, every RREQ
 reverse path and every forwarded source route — at dense-network rates it
 is one of the busiest functions in the whole simulator, and once a segment
@@ -51,6 +48,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.constants import DSR_CACHE_CAPACITY, DSR_CACHE_PRIMARY_CAPACITY
 from repro.errors import RoutingError
 
 #: sources that go to the primary segment
@@ -200,16 +198,14 @@ class RouteCache:
     def __init__(
         self,
         owner: int,
-        capacity: int = 64,
-        timeout: Optional[float] = None,
-        primary_capacity: int = 32,
+        capacity: int = DSR_CACHE_CAPACITY,
+        primary_capacity: int = DSR_CACHE_PRIMARY_CAPACITY,
     ) -> None:
         if capacity <= 0 or primary_capacity <= 0:
             raise RoutingError("cache capacities must be positive")
         self.owner = owner
         self.capacity = capacity              # secondary segment bound
         self.primary_capacity = primary_capacity
-        self.timeout = timeout
         self._primary = _Segment()
         self._secondary = _Segment()
         # Statistics
@@ -260,8 +256,6 @@ class RouteCache:
                     f"path {path} does not start at owner {self.owner}")
             if len(set(path)) != len(path):
                 raise RoutingError(f"path has a loop: {path}")
-        if self.timeout is not None:
-            self._expire(now)
         # An equal path, or one it is a strict prefix of, already carries
         # this information: primary first, then secondary.
         known = self._primary.known(path)
@@ -284,16 +278,6 @@ class RouteCache:
         segment.pop_lru()
         self.evictions += 1
 
-    def _expire(self, now: float) -> None:
-        if self.timeout is None:
-            return
-        for segment in self._segments():
-            dead = [c for c in segment.entries.values()
-                    if now - c.added_at > self.timeout]
-            for entry in dead:
-                segment.remove(entry)
-                self.invalidations += 1
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -305,7 +289,6 @@ class RouteCache:
         route is now in active use and must not be churned out by passive
         overhearing.
         """
-        self._expire(now)
         best: Optional[CachedPath] = None
         best_len = None
         best_segment = None
@@ -341,9 +324,8 @@ class RouteCache:
             self.promotions += 1
         return best.path[:best_len]
 
-    def has_route_to(self, dst: int, now: float) -> bool:
+    def has_route_to(self, dst: int) -> bool:
         """True when a route to ``dst`` is cached (does not count hit/miss)."""
-        self._expire(now)
         # Cached paths are loop-free, so "dst appears past the owner" is
         # equivalent to "dst is a member and is not the owner" — no slice.
         return any(

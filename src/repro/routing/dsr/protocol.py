@@ -33,9 +33,20 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.constants import (
+    DSR_DISCOVERY_MAX_BACKOFF_S,
+    DSR_DISCOVERY_MAX_RETRIES,
+    DSR_DISCOVERY_TIMEOUT_S,
+    DSR_MAX_REPLIES_PER_REQUEST,
+    DSR_MAX_SALVAGE_COUNT,
+    DSR_NETWORK_TTL,
+    DSR_NONPROP_TIMEOUT_S,
+    DSR_NONPROP_TTL,
+    DSR_SEND_BUFFER_CAPACITY,
+    DSR_SEND_BUFFER_TIMEOUT_S,
+)
 from repro.mac.frames import BROADCAST
 from repro.routing.dsr.cache import RouteCache
-from repro.routing.dsr.config import DsrConfig
 from repro.routing.packets import (
     DataPacket,
     PacketBase,
@@ -83,7 +94,6 @@ class DsrProtocol:
         sim: "Simulator",
         node_id: int,
         mac: "MacBase",
-        config: Optional[DsrConfig] = None,
         metrics: "Optional[MetricsCollector]" = None,
         rng: Optional[random.Random] = None,
         trace: TraceSink = NULL_TRACE,
@@ -101,13 +111,9 @@ class DsrProtocol:
         self._rng = (rng if rng is not None
                      else derived_stream(0, f"dsr:{node_id}"))  # rcast-lint: disable=R007 -- fallback mirrors injected name under a distinct root
 
-        self.config = config if config is not None else DsrConfig()
         self.metrics = metrics
         self.trace = trace
-        self.cache = RouteCache(
-            node_id, self.config.cache_capacity, self.config.cache_timeout,
-            primary_capacity=self.config.cache_primary_capacity,
-        )
+        self.cache = RouteCache(node_id)
         self._send_buffer: List[BufferedSend] = []
         self._discoveries: Dict[int, Discovery] = {}
         self._seen_rreqs: Set[Tuple[int, int]] = set()
@@ -163,7 +169,7 @@ class DsrProtocol:
         else:
             self._buffer_send(BufferedSend(
                 uid, dst, payload_bytes, app_seq, now,
-                now + self.config.send_buffer_timeout,
+                now + DSR_SEND_BUFFER_TIMEOUT_S,
             ))
             self._start_discovery(dst)
         return uid
@@ -234,8 +240,7 @@ class DsrProtocol:
             if self.delivery_callback is not None:
                 self.delivery_callback(packet)
             return
-        if self.config.learn_from_forwarding:
-            self._learn_along(packet.trip_route, idx)
+        self._learn_along(packet.trip_route, idx)
         self.data_forwarded += 1
         self._transmit(packet.advance())
 
@@ -252,9 +257,10 @@ class DsrProtocol:
 
     def _send_rreq(self, state: Discovery) -> None:
         state.attempts += 1
-        cfg = self.config
-        use_ring = cfg.ring_search and state.attempts == 1 and cfg.nonprop_ttl > 0
-        ttl = cfg.nonprop_ttl if use_ring else cfg.network_ttl
+        # Expanding-ring search: a non-propagating ring first, then
+        # network-wide floods with exponential backoff.
+        use_ring = state.attempts == 1
+        ttl = DSR_NONPROP_TTL if use_ring else DSR_NETWORK_TTL
         rreq = RouteRequest(
             src=self.node_id, dst=state.target, uid=next_uid(),
             created_at=self.sim.now, request_id=next(self._request_ids),
@@ -267,22 +273,19 @@ class DsrProtocol:
                             ttl=ttl, request_id=rreq.request_id)
         self._broadcast(rreq)
         if use_ring:
-            timeout = cfg.nonprop_timeout
+            timeout = DSR_NONPROP_TIMEOUT_S
         else:
-            floods = state.attempts - (1 if cfg.ring_search else 0)
-            timeout = min(
-                cfg.discovery_timeout * (2 ** max(floods - 1, 0)),
-                cfg.discovery_max_backoff,
-            )
+            timeout = min(DSR_DISCOVERY_TIMEOUT_S * 2 ** (state.attempts - 2),
+                          DSR_DISCOVERY_MAX_BACKOFF_S)
         state.timer = self.sim.schedule(timeout, self._discovery_timeout, state)
 
     def _discovery_timeout(self, state: Discovery) -> None:
         if state.target not in self._discoveries:
             return  # already completed
-        if self.cache.has_route_to(state.target, self.sim.now):
+        if self.cache.has_route_to(state.target):
             self._complete_discovery(state.target)
             return
-        if state.attempts >= self.config.discovery_max_retries:
+        if state.attempts >= DSR_DISCOVERY_MAX_RETRIES:
             del self._discoveries[state.target]
             if self.trace.enabled:
                 self.trace.emit(self.sim.now, "dsr", self.node_id,
@@ -311,9 +314,9 @@ class DsrProtocol:
         key = (rreq.src, rreq.request_id)
         if self.node_id == rreq.target:
             # The target answers every arriving copy (alternative routes),
-            # up to the configured cap.
+            # up to a fixed cap.
             sent = self._replies_sent.get(key, 0)
-            if sent < self.config.max_replies_per_request:
+            if sent < DSR_MAX_REPLIES_PER_REQUEST:
                 self._replies_sent[key] = sent + 1
                 path = rreq.route_record + (self.node_id,)
                 self._send_rrep(path, reply_from=self.node_id, request_key=key)
@@ -321,7 +324,7 @@ class DsrProtocol:
         if key in self._seen_rreqs:
             return
         self._seen_rreqs.add(key)
-        if self.config.cache_replies and key not in self._answered:
+        if key not in self._answered:
             cached = self.cache.route_to(rreq.target, now)
             if cached is not None:
                 combined = rreq.route_record + (self.node_id,) + cached[1:]
@@ -402,14 +405,14 @@ class DsrProtocol:
             self._buffer_send(BufferedSend(
                 packet.uid, packet.dst, packet.payload_bytes, packet.app_seq,
                 packet.created_at,
-                self.sim.now + self.config.send_buffer_timeout,
+                self.sim.now + DSR_SEND_BUFFER_TIMEOUT_S,
             ))
             self._start_discovery(packet.dst)
             return
         if self.metrics is not None:
             self.metrics.link_break()
         self._send_rerr(packet, broken)
-        if self.config.salvage and packet.salvage_count < self.config.max_salvage_count:
+        if packet.salvage_count < DSR_MAX_SALVAGE_COUNT:
             alt = self.cache.route_to(packet.dst, self.sim.now)
             if alt is not None:
                 self.data_salvaged += 1
@@ -465,8 +468,6 @@ class DsrProtocol:
             # Unconditional invalidation: purge the broken link immediately.
             self.cache.remove_link(*packet.broken)
             return
-        if not self.config.learn_from_overhearing:
-            return
         if kind == "data":
             self._learn_by_splicing(packet.trip_route, packet.trip_index)
         elif kind == "rrep":
@@ -517,8 +518,7 @@ class DsrProtocol:
     def _learn_from_path(self, path: Tuple[int, ...]) -> None:
         """Learn both directions of a discovered path we appear on.
 
-        RREP-borne routes are core protocol output (not passive learning),
-        so they are always cached regardless of the learning switches.
+        RREP-borne routes are core protocol output, not passive learning.
         """
         if self.node_id not in path:
             return
@@ -530,7 +530,7 @@ class DsrProtocol:
 
     def _buffer_send(self, entry: BufferedSend) -> None:
         self._sweep_buffer()
-        if len(self._send_buffer) >= self.config.send_buffer_capacity:
+        if len(self._send_buffer) >= DSR_SEND_BUFFER_CAPACITY:
             victim = self._send_buffer.pop(0)
             if self.metrics is not None:
                 self.metrics.data_dropped(victim.uid, "buffer_overflow")

@@ -199,25 +199,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def step(self) -> bool:
-        """Fire exactly one pending (non-cancelled) event.
-
-        Returns ``True`` if an event fired, ``False`` if the queue is empty.
-        """
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self.now = event.time
-            self._processed += 1
-            if self._fire_hook is None:
-                event.fire()
-            else:
-                self._fire_hook(event)
-            return True
-        return False
-
     def clear(self) -> None:
         """Drop all pending events and reset cancellation bookkeeping.
 

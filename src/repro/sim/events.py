@@ -100,16 +100,9 @@ class Event:
         return f"<Event t={self.time:.6f} prio={self.priority} {name} {state}>"
 
 
-def reset_sequence_counter() -> None:
-    """Reset the global FIFO tie-break counter (test isolation helper)."""
-    global _seq_counter
-    _seq_counter = itertools.count()
-
-
 __all__ = [
     "Event",
     "PRIORITY_KERNEL",
     "PRIORITY_NORMAL",
     "PRIORITY_LATE",
-    "reset_sequence_counter",
 ]

@@ -67,10 +67,6 @@ class RngRegistry:
             self._numpy_streams[name] = rng
         return rng
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per repetition of a sweep)."""
-        return RngRegistry(derive_seed(self._seed, "child:" + name))
-
     def streams(self) -> Dict[str, random.Random]:
         """Snapshot of every scalar stream derived so far (name -> RNG).
 

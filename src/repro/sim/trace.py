@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
 #: One typed key/value payload entry (kept as a tuple so records hash).
 FieldItems = Tuple[Tuple[str, object], ...]
@@ -115,11 +115,14 @@ def matches(
 
 
 class TraceLog:
-    """In-memory trace collector with filtering helpers."""
+    """In-memory trace collector with filtering helpers.
 
-    def __init__(self, categories: Optional[Iterable[str]] = None) -> None:
+    Wrap it in :class:`repro.obs.sinks.FilteredSink` to keep only some
+    categories.
+    """
+
+    def __init__(self) -> None:
         self._records: List[TraceRecord] = []
-        self._categories = set(categories) if categories is not None else None
 
     @property
     def enabled(self) -> bool:
@@ -128,9 +131,7 @@ class TraceLog:
 
     def emit(self, time: float, category: str, node: int, event: str,
              **fields: object) -> None:
-        """Record a trace event (filtered by category when a filter is set)."""
-        if self._categories is not None and category not in self._categories:
-            return
+        """Record a trace event."""
         self._records.append(
             TraceRecord(time, category, node, event, tuple(fields.items()))
         )
@@ -165,26 +166,6 @@ class NullTrace:
     def emit(self, time: float, category: str, node: int, event: str,
              **fields: object) -> None:
         """Discard the record."""
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(())
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        node: Optional[int] = None,
-        t_min: Optional[float] = None,
-        t_max: Optional[float] = None,
-    ) -> List[TraceRecord]:
-        """Always empty."""
-        return []
-
-    def dump(self) -> str:
-        """Always empty."""
-        return ""
 
 
 #: Shared singleton used as the default trace sink.

@@ -204,16 +204,18 @@ class TestSanitizedRun:
             assert "random" not in vars(rng), name
 
     def test_sanitizer_findings_reach_the_trace(self):
+        from repro.obs.sinks import FilteredSink
         from repro.sim.trace import TraceLog
 
         network = build_network(SimulationConfig(**SMALL))
-        network.trace = TraceLog(categories=("sanitizer",))
+        log = TraceLog()
+        network.trace = FilteredSink(log, categories=("sanitizer",))
         san = DeterminismSanitizer()
         san.attach(network)
         san._record("test-kind", 1.5, 3, "synthetic finding")
         report = san.detach()
         assert [f.kind for f in report.findings] == ["test-kind"]
-        (record,) = network.trace.filter(category="sanitizer")
+        (record,) = log.filter(category="sanitizer")
         assert record.event == "test-kind"
         assert record.node == 3
 

@@ -109,4 +109,4 @@ def test_composite_factor_names():
         lambda a: 1.0,
         [MobilityFactor(lambda: 0.0), BatteryFactor(lambda: 1.0)],
     )
-    assert comp.factor_names == ["mobility", "battery"]
+    assert [f.name for f in comp._factors] == ["mobility", "battery"]

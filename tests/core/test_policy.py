@@ -78,7 +78,6 @@ def test_randomized_decide_rate_matches_probability():
     assert hits / n == pytest.approx(0.2, abs=0.01)
     assert decider.decisions == n
     assert decider.overhears == hits
-    assert decider.empirical_rate == pytest.approx(0.2, abs=0.01)
 
 
 def test_randomized_zero_probability_never_overhears():
@@ -89,11 +88,6 @@ def test_randomized_zero_probability_never_overhears():
 def test_randomized_one_probability_always_overhears():
     decider = RandomizedOverhearing(random.Random(3), lambda a: 1.0)
     assert all(decider.decide(Ann()) for _ in range(100))
-
-
-def test_empirical_rate_empty():
-    decider = RandomizedOverhearing(random.Random(3), lambda a: 0.5)
-    assert decider.empirical_rate == 0.0
 
 
 def test_policy_names():

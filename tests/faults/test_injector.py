@@ -74,11 +74,11 @@ class TestCrashRecovery:
         assert injector is not None
         start(net)
         net.sim.run(until=3.0)
-        assert injector.is_down(1)
-        assert not injector.is_down(0)
+        assert 1 in injector._down
+        assert 0 not in injector._down
         assert net.nodes[1].dsr.down
         net.sim.run(until=6.0)
-        assert not injector.is_down(1)
+        assert 1 not in injector._down
         assert not net.nodes[1].dsr.down
         assert injector.fault_counts() == {"crashes": 1, "recoveries": 1}
 
@@ -114,8 +114,8 @@ class TestCrashRecovery:
         assert injector is not None
         start(net)
         net.sim.run(until=3.0)
-        assert injector.is_down(0) and injector.is_down(2)
-        assert not injector.is_down(1) and not injector.is_down(3)
+        assert 0 in injector._down and 2 in injector._down
+        assert 1 not in injector._down and 3 not in injector._down
         assert injector.fault_counts() == {"crashes": 2}
 
     def test_random_crashes_fraction_zero_is_harmless(self) -> None:
@@ -206,12 +206,12 @@ class TestLifecycle:
         seq_before = [injector.drop_delivery(0, 2, 0.5) for _ in range(30)]
         start(net)
         net.sim.run(until=2.0)
-        assert injector.is_down(1)
+        assert 1 in injector._down
         assert injector.counts["crashes"] == 1
 
         net.sim.clear()
         assert injector.fault_counts() == {}
-        assert not injector.is_down(1)
+        assert 1 not in injector._down
         # The loss rule's stream rewound to its freshly-armed position.
         seq_after = [injector.drop_delivery(0, 2, 0.5) for _ in range(30)]
         assert seq_after == seq_before
@@ -239,13 +239,14 @@ class TestLifecycle:
         # delivery-derived metrics go non-finite.  aggregate() must drop
         # them per-metric with a warning, never silently.
         from repro.experiments import runner
+        from repro.experiments.parallel import run_grid
 
         config = line_config(
             "rcast", n=3, num_connections=1,
             packet_rate=1.0, sim_time=6.0,
             faults=FaultPlan((RandomCrashes(fraction=1.0, start=0.2,
                                             stop=0.5),)))
-        runs = runner.run_replications(config, 2)
+        runs = run_grid({None: config}, 2)[None]
         assert all(m.fault_counts == {"crashes": 3} for m in runs)
         assert all(m.data_delivered == 0 for m in runs)
         with pytest.warns(runner.NonFiniteReplicationWarning):

@@ -1,6 +1,7 @@
 """Integration tests for the trace plumbing."""
 
 from repro.network import build_network
+from repro.obs.sinks import FilteredSink
 from repro.sim.trace import TraceLog
 
 from tests.conftest import line_config
@@ -20,9 +21,10 @@ def test_channel_and_dsr_events_traced():
 
 
 def test_trace_category_filter_in_network():
-    trace = TraceLog(categories=["dsr"])
+    trace = TraceLog()
     config = line_config("ieee80211", n=3, sim_time=10.0)
-    network = build_network(config, trace=trace)
+    network = build_network(config,
+                            trace=FilteredSink(trace, categories=["dsr"]))
     network.nodes[0].dsr.send_data(2, 256)
     network.run()
     assert all(rec.category == "dsr" for rec in trace)
@@ -61,9 +63,10 @@ def test_psm_trace_covers_wake_sleep_and_atim():
 
 
 def test_dsr_trace_events_typed():
-    trace = TraceLog(categories=["dsr"])
+    trace = TraceLog()
     config = line_config("ieee80211", n=4, sim_time=15.0)
-    network = build_network(config, trace=trace)
+    network = build_network(config,
+                            trace=FilteredSink(trace, categories=["dsr"]))
     network.nodes[0].dsr.send_data(3, 256)
     network.run()
     events = {r.event for r in trace}
@@ -76,9 +79,10 @@ def test_dsr_trace_events_typed():
 
 
 def test_energy_trace_state_transitions():
-    trace = TraceLog(categories=["energy"])
+    trace = TraceLog()
     config = line_config("psm", n=2, sim_time=5.0)
-    network = build_network(config, trace=trace)
+    network = build_network(config,
+                            trace=FilteredSink(trace, categories=["energy"]))
     network.run()
     for rec in trace:
         assert rec.event == "state"

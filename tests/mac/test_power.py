@@ -50,9 +50,11 @@ def test_odpm_keepalive_is_high_water_mark():
     manager = OdpmPowerManager()
     manager.note_event("rrep", 0.0)     # AM until 5.0
     manager.note_event("data", 1.0)     # 1+2=3 < 5: no shrink
-    assert manager.am_deadline == pytest.approx(5.0)
+    assert manager.mode(4.9) is PowerMode.AM
+    assert manager.mode(5.0) is PowerMode.PS
     manager.note_event("data", 4.5)     # 6.5 > 5: extend
-    assert manager.am_deadline == pytest.approx(6.5)
+    assert manager.mode(6.4) is PowerMode.AM
+    assert manager.mode(6.5) is PowerMode.PS
 
 
 def test_odpm_paper_interpacket_behaviour():

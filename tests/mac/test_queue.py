@@ -46,14 +46,6 @@ def test_overflow_drops_oldest_and_fires_failure():
     assert q.dropped_overflow == 1
 
 
-def test_peek_does_not_remove():
-    q = TxQueue(capacity=5)
-    e = entry()
-    q.push(e)
-    assert q.peek() is e
-    assert len(q) == 1
-
-
 def test_remove_specific_entry():
     q = TxQueue(capacity=5)
     a, b = entry(), entry()

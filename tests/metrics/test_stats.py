@@ -8,7 +8,6 @@ from repro.metrics.stats import (
     percentile,
     population_variance,
     sample_variance,
-    std_dev,
     t_critical_95,
 )
 
@@ -29,11 +28,6 @@ def test_sample_variance():
 def test_population_variance():
     assert population_variance([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == pytest.approx(4.0)
     assert population_variance([]) == 0.0
-
-
-def test_std_dev():
-    assert std_dev([1.0, 1.0, 1.0]) == 0.0
-    assert std_dev([0.0, 2.0]) == pytest.approx(2.0 ** 0.5)
 
 
 def test_percentile_basics():

@@ -25,11 +25,6 @@ def test_arena_clamp():
     assert arena.clamp(30.0, 20.0) == (30.0, 20.0)
 
 
-def test_arena_diagonal():
-    arena = Arena(3.0, 4.0)
-    assert arena.diagonal == pytest.approx(5.0)
-
-
 @pytest.mark.parametrize("w,h", [(0.0, 10.0), (10.0, 0.0), (-1.0, 5.0)])
 def test_arena_rejects_bad_dimensions(w, h):
     with pytest.raises(ConfigurationError):

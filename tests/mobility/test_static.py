@@ -30,11 +30,6 @@ def test_positions_at_returns_copy():
     assert model.position_of(0, 0.0) == (1.0, 2.0)
 
 
-def test_velocity_is_zero():
-    model = StaticPlacement([(1.0, 2.0)], Arena(10.0, 10.0))
-    assert model.velocity_of(0, 5.0) == (0.0, 0.0)
-
-
 def test_position_outside_arena_rejected():
     with pytest.raises(ConfigurationError):
         StaticPlacement([(11.0, 5.0)], Arena(10.0, 10.0))

@@ -82,22 +82,6 @@ def test_backwards_query_rejected(rng):
         model.positions_at(50.0)
 
 
-def test_velocity_magnitude_bounded(rng):
-    model = make_model(rng, max_speed=10.0)
-    for t in (0.0, 10.0, 50.0):
-        for node in range(model.num_nodes):
-            vx, vy = model.velocity_of(node, t)
-            assert math.hypot(vx, vy) <= 10.0 + 1e-9
-
-
-def test_velocity_zero_while_paused(rng):
-    model = make_model(rng, pause=1e9)
-    leg_bound = math.hypot(500.0, 300.0) / 0.1 + 1.0
-    model.positions_at(leg_bound)
-    for node in range(model.num_nodes):
-        assert model.velocity_of(node, leg_bound) == (0.0, 0.0)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(max_speed=0.0),
     dict(max_speed=-1.0),

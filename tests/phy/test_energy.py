@@ -53,7 +53,7 @@ def test_mixed_states_accumulate():
 def test_time_accounting_sums_to_elapsed():
     meter = EnergyMeter()
     meter.transition(RadioState.TX, 1.0)
-    meter.transition(RadioState.RX, 2.5)
+    meter.transition(RadioState.IDLE, 2.5)
     meter.transition(RadioState.SLEEP, 3.0)
     meter.finalize(10.0)
     total = sum(meter.time_in(s) for s in RadioState)
@@ -71,7 +71,6 @@ def test_projection_without_finalize():
 
 def test_paper_power_table_has_two_levels():
     assert PAPER_POWER_TABLE[RadioState.IDLE] == PAPER_POWER_TABLE[RadioState.TX]
-    assert PAPER_POWER_TABLE[RadioState.IDLE] == PAPER_POWER_TABLE[RadioState.RX]
     assert PAPER_POWER_TABLE[RadioState.SLEEP] < PAPER_POWER_TABLE[RadioState.IDLE]
 
 
@@ -110,8 +109,7 @@ def test_no_battery_means_full_fraction():
 
 
 def test_custom_power_table():
-    table = {RadioState.SLEEP: 0.0, RadioState.IDLE: 1.0,
-             RadioState.RX: 2.0, RadioState.TX: 3.0}
+    table = {RadioState.SLEEP: 0.0, RadioState.IDLE: 1.0, RadioState.TX: 3.0}
     meter = EnergyMeter(power_table=table)
     meter.transition(RadioState.TX, 1.0)
     meter.finalize(2.0)

@@ -12,7 +12,6 @@ from repro.phy.propagation import (
     DiskReception,
     FreeSpaceModel,
     TwoRayGroundModel,
-    reception_threshold,
 )
 
 
@@ -81,17 +80,6 @@ def test_range_for_threshold_round_trips():
         assert model.range_for_threshold(
             DEFAULT_TX_POWER_W, threshold
         ) == pytest.approx(d, rel=1e-6)
-
-
-def test_reception_threshold_helper():
-    thr = reception_threshold(target_range=250.0)
-    assert thr == pytest.approx(DEFAULT_RX_THRESHOLD_W, rel=0.05)
-
-
-def test_disk_from_two_ray():
-    disk = DiskReception.from_two_ray()
-    assert disk.rx_range == pytest.approx(250.0, rel=0.01)
-    assert disk.cs_range == pytest.approx(550.0, rel=0.02)
 
 
 def test_disk_predicates():

@@ -65,15 +65,6 @@ def test_tx_state_recorded_in_meter(sim):
     assert radio.meter.time_in(RadioState.TX) == pytest.approx(0.5)
 
 
-def test_rx_bookkeeping(sim):
-    radio = Radio(sim, 0)
-    radio.note_rx(0.25)
-    sim.schedule(0.25, radio.end_rx)
-    sim.run()
-    radio.finalize()
-    assert radio.meter.time_in(RadioState.RX) == pytest.approx(0.25)
-
-
 def test_end_tx_only_from_tx_state(sim):
     radio = Radio(sim, 0)
     radio.sleep()

@@ -57,7 +57,7 @@ def test_invalidate_via_removes_all_and_only_matching(updates, broken_hop):
     now = 100.0
     survivors_before = {
         d: table.lookup(d, now).next_hop
-        for d in table.valid_destinations(now)
+        for d in list(table._routes) if table.lookup(d, now) is not None
     }
     table.invalidate_via(broken_hop)
     for dst, nh in survivors_before.items():

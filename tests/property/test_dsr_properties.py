@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.dsr.config import DsrConfig
-
 from tests.routing.conftest import DsrRig
 
 
@@ -46,15 +44,3 @@ def test_star_all_leaves_reachable(n, seed):
     # Loop-free and within the star's diameter.
     assert len(set(route)) == len(route)
     assert len(route) <= 3
-
-
-@given(caps=st.integers(min_value=2, max_value=8))
-@settings(max_examples=8, deadline=None)
-def test_cache_capacity_respected_in_protocol(caps):
-    config = DsrConfig(cache_capacity=caps, cache_primary_capacity=caps)
-    rig = DsrRig([(10.0 + i * 100.0, 50.0) for i in range(5)],
-                 dsr_config=config)
-    rig.dsr[0].send_data(4, 128)
-    rig.run(until=8.0)
-    for agent in rig.dsr.values():
-        assert len(agent.cache) <= 2 * caps  # primary + secondary bounds

@@ -179,10 +179,9 @@ class _MinScanCache:
 
     _LRU = attrgetter("last_used", "added_at")
 
-    def __init__(self, capacity, primary_capacity, timeout):
+    def __init__(self, capacity, primary_capacity):
         self.primary, self.secondary = {}, {}
         self.capacity, self.primary_capacity = capacity, primary_capacity
-        self.timeout = timeout
         self.hits = self.misses = self.evictions = 0
         self.invalidations = self.insertions = self.promotions = 0
 
@@ -193,17 +192,7 @@ class _MinScanCache:
             del seg[min(seg.values(), key=self._LRU).path]
             self.evictions += 1
 
-    def _expire(self, now):
-        if self.timeout is None:
-            return
-        for seg in (self.primary, self.secondary):
-            for entry in [e for e in seg.values()
-                          if now - e.added_at > self.timeout]:
-                del seg[entry.path]
-                self.invalidations += 1
-
     def add_path(self, path, now, source):
-        self._expire(now)
         for seg in (self.primary, self.secondary):
             covering = seg.get(path) or next(
                 (e for e in seg.values() if e.path[:len(path)] == path), None)
@@ -217,7 +206,6 @@ class _MinScanCache:
         return True
 
     def route_to(self, dst, now):
-        self._expire(now)
         best = best_seg = None
         for seg in (self.primary, self.secondary):
             for entry in seg.values():
@@ -293,15 +281,13 @@ _cache_ops = st.sampled_from(
 
 @given(capacity=st.integers(min_value=1, max_value=6),
        primary_capacity=st.integers(min_value=1, max_value=6),
-       timeout=st.none() | st.sampled_from([0.5, 1.0, 2.0]),
        ops=st.lists(_cache_ops, min_size=40, max_size=120))
 @settings(max_examples=200, deadline=None)
-def test_cache_matches_min_scan_reference(capacity, primary_capacity,
-                                          timeout, ops):
+def test_cache_matches_min_scan_reference(capacity, primary_capacity, ops):
     """Heap eviction picks the same victim as a min() scan, every time."""
-    cache = RouteCache(0, capacity=capacity, timeout=timeout,
+    cache = RouteCache(0, capacity=capacity,
                        primary_capacity=primary_capacity)
-    model = _MinScanCache(capacity, primary_capacity, timeout)
+    model = _MinScanCache(capacity, primary_capacity)
     now = 0.0
     for op in ops:
         if op[0] == "add":

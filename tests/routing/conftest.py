@@ -13,7 +13,6 @@ from repro.mobility.manager import PositionService
 from repro.mobility.static import StaticPlacement
 from repro.phy.channel import Channel
 from repro.phy.radio import Radio
-from repro.routing.dsr.config import DsrConfig
 from repro.routing.dsr.protocol import DsrProtocol
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -22,8 +21,7 @@ from repro.sim.rng import RngRegistry
 class DsrRig:
     """A static network of always-on nodes running DSR."""
 
-    def __init__(self, positions, dsr_config=None, tx_range=150.0,
-                 cs_range=300.0):
+    def __init__(self, positions, tx_range=150.0, cs_range=300.0):
         self.sim = Simulator()
         self.rngs = RngRegistry(77)
         arena = Arena(max(x for x, _ in positions) + 100.0,
@@ -43,7 +41,6 @@ class DsrRig:
                               self.positions, self.rngs.stream(f"mac:{i}"))
             agent = DsrProtocol(
                 self.sim, i, mac,
-                config=dsr_config if dsr_config is not None else DsrConfig(),
                 metrics=self.metrics, rng=self.rngs.stream(f"dsr:{i}"),
             )
             agent.delivery_callback = self.delivered.append

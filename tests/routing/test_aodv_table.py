@@ -88,14 +88,15 @@ def test_last_known_seq_unknown():
     assert table.last_known_seq(42) == -1
 
 
-def test_valid_destinations_and_len():
+def test_invalidate_via_and_len():
     table = RoutingTable(0, active_route_timeout=3.0)
     table.update(5, 1, 2, 10, now=0.0)
     table.update(6, 2, 1, 3, now=0.0)
-    assert sorted(table.valid_destinations(1.0)) == [5, 6]
     assert len(table) == 2
     table.invalidate_via(1)
-    assert table.valid_destinations(1.0) == [6]
+    assert len(table) == 1
+    assert table.lookup(5, 1.0) is None
+    assert table.lookup(6, 1.0) is not None
 
 
 def test_self_route_rejected():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.routing.dsr.config import DsrConfig
 from repro.routing.packets import RouteReply, RouteRequest, next_uid
+from repro.sim.trace import TraceLog
 
 from tests.routing.conftest import DsrRig, line_rig
 
@@ -20,32 +20,40 @@ def test_target_replies_to_multiple_rreq_copies():
 
 
 def test_target_reply_cap_respected():
-    config = DsrConfig(max_replies_per_request=1)
-    positions = [(0.0, 100.0), (120.0, 170.0), (120.0, 30.0), (240.0, 100.0)]
-    rig = DsrRig(positions, dsr_config=config, tx_range=160.0, cs_range=350.0)
-    rig.dsr[0].send_data(3, 128)
+    """Four disjoint two-hop paths reach the target; it answers three."""
+    positions = [(0.0, 100.0), (240.0, 100.0)] + [
+        (120.0, 100.0 + dy) for dy in (-90.0, -30.0, 30.0, 90.0)]
+    rig = DsrRig(positions, tx_range=160.0, cs_range=350.0)
+    rig.dsr[0].send_data(1, 128)
     rig.run(until=5.0)
-    assert rig.dsr[3].rrep_sent == 1
-
-
-def test_ring_search_disabled_floods_immediately():
-    config = DsrConfig(ring_search=False)
-    rig = line_rig(3, dsr_config=config)
-    rig.dsr[0].send_data(2, 128)
-    rig.run(until=3.0)
-    # Single discovery attempt (network-wide) suffices.
-    assert rig.dsr[0].rreq_sent == 1
     assert len(rig.delivered) == 1
+    assert rig.dsr[1].rrep_sent == 3
 
 
 def test_rreq_ttl_limits_propagation():
-    config = DsrConfig(ring_search=True, nonprop_ttl=1,
-                       discovery_max_retries=1, nonprop_timeout=0.3)
-    rig = line_rig(4, dsr_config=config)
+    rig = line_rig(4)
     rig.dsr[0].send_data(3, 128)
-    rig.run(until=2.0)
+    rig.run(until=0.5)  # before the 0.6 s ring timeout escalates
     # Ring-0: origin broadcast only; no neighbor rebroadcast (TTL 1).
     assert rig.metrics.transmissions["rreq"] == 1
+
+
+def test_discovery_schedule_for_unreachable_target():
+    """A TTL-1 ring, then floods backing off 2.5 s doubling to a 10 s cap."""
+    rig = DsrRig([(0.0, 50.0), (100.0, 50.0), (800.0, 50.0)])
+    trace = rig.dsr[0].trace = TraceLog()
+    rig.dsr[0].send_data(2, 512)
+    rig.run(until=60.0)
+    rreqs = [(rec.time, rec.get("attempt"), rec.get("ttl"))
+             for rec in trace if rec.event == "rreq"]
+    assert rreqs == [
+        (0.0, 1, 1), (0.6, 2, 16), (3.1, 3, 16), (8.1, 4, 16),
+        (18.1, 5, 16), (28.1, 6, 16), (38.1, 7, 16), (48.1, 8, 16),
+    ]
+    assert [rec.time for rec in trace
+            if rec.event == "discovery_failed"] == [58.1]
+    metrics = rig.metrics.finalize("x", 60.0, [0.0] * 3, [0.0] * 3)
+    assert metrics.drop_reasons == {"no_route": 1}
 
 
 def test_cache_reply_suppressed_after_overhearing_answer():
@@ -85,17 +93,6 @@ def test_discovery_completes_only_once():
     rreq_after_completion = rig.dsr[0].rreq_sent
     rig.run(until=12.0)
     assert rig.dsr[0].rreq_sent == rreq_after_completion
-
-
-def test_salvage_disabled_by_config():
-    config = DsrConfig(salvage=False)
-    rig = line_rig(4, dsr_config=config)
-    rig.dsr[0].send_data(3, 128)
-    rig.run(until=5.0)
-    rig.radios[3].sleep()
-    rig.dsr[0].send_data(3, 128)
-    rig.run(until=12.0)
-    assert all(agent.data_salvaged == 0 for agent in rig.dsr.values())
 
 
 def test_salvage_count_bounded():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.routing.dsr.config import DsrConfig
 from repro.routing.packets import DataPacket, RouteReply, next_uid
 
 from tests.routing.conftest import DsrRig, line_rig
@@ -132,14 +131,12 @@ def test_cache_reply_from_intermediate():
 
 
 def test_no_route_drops_after_max_retries():
-    config = DsrConfig(discovery_max_retries=2, discovery_timeout=0.2,
-                       nonprop_timeout=0.1)
-    # Node 2 is unreachable (500 m away from the 2-node cluster).
-    rig = DsrRig([(0.0, 50.0), (100.0, 50.0), (800.0, 50.0)],
-                 dsr_config=config)
+    # Node 2 is unreachable (700 m away from the 2-node cluster); the
+    # eighth and last discovery attempt times out at 58.1 s.
+    rig = DsrRig([(0.0, 50.0), (100.0, 50.0), (800.0, 50.0)])
     rig.dsr[0].send_data(2, 512)
-    rig.run(until=10.0)
-    metrics = rig.metrics.finalize("x", 10.0, [0.0] * 3, [0.0] * 3)
+    rig.run(until=60.0)
+    metrics = rig.metrics.finalize("x", 60.0, [0.0] * 3, [0.0] * 3)
     assert metrics.data_delivered == 0
     assert metrics.drop_reasons.get("no_route") == 1
     assert rig.dsr[0].send_buffer_length == 0
@@ -210,39 +207,24 @@ def test_duplicate_rreqs_not_rebroadcast(rig5):
 
 
 def test_buffer_overflow_drops_oldest():
-    config = DsrConfig(send_buffer_capacity=2, discovery_max_retries=1,
-                       discovery_timeout=0.5, nonprop_timeout=0.2)
-    rig = DsrRig([(0.0, 50.0), (800.0, 50.0)], dsr_config=config)
-    for _ in range(4):
+    # The send buffer holds 64 packets: two of 66 overflow, the rest are
+    # dropped when the discovery gives up at 58.1 s.
+    rig = DsrRig([(0.0, 50.0), (800.0, 50.0)])
+    for _ in range(66):
         rig.dsr[0].send_data(1, 100)
-    rig.run(until=5.0)
-    metrics = rig.metrics.finalize("x", 5.0, [0.0] * 2, [0.0] * 2)
+    rig.run(until=60.0)
+    metrics = rig.metrics.finalize("x", 60.0, [0.0] * 2, [0.0] * 2)
     assert metrics.drop_reasons.get("buffer_overflow", 0) == 2
-    assert metrics.drop_reasons.get("no_route", 0) == 2
+    assert metrics.drop_reasons.get("no_route", 0) == 64
 
 
 def test_send_buffer_timeout():
-    config = DsrConfig(send_buffer_timeout=0.5, discovery_max_retries=8,
-                       discovery_timeout=0.3, nonprop_timeout=0.2)
-    rig = DsrRig([(0.0, 50.0), (800.0, 50.0)], dsr_config=config)
+    # Packets wait at most 30 s for a route; the discovery is still running.
+    rig = DsrRig([(0.0, 50.0), (800.0, 50.0)])
     rig.dsr[0].send_data(1, 100)
-    rig.run(until=1.0)
+    rig.run(until=31.0)
     # Force a sweep via another buffered send.
     rig.dsr[0].send_data(1, 100)
-    rig.run(until=1.1)
-    metrics = rig.metrics.finalize("x", 1.1, [0.0] * 2, [0.0] * 2)
+    rig.run(until=31.1)
+    metrics = rig.metrics.finalize("x", 31.1, [0.0] * 2, [0.0] * 2)
     assert metrics.drop_reasons.get("buffer_timeout", 0) >= 1
-
-
-def test_learning_disabled_by_config():
-    config = DsrConfig(learn_from_overhearing=False,
-                       learn_from_forwarding=False)
-    rig = line_rig(3, dsr_config=config)
-    rig.dsr[0].send_data(2, 256)
-    rig.run(until=5.0)
-    assert len(rig.delivered) == 1
-    # Node 1 forwarded but was not allowed to learn from it; it only knows
-    # the reverse path it learned from the RREQ flood itself.
-    paths = {c.source for c in rig.dsr[1].cache.paths()}
-    assert "forward" not in paths
-    assert "overhear" not in paths

@@ -119,26 +119,6 @@ def test_events_scheduled_during_run_fire(sim):
     assert sim.now == 4.0
 
 
-def test_step_fires_exactly_one_event(sim):
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(2.0, fired.append, "b")
-    assert sim.step() is True
-    assert fired == ["a"]
-    assert sim.step() is True
-    assert fired == ["a", "b"]
-    assert sim.step() is False
-
-
-def test_step_skips_cancelled(sim):
-    fired = []
-    handle = sim.schedule(1.0, fired.append, "a")
-    sim.schedule(2.0, fired.append, "b")
-    handle.cancel()
-    assert sim.step() is True
-    assert fired == ["b"]
-
-
 def test_clear_drops_pending_events(sim):
     fired = []
     sim.schedule(1.0, fired.append, "a")

@@ -63,15 +63,3 @@ def test_numpy_stream_independent_of_scalar_stream():
 def test_numpy_stream_cached():
     reg = RngRegistry(42)
     assert reg.numpy_stream("y") is reg.numpy_stream("y")
-
-
-def test_spawn_creates_decorrelated_child():
-    parent = RngRegistry(42)
-    child_a = parent.spawn("rep0")
-    child_b = parent.spawn("rep1")
-    assert child_a.seed != child_b.seed
-    assert child_a.stream("s").random() != child_b.stream("s").random()
-
-
-def test_spawn_deterministic():
-    assert RngRegistry(42).spawn("x").seed == RngRegistry(42).spawn("x").seed

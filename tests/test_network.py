@@ -131,7 +131,8 @@ def test_rcast_scheme_wiring():
 def test_rcast_factors_wiring():
     network = build_network(small("rcast", rcast_factors=("sender", "mobility")))
     for node in network.nodes:
-        assert node.rcast.active_factors == ["sender-recency", "mobility"]
+        factors = node.rcast.decider._probability_fn._factors
+        assert [f.name for f in factors] == ["sender-recency", "mobility"]
 
 
 def test_traffic_none_builds_no_sources():
