@@ -61,7 +61,8 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Type, Union)
 
 from repro.analysis.lint.context import FileContext
 from repro.analysis.lint.diagnostics import Severity
@@ -1482,11 +1483,13 @@ class UnboundedObserverAppend(Rule):
 _GLOBAL_CONTAINERS = re.compile(
     r"(^|_)(peers|radios|nodes|macs|registry|registries)$")
 
-#: ``self.<method>`` passed as an argument to one of these registers the
-#: method as a per-event callback (engine dispatch / channel wake /
-#: receive fan-in), in addition to the ``_on_*`` naming convention.
+#: ``self.<method>`` (or, for a module-level function, its bare name)
+#: passed as an argument to one of these registers it as a per-event
+#: callback (engine dispatch / channel wake / per-node receive / the
+#: channel's once-per-transmission receive fan-out), in addition to the
+#: ``_on_*`` naming convention.
 _CALLBACK_REGISTRARS = frozenset({"schedule", "schedule_at",
-                                  "wait_for_idle", "attach"})
+                                  "wait_for_idle", "attach", "set_fanout"})
 
 #: Dict views: iterating ``self.X.values()`` is still iterating ``self.X``.
 _VIEW_METHODS = frozenset({"values", "items", "keys"})
@@ -1496,35 +1499,75 @@ _SCAN_CONSUMERS = frozenset({"sorted", "list", "tuple", "set", "frozenset",
                              "min", "max", "sum", "any", "all"})
 
 
-def _global_container_name(node: ast.expr) -> Optional[str]:
-    """``self.X`` / ``self.X.values()`` with all-nodes-looking ``X``."""
+def _global_container_name(node: ast.expr,
+                           any_owner: bool = False) -> Optional[str]:
+    """``self.X`` / ``self.X.values()`` with all-nodes-looking ``X``.
+
+    With ``any_owner`` (module-level functions, which have no ``self``)
+    the owner may be any name: ``mac._peers``, ``group.macs``.
+    """
     if (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in _VIEW_METHODS
             and not node.args and not node.keywords):
         node = node.func.value
-    attr = _self_attr(node)
-    if attr is not None and _GLOBAL_CONTAINERS.search(attr):
-        return attr
-    return None
+    if not any_owner:
+        name = _self_attr(node)
+        if name is None:
+            return None
+        shown = f"self.{name}"
+    elif (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)):
+        name = node.attr
+        shown = f"{node.value.id}.{name}"
+    else:
+        return None
+    return shown if _GLOBAL_CONTAINERS.search(name) else None
+
+
+_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def _registered_names(tree: ast.AST, methods: bool) -> Set[str]:
+    """Callables handed to a registrar anywhere under ``tree``.
+
+    ``methods`` collects ``self.<method>`` arguments, otherwise bare names
+    (module-level functions).
+    """
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _CALLBACK_REGISTRARS):
+            continue
+        for arg in node.args:
+            if methods:
+                attr = _self_attr(arg)
+                if attr is not None:
+                    names.add(attr)
+            elif isinstance(arg, ast.Name):
+                names.add(arg.id)
+    return names
 
 
 class PerEventGlobalScan(Rule):
     """Per-event callbacks must not scan every node in the network.
 
     A callback that the engine (``schedule`` / ``schedule_at``), the
-    channel wake (``wait_for_idle``) or receive fan-in (``attach``)
-    fires once per event — or that follows the ``_on_*`` handler naming
-    convention — runs hundreds of thousands of times per run.  Iterating
-    an all-nodes container there (``self._peers``, ``self.radios``,
-    ``self.nodes``, registry dicts) makes the whole simulation O(events
-    x N) and is how per-node epoch bookkeeping and the old
-    every-waiter ``is_busy`` wake scan crept in.  Keep per-event work
-    scoped to the event: incremental busy sets, the epoch group's member
-    list, or an index keyed by the event's subject.  Genuinely sanctioned
-    batch points (one kernel event updating a whole group) belong in
-    ``mac/epoch.py`` or behind an explicit suppression pragma with a
-    justification.
+    channel wake (``wait_for_idle``) or the receive path (``attach``, and
+    ``set_fanout``'s once-per-transmission fan-out) fires once per event
+    — or that follows the ``_on_*`` handler naming convention — runs
+    hundreds of thousands of times per run.  Iterating an all-nodes
+    container there (``self._peers``, ``self.radios``, ``self.nodes``,
+    registry dicts) makes the whole simulation O(events x N) and is how
+    per-node epoch bookkeeping and the old every-waiter ``is_busy`` wake
+    scan crept in.  Module-level functions are held to the same rule;
+    having no ``self``, any ``<name>.<container>`` they iterate counts.
+    Keep per-event work scoped to the event: incremental busy sets, the
+    epoch group's member list, or an index keyed by the event's subject.
+    Genuinely sanctioned batch points (one kernel event updating a whole
+    group) belong in ``mac/epoch.py`` or behind an explicit suppression
+    pragma with a justification.
     """
 
     id = "R012"
@@ -1535,35 +1578,28 @@ class PerEventGlobalScan(Rule):
     allow = ("mac/epoch.py",)
 
     def run(self, ctx: FileContext) -> Iterator[Finding]:
-        for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            registered = self._registered_callbacks(cls)
-            for method in cls.body:
-                if not isinstance(method, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)):
-                    continue
-                if not (method.name.startswith("_on_")
-                        or method.name in registered):
-                    continue
-                yield from self._scan(method)
+        for fn in self.callbacks(ctx.tree):
+            yield from self._scan(fn, any_owner=fn in ctx.tree.body)
 
     @staticmethod
-    def _registered_callbacks(cls: ast.ClassDef) -> Set[str]:
-        """Methods handed to a registrar as ``self.<method>`` anywhere."""
-        names: Set[str] = set()
-        for node in ast.walk(cls):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _CALLBACK_REGISTRARS):
-                continue
-            for arg in node.args:
-                attr = _self_attr(arg)
-                if attr is not None:
-                    names.add(attr)
-        return names
+    def callbacks(tree: ast.Module) -> List[_FunctionNode]:
+        """The per-event callbacks this rule scans in one module: ``_on_*``
+        and registered methods of every class, then ``_on_*`` and
+        registered module-level functions."""
+        def handlers(body: List[ast.stmt],
+                     registered: Set[str]) -> List[_FunctionNode]:
+            return [fn for fn in body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (fn.name.startswith("_on_") or fn.name in registered)]
 
-    def _scan(self, method: ast.FunctionDef) -> Iterator[Finding]:
+        found: List[_FunctionNode] = []
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found += handlers(cls.body, _registered_names(cls, True))
+        return found + handlers(tree.body, _registered_names(tree, False))
+
+    def _scan(self, method: _FunctionNode,
+              any_owner: bool = False) -> Iterator[Finding]:
         sites: List[Tuple[ast.expr, str]] = []
         for node in ast.walk(method):
             if isinstance(node, ast.For):
@@ -1578,13 +1614,13 @@ class PerEventGlobalScan(Rule):
                 for arg in node.args:
                     sites.append((arg, f"{node.func.id}()"))
         for expr, how in sites:
-            attr = _global_container_name(expr)
+            attr = _global_container_name(expr, any_owner)
             if attr is None:
                 continue
             yield (
                 expr.lineno, expr.col_offset,
                 f"per-event callback `{method.name}()` iterates the "
-                f"all-nodes container `self.{attr}` ({how}): every event "
+                f"all-nodes container `{attr}` ({how}): every event "
                 "becomes O(N).  Scope the work to the event (incremental "
                 "busy sets, the epoch group's members, an index keyed by "
                 "the event's subject) or batch it at the epoch boundary "

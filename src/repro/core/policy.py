@@ -153,7 +153,12 @@ class RandomizedOverhearing:
 
     def decide(self, announcement: "Announcement") -> bool:
         """True when the node should stay awake and overhear."""
-        p = self.probability(announcement)
+        p = self._probability_fn(announcement)
+        # probability()'s clamp, inline: NaN fails ``p < 1`` and maps to 1.
+        if p <= 0.0:
+            p = 0.0
+        elif not p < 1.0:
+            p = 1.0
         self.decisions += 1
         overhear = self._rng.random() < p
         if overhear:

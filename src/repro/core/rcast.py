@@ -15,6 +15,7 @@ The PSM MAC asks it two questions:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.constants import RCAST_BROADCAST_FLOOR
@@ -71,14 +72,16 @@ class RcastManager:
         #: adaptive P_R policy, or None for the paper's fixed 1/n
         self.adaptive = adaptive
         self._rng = rng
-        self._last_heard: Dict[int, float] = {}
+        #: node id -> time it was last heard or overheard; the PSM MAC's
+        #: receive and ATIM fan-outs write it directly
+        self.heard_at: Dict[int, float] = {}
 
         base: "Callable[[Announcement], float]"
         if adaptive is not None:
             base = adaptive
         else:
             base = NeighborCountProbability(
-                lambda: positions.neighbor_count(node_id))
+                partial(positions.neighbor_count, node_id))
         factors: "List[Callable[[Announcement], float]]" = []
         if use_sender_recency:
             factors.append(SenderRecencyFactor(
@@ -95,8 +98,10 @@ class RcastManager:
             factors.append(BatteryFactor(
                 remaining_fraction_fn=lambda: energy_meter.remaining_fraction(sim.now),
             ))
+        # Without factors the base term is P_R itself: the decider's clamp
+        # is the composite's, so the wrapper would only add a call.
         self.decider = RandomizedOverhearing(
-            rng, CompositeProbability(base, factors))
+            rng, CompositeProbability(base, factors) if factors else base)
 
     # ------------------------------------------------------------------
     # Sender side
@@ -111,10 +116,6 @@ class RcastManager:
     # Receiver side
     # ------------------------------------------------------------------
 
-    def note_heard(self, sender: int) -> None:
-        """Record that ``sender`` was heard or overheard just now."""
-        self._last_heard[sender] = self.sim.now
-
     def on_epoch(self, now: float) -> None:
         """Beacon-boundary hook: advance the adaptive policy, trace it."""
         if self.adaptive is None:
@@ -125,7 +126,7 @@ class RcastManager:
 
     def last_heard(self, sender: int) -> Optional[float]:
         """Time ``sender`` was last heard, or None if never."""
-        return self._last_heard.get(sender)
+        return self.heard_at.get(sender)
 
     def should_overhear(self, announcement: "Announcement") -> bool:
         """Resolve an advertisement not addressed to this node.

@@ -52,7 +52,7 @@ class MacBase:
         self.rng = rng
         self.trace = trace
         self.dcf = DcfTransmitter(sim, node_id, channel, rng, trace=trace)
-        channel.attach(node_id, self._on_channel_receive, self.dcf.on_tx_complete)
+        channel.attach(node_id, on_tx_complete=self.dcf.on_tx_complete)
         self._on_receive: Callable[..., None] = _noop
         self._on_promiscuous: Callable[..., None] = _noop
         self._on_link_failure: Callable[..., None] = _noop
@@ -121,11 +121,6 @@ class MacBase:
         """
         return self.dcf.queue_depth
 
-    # ------------------------------------------------------------------
-
-    def _on_channel_receive(self, frame: Frame, sender: int) -> None:
-        raise NotImplementedError
-
 
 def _noop(*_args: Any, **_kwargs: Any) -> None:
     """Default do-nothing upper-layer callback."""
@@ -138,6 +133,11 @@ class AlwaysOnMac(MacBase):
     maximum (and perfectly uniform) energy: every node idles at 1.15 W for
     the whole run.  Overhearing is unconditional and free.
     """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # Served by the channel's default fan-out, one call per receiver.
+        self.channel.attach(self.node_id, self._on_channel_receive)
 
     def start(self) -> None:
         """Wake the radio permanently (no PSM)."""

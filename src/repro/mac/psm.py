@@ -24,6 +24,29 @@ AM (from the PwrMgt bit of previously heard frames) bypasses the ATIM path
 and transmits immediately; if the belief turns out wrong the frame falls
 back to the ATIM path, paying delay rather than losing the packet — exactly
 the failure mode the paper describes for inaccurate mode information.
+
+Both per-receiver fan-outs are one call per frame, not per receiver.  The
+PSM MACs on a channel join one :class:`_PsmFanout` at construction (the
+way :class:`~repro.mac.epoch.EpochScheduler` groups beacon chains, so a
+hand-built rig needs no wiring), which is also the node-id -> MAC map ATIM
+delivery uses:
+
+* **receive** — the channel hands each decoded transmission's ascending
+  delivery order to :meth:`_PsmFanout.deliver` once.  Per receiver it
+  records the sender as heard (the Rcast last-heard store and the
+  PwrMgt-bit mode belief), passes frames addressed to the node (or
+  broadcast) up to routing, and taps somebody else's unicast only from a
+  sender the node elected to overhear this interval, with the
+  opportunistic tap, or while in AM with tap-in-AM (ODPM, SPAN);
+* **ATIM** — each advertisement goes to the sender's neighbours in one
+  :meth:`_PsmFanout.announce` call, which checks each neighbour's window
+  overlap and classifies the advertisement there.
+
+Each computes a frame's or an advertisement's invariants once and then
+runs every receiver's steps in ascending node order, in the order the
+former per-receiver methods ran them, so events, RNG draws and traces are
+unchanged.  Routing and Rcast callbacks are looked up on the receiver at
+call time: they are instance attributes an observer may wrap.
 """
 
 from __future__ import annotations
@@ -104,9 +127,9 @@ class PsmMac(MacBase):
                 f"{atim_window} / {beacon_interval}"
             )
         self.rcast = rcast
-        #: bound once — called for every delivered frame and every
-        #: processed announcement (millions of times at bench scale).
-        self._note_heard = rcast.note_heard
+        #: the Rcast last-heard store, written by both fan-outs for every
+        #: delivered frame and every absorbed announcement
+        self._heard_at = rcast.heard_at
         #: adaptive P_R policy (None on the fixed path: every hook below
         #: is guarded, so a fixed run executes byte-identically)
         self._adaptive = rcast.adaptive
@@ -127,7 +150,6 @@ class PsmMac(MacBase):
         self.clock_offset = clock_offset
 
         self._queue = TxQueue(queue_capacity)
-        self._peers: Dict[int, "PsmMac"] = {}
         # -inf until the first beacon fires: a node whose (offset) clock has
         # not started its first interval is not listening for ATIMs yet.
         self._interval_start = float("-inf")
@@ -158,14 +180,12 @@ class PsmMac(MacBase):
         self.announcements_made = 0
         self.overhear_elections = 0
         self.missed_announcements = 0
+        #: the channel's PSM group: receive and ATIM fan-outs, peer map
+        self._fanout = _PsmFanout.join(self)
 
     # ------------------------------------------------------------------
-    # Wiring and lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-
-    def set_peers(self, peers: Dict[int, "PsmMac"]) -> None:
-        """Install the node-id -> MAC map used for ATIM delivery."""
-        self._peers = peers
 
     def start(self) -> None:
         """Begin the synchronized beacon clock."""
@@ -252,6 +272,7 @@ class PsmMac(MacBase):
         # construction (ATIM delivery schedules events), and no frozenset
         # is materialized per announce call.
         neighbors = self.positions.sorted_neighbors(self.node_id)
+        fanout = self._fanout
         # One ATIM per destination, as in the 802.11 PSM: a single
         # advertisement covers every frame buffered for that receiver, and
         # the strongest overhearing level among them is the one encoded.
@@ -291,56 +312,7 @@ class PsmMac(MacBase):
                     dst=dst, level=best_level.name, subtype=best_subtype,
                     kind=best_kind, frames=len(entries),
                 )
-            for neighbor in neighbors:
-                peer = self._peers.get(neighbor)
-                if peer is not None and peer is not self:
-                    peer.on_announcement(announcement)
-
-    def on_announcement(self, announcement: Announcement) -> None:
-        """Absorb an ATIM advertisement, subject to window overlap.
-
-        With clock error, ATIM exchange succeeds when the sender's and the
-        receiver's windows *overlap* (senders retry ATIMs throughout their
-        window).  The advertisement is emitted at the sender's window start:
-        if that instant falls inside our current window we process it now;
-        if our *next* window starts within one window-length the exchange
-        succeeds there (deferred); otherwise the windows are disjoint and
-        the advertisement is lost.  Perfectly synchronized nodes never miss.
-        """
-        if not self._started or self._halted:
-            return
-        delta = self.sim.now - self._interval_start
-        if 0.0 <= delta < self.atim_window:
-            self._process_announcement(announcement)
-        elif (delta < self.beacon_interval
-                and self.beacon_interval - delta < self.atim_window):
-            # The tail of the sender's window reaches into our next one.
-            self.sim.schedule(self.beacon_interval - delta,
-                              self._process_announcement, announcement,
-                              self._epoch)
-        else:
-            self.missed_announcements += 1
-
-    def _process_announcement(self, announcement: Announcement,
-                              epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._epoch:
-            return  # deferred across a crash: the node that queued it died
-        if announcement.sender_mode is not None:
-            self._mode_beliefs[announcement.sender] = (
-                announcement.sender_mode, self.sim.now,
-            )
-        self._note_heard(announcement.sender)
-        if self._adaptive is not None:
-            self._adaptive.on_announcement_heard(announcement.sender)
-        if announcement.dst == self.node_id:
-            self._reasons |= _R_ADDRESSED
-        elif announcement.is_broadcast:
-            if self.rcast.should_receive_broadcast(announcement):
-                self._reasons |= _R_BROADCAST
-        elif self.rcast.should_overhear(announcement):
-            self._reasons |= _R_OVERHEAR
-            self._overhear_senders.add(announcement.sender)
-            self.overhear_elections += 1
+            fanout.announce(announcement, neighbors)
 
     def _atim_fold(self, now: float) -> Tuple[int, List[QueuedFrame]]:
         """Fold power mode and pending-tx state into the wake-reason mask.
@@ -458,43 +430,140 @@ class PsmMac(MacBase):
         # DEFERRED: entry stays queued and is re-announced next interval.
 
     # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
-
-    def _on_channel_receive(self, frame: Frame, sender: int) -> None:
-        self._note_heard(sender)
-        if frame.sender_mode is not None:
-            self._mode_beliefs[sender] = (frame.sender_mode, self.sim.now)
-        packet = frame.packet
-        if frame.dst == self.node_id or frame.is_broadcast:
-            self._note_power_event(packet)
-            self._on_receive(packet, sender)
-            return
-        if self._may_tap(frame):
-            if (self._adaptive is not None
-                    and frame.src in self._overhear_senders):
-                self._adaptive.on_overhear_delivered()
-            self._on_promiscuous(packet, sender)
-
-    def _may_tap(self, frame: Frame) -> bool:
-        """May the routing layer use this frame addressed to someone else?"""
-        if frame.src in self._overhear_senders:
-            return True
-        if self.opportunistic_tap:
-            return True
-        if self.tap_in_am and self.power.mode(self.sim.now) is PowerMode.AM:
-            return True
-        return False
-
-    # ------------------------------------------------------------------
     # Power hints
     # ------------------------------------------------------------------
 
     def _note_power_event(self, packet: Any) -> None:
         kind = getattr(packet, "kind", None)
-        if kind in ("data", "rrep"):
-            self.power.note_event("data" if kind == "data" else "rrep",
-                                  self.sim.now)
+        if kind in _POWER_EVENTS:
+            self.power.note_event(kind, self.sim.now)
+
+
+#: packet kinds that restart a power manager's keep-alive (ODPM's RREP
+#: and data timers) when sent or received
+_POWER_EVENTS = ("data", "rrep")
+
+
+class _PsmFanout:
+    """The PSM MACs on one channel and their two per-receiver fan-outs.
+
+    See the module docstring.  ``macs`` holds every PSM MAC constructed on
+    the channel; it is also the peer map ATIM delivery looks neighbours up
+    in.
+    """
+
+    __slots__ = ("sim", "channel", "macs")
+
+    def __init__(self, channel: Channel) -> None:
+        self.sim = channel.sim
+        self.channel = channel
+        self.macs: Dict[int, PsmMac] = {}
+        channel.set_fanout(self.deliver)
+
+    @classmethod
+    def join(cls, mac: PsmMac) -> "_PsmFanout":
+        """Add ``mac`` to its channel's group, made by the first PSM MAC."""
+        channel = mac.channel
+        group: object = getattr(channel.fanout, "__self__", None)
+        if not isinstance(group, cls):
+            group = cls(channel)
+        group.macs[mac.node_id] = mac
+        return group
+
+    def deliver(self, frame: Frame, sender: int,
+                delivery_order: List[int]) -> None:
+        """Receive fan-out: one decoded frame to all its receivers."""
+        now = self.sim.now
+        dst = frame.dst
+        src = frame.src
+        packet = frame.packet
+        broadcast = dst == BROADCAST
+        belief = ((frame.sender_mode, now)
+                  if frame.sender_mode is not None else None)
+        kind = getattr(packet, "kind", None)
+        power_event = kind if kind in _POWER_EVENTS else None
+        macs = self.macs
+        receivers = self.channel._receivers
+        for node in delivery_order:
+            mac = macs.get(node)
+            if mac is None:
+                # Not a PSM node: its MAC attached a per-node receiver.
+                receiver = receivers.get(node)
+                if receiver is not None:
+                    receiver(frame, sender)
+                continue
+            mac._heard_at[sender] = now
+            if belief is not None:
+                mac._mode_beliefs[sender] = belief
+            if broadcast or node == dst:
+                if power_event is not None:
+                    mac.power.note_event(power_event, now)
+                mac._on_receive(packet, sender)
+            elif src in mac._overhear_senders:
+                if mac._adaptive is not None:
+                    mac._adaptive.on_overhear_delivered()
+                mac._on_promiscuous(packet, sender)
+            elif mac.opportunistic_tap or (
+                    mac.tap_in_am and mac.power.mode(now) is PowerMode.AM):
+                mac._on_promiscuous(packet, sender)
+
+    def announce(self, announcement: Announcement, neighbors: Tuple[int, ...],
+                 epoch: Optional[int] = None) -> None:
+        """ATIM fan-out: one advertisement to the sender's ``neighbors``.
+
+        With clock error, ATIM exchange succeeds when the sender's and the
+        receiver's windows *overlap* (senders retry ATIMs throughout their
+        window).  The advertisement is emitted at the sender's window
+        start: a neighbour whose current window holds that instant
+        classifies it now; one whose *next* window starts within one
+        window length classifies it there, through a deferred event that
+        re-enters this method for that one neighbour with its crash
+        ``epoch``; any other neighbour's window is disjoint and it misses
+        the advertisement.  Perfectly synchronized nodes never miss.
+        """
+        sim = self.sim
+        now = sim.now
+        sender = announcement.sender
+        dst = announcement.dst
+        broadcast = dst == BROADCAST
+        belief = ((announcement.sender_mode, now)
+                  if announcement.sender_mode is not None else None)
+        macs = self.macs
+        for node in neighbors:
+            peer = macs.get(node)
+            if peer is None:
+                continue
+            if epoch is None:
+                if not peer._started or peer._halted:
+                    continue
+                delta = now - peer._interval_start
+                if not 0.0 <= delta < peer.atim_window:
+                    interval = peer.beacon_interval
+                    if (delta < interval
+                            and interval - delta < peer.atim_window):
+                        # The tail of the sender's window reaches into
+                        # the peer's next one.
+                        sim.schedule(interval - delta, self.announce,
+                                     announcement, (node,), peer._epoch)
+                    else:
+                        peer.missed_announcements += 1
+                    continue
+            elif epoch != peer._epoch:
+                continue  # deferred across the peer's crash: void
+            if belief is not None:
+                peer._mode_beliefs[sender] = belief
+            peer._heard_at[sender] = now
+            if peer._adaptive is not None:
+                peer._adaptive.on_announcement_heard(sender)
+            if node == dst:
+                peer._reasons |= _R_ADDRESSED
+            elif broadcast:
+                if peer.rcast.should_receive_broadcast(announcement):
+                    peer._reasons |= _R_BROADCAST
+            elif peer.rcast.should_overhear(announcement):
+                peer._reasons |= _R_OVERHEAR
+                peer._overhear_senders.add(sender)
+                peer.overhear_elections += 1
 
 
 __all__ = ["PsmMac"]

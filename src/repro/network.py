@@ -409,7 +409,6 @@ def build_network(config: SimulationConfig,
     metrics = MetricsCollector(config.num_nodes, seed=config.seed)
 
     nodes: List[Node] = []
-    psm_macs: Dict[int, PsmMac] = {}
     span_election = None
     if config.scheme == "span":
         from repro.mac.span import SpanElection
@@ -437,10 +436,6 @@ def build_network(config: SimulationConfig,
             agent = DsrProtocol(sim, i, mac, metrics=metrics,
                                 rng=rngs.stream(f"dsr:{i}"), trace=trace)
         nodes.append(Node(i, radios[i], mac, agent, rcast))
-        if isinstance(mac, PsmMac):
-            psm_macs[i] = mac
-    for mac in psm_macs.values():
-        mac.set_peers(psm_macs)
 
     _attach_traffic(config, sim, rngs, nodes)
     network = Network(config, sim, rngs, positions, channel, nodes, metrics,

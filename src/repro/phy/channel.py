@@ -22,8 +22,14 @@ every radio's "blocked until" time (``tx_until`` while awake, +inf while
 dozing), so audibility, eligibility and corruption resolve as boolean
 masks over the audible set with a handful of numpy ops per frame instead
 of a per-receiver attribute walk, at every audible-set size.
-Receiver callbacks still fire in ascending node order (the index arrays are
-ascending), so the event schedule the MAC layers observe is deterministic.
+Delivery is one call per transmission: :meth:`Channel._finish` hands the
+frame, its sender and the ascending delivery order to the channel's receive
+fan-out.  The default fan-out calls each node's attached receiver in turn
+(the always-on 802.11 MAC); a MAC family that batches its receive path
+installs its own with :meth:`Channel.set_fanout` (the PSM MACs, see
+:mod:`repro.mac.psm`).  Either way receivers are served in ascending node
+order (the index arrays are ascending), so the event schedule the MAC
+layers observe is deterministic.
 
 Busy→idle notification: a MAC that sensed the medium busy can subscribe via
 :meth:`wait_for_idle` instead of re-polling ``is_busy`` on a timer.  The
@@ -154,6 +160,10 @@ class Channel:
         self.faults: Optional["FaultInjector"] = None
         self._receivers: Dict[int, Callable[[Frame, int], None]] = {}
         self._tx_complete: Dict[int, Callable[[Frame, Set[int]], None]] = {}
+        #: ``fanout(frame, sender, delivery_order)``, once per transmission
+        #: that any node decoded (see set_fanout)
+        self._fanout: Callable[[Frame, int, List[int]], None]
+        self.set_fanout(self._deliver_each)
         #: nodes waiting for their carrier sense to go quiet (wait_for_idle)
         self._idle_waiters: Dict[int, Callable[[], None]] = {}
         #: per-waiter busy bookkeeping: the tx_ids of active transmissions
@@ -182,6 +192,9 @@ class Channel:
         self.frames_delivered = 0
         self.frames_collided = 0
         self.frames_missed_asleep = 0
+        #: receptions a fault-plan impairment vetoed after classification
+        #: (each is in none of the three totals above)
+        self.frames_vetoed = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -199,18 +212,47 @@ class Channel:
     def attach(
         self,
         node_id: int,
-        on_receive: Callable[[Frame, int], None],
+        on_receive: Optional[Callable[[Frame, int], None]] = None,
         on_tx_complete: Optional[Callable[[Frame, Set[int]], None]] = None,
     ) -> None:
         """Register the MAC callbacks for ``node_id``.
 
-        ``on_receive(frame, sender_id)`` fires for each decoded frame;
-        ``on_tx_complete(frame, delivered_to)`` fires on the sender when its
-        transmission ends, with the set of nodes that decoded the frame.
+        ``on_receive(frame, sender_id)`` fires for each decoded frame
+        (through the default fan-out); ``on_tx_complete(frame,
+        delivered_to)`` fires on the sender when its transmission ends,
+        with the set of nodes that decoded the frame.
         """
-        self._receivers[node_id] = on_receive
+        if on_receive is not None:
+            self._receivers[node_id] = on_receive
         if on_tx_complete is not None:
             self._tx_complete[node_id] = on_tx_complete
+
+    @property
+    def fanout(self) -> Callable[[Frame, int, List[int]], None]:
+        """The receive fan-out :meth:`_finish` calls (see set_fanout)."""
+        return self._fanout
+
+    def set_fanout(
+        self, fanout: Callable[[Frame, int, List[int]], None],
+    ) -> None:
+        """Replace the receive fan-out.
+
+        ``fanout(frame, sender_id, delivery_order)`` is called once per
+        finished transmission that at least one node decoded, with the
+        decoding nodes in ascending order, and must serve them in that
+        order.  Nodes it does not own it hands to their attached
+        ``on_receive`` (``_receivers``), as the default does.
+        """
+        self._fanout = fanout
+
+    def _deliver_each(self, frame: Frame, sender: int,
+                      delivery_order: List[int]) -> None:
+        """The default fan-out: each node's attached receiver, in order."""
+        receivers = self._receivers
+        for node in delivery_order:
+            receiver = receivers.get(node)
+            if receiver is not None:
+                receiver(frame, sender)
 
     # ------------------------------------------------------------------
     # Carrier sense
@@ -466,19 +508,16 @@ class Channel:
             if (faults is not None and delivery_order
                     and faults.veto_from <= now < faults.veto_until):
                 drop = faults.drop_delivery
-                delivery_order = [
-                    node for node in delivery_order
-                    if not drop(sender, node, now)
-                ]
+                kept = [node for node in delivery_order
+                        if not drop(sender, node, now)]
+                self.frames_vetoed += len(delivery_order) - len(kept)
+                delivery_order = kept
             delivered.update(delivery_order)
         self.frames_delivered += len(delivery_order)
 
         frame = tx.frame
-        receivers = self._receivers
-        for node in delivery_order:
-            receiver = receivers.get(node)
-            if receiver is not None:
-                receiver(frame, sender)
+        if delivery_order:
+            self._fanout(frame, sender, delivery_order)
 
         on_complete = self._tx_complete.get(sender)
         if on_complete is not None:

@@ -4,6 +4,7 @@ Every fixture asserts the rule id, the exact line, and that the inline /
 file-level suppression mechanism silences the finding.
 """
 
+import ast
 import textwrap
 
 import pytest
@@ -1416,6 +1417,61 @@ class TestR012:
             rules=["R012"],
         )
         assert diags == []
+
+    def test_receive_fanout_scanning_every_mac(self):
+        # A fan-out runs once per transmission: installed through the
+        # channel's set_fanout hook, it must not walk every MAC.
+        diags = lint(
+            """\
+            class Group:
+                def __init__(self, channel):
+                    self.macs = {}
+                    channel.set_fanout(self.deliver)
+
+                def deliver(self, frame, sender, order):
+                    for mac in self.macs.values():
+                        mac.hear(sender)
+            """,
+            rules=["R012"],
+        )
+        assert rule_ids(diags) == ["R012"]
+        assert diags[0].line == 7
+        assert "self.macs" in diags[0].message
+
+    def test_module_level_announce_scanning_peers(self):
+        # A module-level grouped ATIM delivery, re-entered by a deferred
+        # event, has no self: any owner's all-nodes container counts.
+        diags = lint(
+            """\
+            def _announce(mac, announcement):
+                for peer in mac._peers.values():
+                    peer.absorb(announcement)
+
+
+            class Mac:
+                def _announce_body(self, announcement):
+                    self.sim.schedule(0.01, _announce, self, announcement)
+            """,
+            rules=["R012"],
+        )
+        assert rule_ids(diags) == ["R012"]
+        assert diags[0].line == 2
+        assert "mac._peers" in diags[0].message
+
+    def test_shipped_fanouts_are_scanned_and_clean(self):
+        from pathlib import Path
+
+        from repro.analysis.lint.rules import PerEventGlobalScan
+
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        for rel, fanouts in (("phy/channel.py", {"_deliver_each"}),
+                             ("mac/psm.py", {"deliver", "announce"})):
+            source = (src / rel).read_text()
+            scanned = {fn.name for fn in
+                       PerEventGlobalScan.callbacks(ast.parse(source))}
+            assert fanouts <= scanned, rel
+            assert lint_source(source, path=rel, rel=rel,
+                               rules=["R012"]) == []
 
 
 # ----------------------------------------------------------------------

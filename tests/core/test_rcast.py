@@ -90,7 +90,8 @@ def test_randomized_rate_converges():
 def test_note_heard_and_last_heard():
     sim, manager = make_manager()
     assert manager.last_heard(3) is None
-    sim.schedule(2.0, manager.note_heard, 3)
+    # The PSM fan-outs note a heard node by writing the store directly.
+    sim.schedule(2.0, lambda: manager.heard_at.update({3: sim.now}))
     sim.run()
     assert manager.last_heard(3) == 2.0
 
@@ -107,7 +108,7 @@ def test_sender_recency_factor_boosts_unheard_sender():
 def test_recency_damps_recently_heard_sender():
     _, manager = make_manager(num_neighbors=4, use_sender_recency=True)
     boosted = manager.decider.probability(ann(sender=1))
-    manager.note_heard(1)
+    manager.heard_at[1] = manager.sim.now
     damped = manager.decider.probability(ann(sender=1))
     assert damped < boosted
 

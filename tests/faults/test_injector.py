@@ -193,6 +193,66 @@ class TestDeliveryImpairments:
         assert metrics.data_delivered == 0
         assert metrics.fault_counts.get("loss_drops", 0) > 0
 
+    def test_vetoed_receptions_close_the_reception_identity(self) -> None:
+        """Every audible reception of a finished frame is delivered,
+        missed, collided or vetoed, also under a noise window and a crash.
+
+        The crashed node stays in its neighbours' ATIM fan-out while it is
+        down and must absorb nothing there.
+        """
+        plan = FaultPlan((
+            NoiseWindow(start=3.0, stop=8.0, range_factor=0.5),
+            NodeCrash(node=5, at=4.0, recover_at=7.0),
+        ))
+        config = SimulationConfig(
+            scheme="rcast", seed=7, sim_time=12.0, num_nodes=12,
+            arena_w=600.0, arena_h=300.0, num_connections=3,
+            packet_rate=2.0, mobility="waypoint", max_speed=2.0,
+            pause_time=0.0, faults=plan)
+        net = build_network(config)
+        channel = net.channel
+        transmissions = []
+        transmit = channel.transmit
+
+        def recorded(sender, frame):
+            tx = transmit(sender, frame)
+            transmissions.append(tx)
+            return tx
+
+        channel.transmit = recorded
+        crashed = net.nodes[5]
+        macs = [node.mac for node in net.nodes]
+
+        def announced_near_crashed():
+            return sum(macs[n].announcements_made
+                       for n in net.positions.sorted_neighbors(5))
+
+        down = {}
+        net.sim.schedule_at(4.01, lambda: down.update(
+            announced_at_crash=announced_near_crashed(),
+            missed_at_crash=crashed.mac.missed_announcements))
+        net.sim.schedule_at(6.99, lambda: down.update(
+            announced_before_recovery=announced_near_crashed(),
+            missed_before_recovery=crashed.mac.missed_announcements,
+            heard=[t for t in crashed.rcast.heard_at.values() if t > 4.0]))
+        net.run()
+        audible = sum(len(tx.audible) for tx in transmissions
+                      if tx.sender not in channel._active
+                      or channel._active[tx.sender] is not tx)
+        assert channel.frames_vetoed > 0
+        assert channel.frames_vetoed == net.faults.counts["noise_drops"]
+        assert audible == (channel.frames_delivered
+                           + channel.frames_missed_asleep
+                           + channel.frames_collided
+                           + channel.frames_vetoed)
+        # Neighbours kept announcing to the crashed node; it absorbed
+        # nothing, and a halted node does not count the ATIMs as missed.
+        assert (down["announced_before_recovery"]
+                > down["announced_at_crash"])
+        assert down["heard"] == []
+        assert down["missed_before_recovery"] == down["missed_at_crash"]
+        assert net.faults.counts["recoveries"] == 1
+
 
 class TestLifecycle:
     def test_arm_is_once_only(self) -> None:

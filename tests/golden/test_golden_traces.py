@@ -21,7 +21,7 @@ import difflib
 import gzip
 import json
 from pathlib import Path
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 import pytest
 
@@ -33,10 +33,26 @@ GOLDEN_DIR = Path(__file__).parent
 
 SCHEMES = ("ieee80211", "psm", "odpm", "rcast")
 
-#: Corpus entries: the four schemes under fixed 1/n overhearing, plus one
-#: adaptive-policy run locking the measured-degree estimator's full event
-#: stream (announcement folding, epoch traces, adaptive metrics block).
-CORPUS = SCHEMES + ("rcast-degree",)
+#: Corpus entries beyond the plain schemes, as config overrides:
+#:
+#: * ``rcast-degree`` locks the measured-degree estimator's full event
+#:   stream (announcement folding, epoch traces, adaptive metrics block);
+#: * ``span`` locks the tap-in-AM filter under the SPAN backbone;
+#: * ``rcast-edge`` locks the branches the paper's defaults never take:
+#:   clock jitter whose 0-100 ms offsets straddle the 50 ms ATIM window
+#:   (deferred and missed announcements), the composed P_R of all three
+#:   decision factors, randomized RREQ reception and opportunistic taps.
+VARIANTS: Dict[str, Dict[str, Any]] = {
+    "rcast-degree": dict(scheme="rcast", overhearing_policy="degree"),
+    "span": dict(scheme="span"),
+    "rcast-edge": dict(scheme="rcast", clock_jitter=0.1,
+                       rcast_factors=("sender", "mobility", "battery"),
+                       rreq_randomized=True, opportunistic_tap=True),
+}
+
+#: Corpus entries: the four schemes under fixed 1/n overhearing, then the
+#: variants.
+CORPUS = SCHEMES + tuple(VARIANTS)
 
 
 def golden_config(entry: str) -> SimulationConfig:
@@ -44,13 +60,11 @@ def golden_config(entry: str) -> SimulationConfig:
 
     Big enough to exercise every protocol path (ATIM negotiation, route
     breaks under waypoint mobility, Rcast randomized reception), small
-    enough that all corpus entries replay in a few seconds.  The
-    ``rcast-degree`` entry is the rcast scenario with the measured-degree
-    adaptive policy selected.
+    enough that all corpus entries replay in a few seconds.  A variant
+    entry is the same scenario with its overrides applied.
     """
-    scheme, _, policy = entry.partition("-")
+    overrides = VARIANTS.get(entry, dict(scheme=entry))
     return SimulationConfig(
-        scheme=scheme,
         seed=7,
         sim_time=15.0,
         num_nodes=24,
@@ -61,7 +75,7 @@ def golden_config(entry: str) -> SimulationConfig:
         max_speed=2.0,
         pause_time=0.0,
         packet_rate=0.4,
-        overhearing_policy=policy or "fixed",
+        **overrides,
     )
 
 
@@ -129,3 +143,68 @@ def test_golden_gzip_is_deterministic(scheme: str) -> None:
     trace_path = GOLDEN_DIR / f"{scheme}.trace.jsonl.gz"
     raw = gzip.decompress(trace_path.read_bytes())
     assert gzip.compress(raw, mtime=0) == trace_path.read_bytes()
+
+
+def _run_counting_branches(
+        entry: str) -> Tuple[Any, TraceLog, Dict[str, int]]:
+    """Run a variant entry, sorting each routing-layer tap by the filter
+    branch that let it through and counting deferred ATIM deliveries."""
+    from repro.mac.power import PowerMode
+    from repro.network import build_network
+
+    trace = TraceLog()
+    network = build_network(golden_config(entry), trace=trace)
+    counts = {"elected": 0, "am": 0, "opportunistic": 0, "deferred": 0}
+    for node in network.nodes:
+        mac = node.mac
+
+        def tap(packet: Any, sender: int, mac: Any = mac,
+                upper: Any = mac._on_promiscuous) -> None:
+            if sender in mac._overhear_senders:
+                counts["elected"] += 1
+            elif mac.power.mode(mac.sim.now) is PowerMode.AM:
+                counts["am"] += 1
+            else:
+                counts["opportunistic"] += 1
+            upper(packet, sender)
+
+        mac._on_promiscuous = tap
+    schedule = network.sim.schedule
+
+    def counting_schedule(delay: float, callback: Any, *args: Any,
+                          **kwargs: Any) -> Any:
+        # The only repro.mac.psm method scheduled straight on the engine
+        # is the cross-window (deferred) announcement delivery.
+        owner = getattr(callback, "__self__", None)
+        if type(owner).__module__ == "repro.mac.psm":
+            counts["deferred"] += 1
+        return schedule(delay, callback, *args, **kwargs)
+
+    network.sim.schedule = counting_schedule  # type: ignore[method-assign]
+    network.run()
+    return network, trace, counts
+
+
+def test_span_entry_taps_in_am() -> None:
+    """``span`` advertises NONE, so every tap is the tap-in-AM branch."""
+    _, _, counts = _run_counting_branches("span")
+    assert counts["am"] > 0
+    assert counts["elected"] == counts["opportunistic"] == 0
+
+
+def test_edge_entry_takes_every_branch() -> None:
+    network, trace, counts = _run_counting_branches("rcast-edge")
+    macs = [node.mac for node in network.nodes]
+    # Clock jitter: announcements both deferred into the next window and
+    # lost between disjoint windows.
+    assert counts["deferred"] > 0
+    assert sum(mac.missed_announcements for mac in macs) > 0
+    # Opportunistic taps of senders nobody elected to overhear.
+    assert counts["opportunistic"] > 0 and counts["elected"] > 0
+    # Randomized RREQ reception.
+    assert any(r.event == "broadcast_rx" for r in trace)
+    # The composed P_R: some randomized decision's p is not a plain 1/n.
+    ps = [r.get("p") for r in trace
+          if r.event == "overhear" and r.get("p") is not None]
+    assert ps and any(abs(1.0 / p - round(1.0 / p)) > 1e-9
+                      for p in ps if p > 0)

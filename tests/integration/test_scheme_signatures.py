@@ -107,5 +107,7 @@ def test_psm_family_macs_share_peer_table():
     network = make_network("psm")
     macs = [n.mac for n in network.nodes if isinstance(n.mac, PsmMac)]
     assert len(macs) == 30
-    table = macs[0]._peers
-    assert all(m._peers is table for m in macs)
+    group = macs[0]._fanout
+    assert all(m._fanout is group for m in macs)
+    assert group.macs == {m.node_id: m for m in macs}
+    assert network.channel.fanout == group.deliver

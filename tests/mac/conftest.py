@@ -102,11 +102,6 @@ def psm_factory(sender_policy_cls=RcastPolicy, power_manager_factory=AlwaysPs,
     return factory
 
 
-def wire_psm_peers(rig: MacRig) -> None:
-    for mac in rig.macs.values():
-        mac.set_peers(rig.macs)
-
-
 @pytest.fixture
 def line3_always_on():
     """Three always-on nodes in a 100 m line (range 150: adjacent only)."""
@@ -116,7 +111,5 @@ def line3_always_on():
 
 def make_psm_rig(positions, sender_policy_cls=RcastPolicy,
                  power_manager_factory=AlwaysPs, **psm_kwargs) -> MacRig:
-    rig = MacRig(positions, psm_factory(sender_policy_cls,
-                                        power_manager_factory, **psm_kwargs))
-    wire_psm_peers(rig)
-    return rig
+    return MacRig(positions, psm_factory(sender_policy_cls,
+                                         power_manager_factory, **psm_kwargs))

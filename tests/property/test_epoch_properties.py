@@ -38,7 +38,7 @@ from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry, derived_stream
 
-from tests.mac.conftest import DummyPacket, MacRig, wire_psm_peers
+from tests.mac.conftest import DummyPacket, MacRig
 
 BEACON = 0.1
 ATIM = 0.025
@@ -82,7 +82,6 @@ def _psm_epoch_factory(offsets, shared: bool):
 def _run_psm_scenario(offsets, sends, crashes, shared: bool):
     """One full scenario; returns its observable signature."""
     rig = MacRig(LINE5, _psm_epoch_factory(offsets, shared))
-    wire_psm_peers(rig)
     rig.start()
     for at, src, dst, label in sends:
         rig.sim.schedule(

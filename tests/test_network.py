@@ -1,5 +1,7 @@
 """Tests for SimulationConfig validation and network assembly."""
 
+import warnings
+
 import pytest
 
 from repro.core.policy import (
@@ -70,6 +72,25 @@ def test_bad_rate_rejected():
 def test_degenerate_config_fails_fast(overrides):
     with pytest.raises(ConfigurationError):
         small(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(tx_range=float("nan")),
+    dict(tx_range=float("inf")),
+    dict(tx_range=0.0),
+    dict(tx_range=-1.0),
+    dict(cs_range=float("nan")),
+    dict(cs_range=float("inf")),
+], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
+def test_bad_radio_range_rejected(overrides):
+    """A NaN range used to run to pdr 0 (and a NaN carrier-sense range
+    warned from the grid-cell cast) instead of failing."""
+    config = SimulationConfig(num_nodes=5, num_connections=1, sim_time=3.0,
+                              **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError):
+            build_network(config)
 
 
 def test_unknown_rcast_factor_rejected():
