@@ -39,7 +39,7 @@ REPORT_SCHEMA_VERSION = 1
 #: so sampling every pop would dominate the run; every 4096th event keeps
 #: the overhead noise-level while still taking hundreds of samples on a
 #: bench-scale workload.
-DEFAULT_CANARY_INTERVAL = 4096
+CANARY_INTERVAL = 4096
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,7 @@ def diff_reports(first: SanitizerReport,
 class DeterminismSanitizer:
     """Attach/detach lifecycle around one :meth:`Network.run`."""
 
-    def __init__(self,
-                 canary_interval: int = DEFAULT_CANARY_INTERVAL) -> None:
-        if canary_interval <= 0:
-            raise ValueError("canary_interval must be positive")
-        self._interval = canary_interval
+    def __init__(self) -> None:
         self._network: Optional["Network"] = None
         self._ledgers: List[StreamLedger] = []
         self._findings: List[SanitizerFinding] = []
@@ -154,7 +150,7 @@ class DeterminismSanitizer:
         #: ``[last_key, canary_countdown, tied_count]``.  A list the closure
         #: indexes is measurably cheaper than ``self._x`` lookups on a path
         #: that runs once per event.
-        self._hot: List[object] = [(-float("inf"), 0, -1), canary_interval, 0]
+        self._hot: List[object] = [(-float("inf"), 0, -1), CANARY_INTERVAL, 0]
         self._canary_digest = LEDGER_HASH_SEED
         self._canary_samples = 0
         self._global_state: object = None
@@ -236,7 +232,7 @@ class DeterminismSanitizer:
         contract — so the common tie-free pop costs a single Python frame.
         """
         hot = self._hot
-        interval = self._interval
+        interval = CANARY_INTERVAL
         sample = self._sample_canaries
         anomaly = self._note_anomaly
 
@@ -348,7 +344,7 @@ class DeterminismSanitizer:
 
 
 __all__ = [
-    "DEFAULT_CANARY_INTERVAL",
+    "CANARY_INTERVAL",
     "DeterminismSanitizer",
     "REPORT_SCHEMA_VERSION",
     "SanitizerFinding",

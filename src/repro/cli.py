@@ -76,6 +76,7 @@ from repro.experiments.scenarios import (
     SMOKE_SCALE,
     ExperimentScale,
 )
+from repro.errors import ConfigurationError
 from repro.network import SCHEMES, SimulationConfig
 
 if TYPE_CHECKING:
@@ -296,19 +297,22 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         arena["arena_w"] = args.arena_w
     if args.arena_h is not None:
         arena["arena_h"] = args.arena_h
-    return SimulationConfig(
-        scheme=args.scheme,
-        num_nodes=args.nodes,
-        packet_rate=args.rate,
-        sim_time=args.sim_time,
-        num_connections=args.connections,
-        mobility="static" if args.static else "waypoint",
-        max_speed=args.speed,
-        pause_time=args.pause,
-        seed=args.seed,
-        overhearing_policy=args.overhearing_policy,
-        **arena,
-    )
+    try:
+        return SimulationConfig(
+            scheme=args.scheme,
+            num_nodes=args.nodes,
+            packet_rate=args.rate,
+            sim_time=args.sim_time,
+            num_connections=args.connections,
+            mobility="static" if args.static else "waypoint",
+            max_speed=args.speed,
+            pause_time=args.pause,
+            seed=args.seed,
+            overhearing_policy=args.overhearing_policy,
+            **arena,
+        )
+    except ConfigurationError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -317,7 +321,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from dataclasses import replace
 
-    from repro.errors import ConfigurationError
     from repro.faults.plan import FaultPlan
     from repro.network import Network, build_network
     from repro.obs.live import LiveRunMonitor, TelemetryWriter

@@ -118,6 +118,29 @@ RCAST_BATTERY_FLOOR = 0.05
 #: randomized, so floods still propagate.
 RCAST_BROADCAST_FLOOR = 0.5
 
+# --- Adaptive P_R policies (repro.core.adaptive) ----------------------------
+
+#: Measured-degree policy: EWMA weight in (0, 1], beacon intervals per
+#: measurement window, active windows before the estimate is trusted, and
+#: the dense neighborhood assumed while cold (P_R = 1/32).
+ADAPTIVE_DEGREE_ALPHA = 0.4
+ADAPTIVE_DEGREE_WINDOW_EPOCHS = 8
+ADAPTIVE_DEGREE_WARMUP_WINDOWS = 2
+ADAPTIVE_DEGREE_COLD_DEGREE = 32
+
+#: Energy-budget policy: target awake fraction at a full battery, base of
+#: the dithered multiplicative step (> 1), and the rails of the P_R
+#: multiplier over 1/n (0 < min <= 1 <= max).
+ADAPTIVE_ENERGY_SETPOINT = 0.35
+ADAPTIVE_ENERGY_STEP = 1.25
+ADAPTIVE_ENERGY_M_MIN = 0.125
+ADAPTIVE_ENERGY_M_MAX = 8.0
+
+#: Bandit policy: exploration probability per beacon interval, and the
+#: reward cost of a fully awake interval, in delivered overhears.
+ADAPTIVE_BANDIT_EPSILON = 0.1
+ADAPTIVE_BANDIT_COST_WEIGHT = 2.0
+
 # --- DSR ---------------------------------------------------------------------
 
 #: Maximum passively learned (secondary-segment) paths per node's route cache.

@@ -12,11 +12,12 @@ selected per run via ``SimulationConfig.overhearing_policy``:
     window contributes its sender to the epoch's *heard set*, and at each
     beacon boundary the set size updates an EWMA degree estimate.  No
     oracle access to the position service.  While the estimate is cold
-    (fewer than ``warmup_epochs`` active epochs) the policy falls back to
-    a Berenbrink-style conservative constant ``1/cold_degree`` — assume a
-    dense unknown neighborhood and overhear seldom, exactly the
-    operate-without-knowing-n stance of "Energy Efficient Randomised
-    Communication in Unknown AdHoc Networks".
+    (fewer than ``ADAPTIVE_DEGREE_WARMUP_WINDOWS`` active windows) the
+    policy falls back to a Berenbrink-style conservative constant
+    ``1/ADAPTIVE_DEGREE_COLD_DEGREE`` — assume a dense unknown
+    neighborhood and overhear seldom, exactly the operate-without-knowing-n
+    stance of "Energy Efficient Randomised Communication in Unknown AdHoc
+    Networks".
 
 ``energy`` — :class:`EnergyBudgetPolicy`
     ``P_R = multiplier / n`` where the multiplier is driven by a
@@ -30,9 +31,9 @@ selected per run via ``SimulationConfig.overhearing_policy``:
 ``bandit`` — :class:`EpsilonGreedyBanditPolicy`
     An epsilon-greedy bandit over the discrete P_R levels
     ``{1/2n, 1/n, 2/n, 1}``.  The per-epoch reward is the number of
-    delivered overhears minus ``cost_weight`` times the awake fraction —
-    i.e. route-harvest value minus energy spent awake.  Exploration draws
-    come from the ``adaptive:<node>`` stream.
+    delivered overhears minus ``ADAPTIVE_BANDIT_COST_WEIGHT`` times the
+    awake fraction — i.e. route-harvest value minus energy spent awake.
+    Exploration draws come from the ``adaptive:<node>`` stream.
 
 Determinism: every policy mutates state only inside the per-node epoch
 callback (:meth:`AdaptivePolicy.on_epoch`, driven from the PSM beacon
@@ -44,6 +45,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.constants import (
+    ADAPTIVE_BANDIT_COST_WEIGHT,
+    ADAPTIVE_BANDIT_EPSILON,
+    ADAPTIVE_DEGREE_ALPHA,
+    ADAPTIVE_DEGREE_COLD_DEGREE,
+    ADAPTIVE_DEGREE_WARMUP_WINDOWS,
+    ADAPTIVE_DEGREE_WINDOW_EPOCHS,
+    ADAPTIVE_ENERGY_M_MAX,
+    ADAPTIVE_ENERGY_M_MIN,
+    ADAPTIVE_ENERGY_SETPOINT,
+    ADAPTIVE_ENERGY_STEP,
+)
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -100,35 +113,24 @@ class MeasuredDegreePolicy(AdaptivePolicy):
 
     The estimator is a pure function of the sequence of
     ``on_announcement_heard`` / ``on_epoch`` calls.  Announce epochs are
-    grouped into measurement windows of ``window_epochs`` beacon
-    intervals; each window contributes the number of *distinct* senders
-    heard across it, ``d``, via ``est <- est + alpha * (d - est)``.  The
-    window union matters: in any single beacon interval only the
-    neighbors with buffered traffic announce, so a per-interval count
-    would systematically undercount the neighborhood.  Windows with no
-    activity leave the estimate untouched (no decay — silence under PSM
-    usually means no traffic, not no neighbors).  Until
-    ``warmup_windows`` active windows have been folded the conservative
-    Berenbrink-style cold-start value ``1/cold_degree`` is used instead:
-    assume a dense unknown neighborhood and overhear seldom.
+    grouped into measurement windows of ``ADAPTIVE_DEGREE_WINDOW_EPOCHS``
+    beacon intervals; each window contributes the number of *distinct*
+    senders heard across it, ``d``, via ``est <- est +
+    ADAPTIVE_DEGREE_ALPHA * (d - est)``.  The window union matters: in any
+    single beacon interval only the neighbors with buffered traffic
+    announce, so a per-interval count would systematically undercount the
+    neighborhood.  Windows with no activity leave the estimate untouched
+    (no decay — silence under PSM usually means no traffic, not no
+    neighbors).  Until
+    ``ADAPTIVE_DEGREE_WARMUP_WINDOWS`` active windows have been folded the
+    conservative Berenbrink-style cold-start value
+    ``1/ADAPTIVE_DEGREE_COLD_DEGREE`` is used instead: assume a dense
+    unknown neighborhood and overhear seldom.
     """
 
     name = "degree"
 
-    def __init__(self, alpha: float = 0.4, window_epochs: int = 8,
-                 warmup_windows: int = 2, cold_degree: int = 32) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        if window_epochs < 1:
-            raise ConfigurationError("window_epochs must be >= 1")
-        if warmup_windows < 1:
-            raise ConfigurationError("warmup_windows must be >= 1")
-        if cold_degree < 1:
-            raise ConfigurationError("cold_degree must be >= 1")
-        self.alpha = alpha
-        self.window_epochs = window_epochs
-        self.warmup_windows = warmup_windows
-        self.cold_degree = cold_degree
+    def __init__(self) -> None:
         self._estimate: Optional[float] = None
         self._active_windows = 0
         self._epochs = 0
@@ -144,13 +146,13 @@ class MeasuredDegreePolicy(AdaptivePolicy):
     def warm(self) -> bool:
         """True once the estimator has folded enough active windows."""
         return (self._estimate is not None
-                and self._active_windows >= self.warmup_windows)
+                and self._active_windows >= ADAPTIVE_DEGREE_WARMUP_WINDOWS)
 
     def __call__(self, announcement: "Announcement") -> float:
         if self.warm:
             assert self._estimate is not None
             return 1.0 / max(1.0, self._estimate)
-        return 1.0 / self.cold_degree
+        return 1.0 / ADAPTIVE_DEGREE_COLD_DEGREE
 
     def on_announcement_heard(self, sender: int) -> None:
         self.announcements_heard += 1
@@ -158,7 +160,7 @@ class MeasuredDegreePolicy(AdaptivePolicy):
 
     def on_epoch(self, now: float) -> Optional[Dict[str, Any]]:
         self._epochs += 1
-        if self._epochs % self.window_epochs:
+        if self._epochs % ADAPTIVE_DEGREE_WINDOW_EPOCHS:
             return None  # mid-window boundary: nothing folds, no trace
         heard = len(self._window_senders)
         if heard:
@@ -166,7 +168,8 @@ class MeasuredDegreePolicy(AdaptivePolicy):
             if self._estimate is None:
                 self._estimate = float(heard)
             else:
-                self._estimate += self.alpha * (heard - self._estimate)
+                self._estimate += (ADAPTIVE_DEGREE_ALPHA
+                                   * (heard - self._estimate))
             self._window_senders.clear()
         return {
             "policy": self.name,
@@ -190,12 +193,13 @@ class EnergyBudgetPolicy(AdaptivePolicy):
 
     Each epoch the controller measures the fraction of the last beacon
     interval the radio spent awake and compares it against
-    ``setpoint * remaining_battery_fraction`` — a node draining its
-    battery lowers its own awake-time target.  Over target: multiply the
-    P_R multiplier down; under: up.  Steps are multiplicative with a
-    dithered exponent (``step ** u``, ``u ~ U[0.5, 1.5)`` from the
-    node's ``adaptive:<node>`` stream) and the multiplier is clamped to
-    ``[m_min, m_max]``.
+    ``ADAPTIVE_ENERGY_SETPOINT * remaining_battery_fraction`` — a node
+    draining its battery lowers its own awake-time target.  Over target:
+    multiply the P_R multiplier down; under: up.  Steps are multiplicative
+    with a dithered exponent (``ADAPTIVE_ENERGY_STEP ** u``,
+    ``u ~ U[0.5, 1.5)`` from the node's ``adaptive:<node>`` stream) and
+    the multiplier is clamped to
+    ``[ADAPTIVE_ENERGY_M_MIN, ADAPTIVE_ENERGY_M_MAX]``.
     """
 
     name = "energy"
@@ -207,28 +211,12 @@ class EnergyBudgetPolicy(AdaptivePolicy):
         remaining_fraction_fn: Callable[[float], float],
         beacon_interval: float,
         rng: "random.Random",
-        setpoint: float = 0.35,
-        step: float = 1.25,
-        m_min: float = 0.125,
-        m_max: float = 8.0,
     ) -> None:
-        if beacon_interval <= 0:
-            raise ConfigurationError("beacon_interval must be positive")
-        if not 0.0 < setpoint <= 1.0:
-            raise ConfigurationError(f"setpoint must be in (0, 1], got {setpoint}")
-        if step <= 1.0:
-            raise ConfigurationError(f"step must be > 1, got {step}")
-        if not 0.0 < m_min <= 1.0 <= m_max:
-            raise ConfigurationError("need 0 < m_min <= 1 <= m_max")
         self._neighbor_count = neighbor_count_fn
         self._awake_seconds = awake_seconds_fn
         self._remaining_fraction = remaining_fraction_fn
         self._interval = beacon_interval
         self._rng = rng
-        self.setpoint = setpoint
-        self.step = step
-        self.m_min = m_min
-        self.m_max = m_max
         self.multiplier = 1.0
         self._last_awake: Optional[float] = None
         self._epochs = 0
@@ -245,12 +233,14 @@ class EnergyBudgetPolicy(AdaptivePolicy):
         frac = min(max((awake - self._last_awake) / self._interval, 0.0), 1.0)
         self._last_awake = awake
         self._epochs += 1
-        target = self.setpoint * self._remaining_fraction(now)
-        factor = self.step ** (0.5 + self._rng.random())
+        target = ADAPTIVE_ENERGY_SETPOINT * self._remaining_fraction(now)
+        factor = ADAPTIVE_ENERGY_STEP ** (0.5 + self._rng.random())
         if frac > target:
-            self.multiplier = max(self.m_min, self.multiplier / factor)
+            self.multiplier = max(ADAPTIVE_ENERGY_M_MIN,
+                                  self.multiplier / factor)
         else:
-            self.multiplier = min(self.m_max, self.multiplier * factor)
+            self.multiplier = min(ADAPTIVE_ENERGY_M_MAX,
+                                  self.multiplier * factor)
         return {
             "policy": self.name,
             "awake_frac": frac,
@@ -275,11 +265,11 @@ class EpsilonGreedyBanditPolicy(AdaptivePolicy):
 
     One arm is in force per beacon interval.  At each boundary the
     finished interval's reward — delivered overhears minus
-    ``cost_weight`` times the awake fraction — updates the incumbent
-    arm's running mean, then the next arm is chosen: with probability
-    ``epsilon`` a uniform arm from the ``adaptive:<node>`` stream
-    (recorded in ``explore_counts``), otherwise the greedy arm (ties to
-    the lowest index).
+    ``ADAPTIVE_BANDIT_COST_WEIGHT`` times the awake fraction — updates the
+    incumbent arm's running mean, then the next arm is chosen: with
+    probability ``ADAPTIVE_BANDIT_EPSILON`` a uniform arm from the
+    ``adaptive:<node>`` stream (recorded in ``explore_counts``), otherwise
+    the greedy arm (ties to the lowest index).
     """
 
     name = "bandit"
@@ -290,19 +280,11 @@ class EpsilonGreedyBanditPolicy(AdaptivePolicy):
         awake_seconds_fn: Callable[[float], float],
         beacon_interval: float,
         rng: "random.Random",
-        epsilon: float = 0.1,
-        cost_weight: float = 2.0,
     ) -> None:
-        if beacon_interval <= 0:
-            raise ConfigurationError("beacon_interval must be positive")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
         self._neighbor_count = neighbor_count_fn
         self._awake_seconds = awake_seconds_fn
         self._interval = beacon_interval
         self._rng = rng
-        self.epsilon = epsilon
-        self.cost_weight = cost_weight
         self.num_arms = len(BANDIT_ARM_LABELS)
         self.values: List[float] = [0.0] * self.num_arms
         self.pulls: List[int] = [0] * self.num_arms
@@ -331,13 +313,13 @@ class EpsilonGreedyBanditPolicy(AdaptivePolicy):
         if self._last_awake is not None:
             frac = min(max((awake - self._last_awake) / self._interval, 0.0),
                        1.0)
-            reward = self._taps - self.cost_weight * frac
+            reward = self._taps - ADAPTIVE_BANDIT_COST_WEIGHT * frac
             self.pulls[self.arm] += 1
             self.values[self.arm] += ((reward - self.values[self.arm])
                                       / self.pulls[self.arm])
         self._last_awake = awake
         self._taps = 0
-        explored = self._rng.random() < self.epsilon
+        explored = self._rng.random() < ADAPTIVE_BANDIT_EPSILON
         if explored:
             self.arm = self._rng.randrange(self.num_arms)
             self.explore_counts[self.arm] += 1

@@ -32,7 +32,7 @@ example, so we implement the example: *overhear with probability P_R*.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
 from repro.errors import ConfigurationError
 
@@ -107,25 +107,20 @@ class RcastPolicy(SenderPolicy):
 
     name = "rcast"
 
-    #: default kind -> level map; unknown kinds fall back to RANDOMIZED.
-    DEFAULT_LEVELS: Dict[str, OverhearingLevel] = {
+    #: kind -> level map; unknown kinds fall back to RANDOMIZED.
+    LEVELS: Dict[str, OverhearingLevel] = {
         "data": OverhearingLevel.RANDOMIZED,
         "rrep": OverhearingLevel.RANDOMIZED,
         "rerr": OverhearingLevel.UNCONDITIONAL,
         "rreq": OverhearingLevel.UNCONDITIONAL,  # broadcast: all awake nodes
     }
 
-    def __init__(self, overrides: Optional[Dict[str, OverhearingLevel]] = None) -> None:
-        self._levels = dict(self.DEFAULT_LEVELS)
-        if overrides:
-            self._levels.update(overrides)
-
     def level_for(self, packet: Any) -> OverhearingLevel:
         """Level for ``packet`` per the per-kind table."""
         kind = getattr(packet, "kind", None)
         if kind is None:
             raise ConfigurationError(f"packet {packet!r} has no 'kind'")
-        return self._levels.get(kind, OverhearingLevel.RANDOMIZED)
+        return self.LEVELS.get(kind, OverhearingLevel.RANDOMIZED)
 
 
 class RandomizedOverhearing:

@@ -63,7 +63,6 @@ from repro.constants import (
     PSM_MODE_BELIEF_TTL_S,
 )
 from repro.core.rcast import RcastManager
-from repro.errors import ConfigurationError
 from repro.mac.base import MacBase
 from repro.mac.dcf import TxOutcome
 from repro.mac.epoch import EpochScheduler, _EpochGroup
@@ -121,11 +120,6 @@ class PsmMac(MacBase):
 
         super().__init__(sim, node_id, channel, radio, positions, rng,
                          trace=trace if trace is not None else NULL_TRACE)
-        if not 0 < atim_window < beacon_interval:
-            raise ConfigurationError(
-                f"need 0 < atim_window < beacon_interval, got "
-                f"{atim_window} / {beacon_interval}"
-            )
         self.rcast = rcast
         #: the Rcast last-heard store, written by both fan-outs for every
         #: delivered frame and every absorbed announcement
@@ -138,11 +132,6 @@ class PsmMac(MacBase):
         self.atim_window = atim_window
         self.tap_in_am = tap_in_am
         self.opportunistic_tap = opportunistic_tap
-        if not 0 <= clock_offset < beacon_interval:
-            raise ConfigurationError(
-                f"clock_offset must be in [0, beacon_interval), got "
-                f"{clock_offset}"
-            )
         #: this node's clock error relative to true beacon time.  The paper
         #: assumes a perfect sync algorithm (Tseng et al.); a nonzero offset
         #: models residual sync error: the node's windows shift, so ATIMs

@@ -8,8 +8,6 @@ from typing import Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class Arena:
@@ -17,12 +15,6 @@ class Arena:
 
     width: float
     height: float
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigurationError(
-                f"arena dimensions must be positive, got {self.width} x {self.height}"
-            )
 
     def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
         """True when (x, y) lies inside the arena (with tolerance)."""
@@ -42,8 +34,6 @@ class MobilityModel:
     """
 
     def __init__(self, num_nodes: int, arena: Arena) -> None:
-        if num_nodes <= 0:
-            raise ConfigurationError(f"num_nodes must be positive, got {num_nodes}")
         self.num_nodes = num_nodes
         self.arena = arena
 

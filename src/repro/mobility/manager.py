@@ -38,14 +38,12 @@ independent of cell shape, block iteration order, or node numbering.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.constants import NEIGHBOR_REFRESH_S, TX_RANGE_M
-from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.sim.engine import Simulator
 
@@ -77,19 +75,10 @@ class PositionService:
         tx_range: float = TX_RANGE_M,
         cs_range: Optional[float] = None,
     ) -> None:
-        # ``not lo < x < hi`` also rejects NaN, which fails every
-        # comparison: a NaN range hears nobody and NaN grid cells overflow.
-        if not 0 < tx_range < math.inf:
-            raise ConfigurationError(
-                f"tx_range must be positive and finite, got {tx_range}")
         self._sim = sim
         self._model = model
         self.tx_range = tx_range
         self.cs_range = cs_range if cs_range is not None else tx_range
-        if not tx_range <= self.cs_range < math.inf:
-            raise ConfigurationError(
-                f"carrier-sense range must be finite and >= tx range, got "
-                f"{self.cs_range}")
         self.num_nodes = model.num_nodes
         self._snapshot_time = -1.0
         #: first virtual time at which the current snapshot is stale

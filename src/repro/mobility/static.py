@@ -8,7 +8,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.errors import ConfigurationError
 from repro.mobility.base import Arena, MobilityModel
 
 
@@ -22,14 +21,7 @@ class StaticPlacement(MobilityModel):
 
     def __init__(self, positions: Sequence[Tuple[float, float]], arena: Arena) -> None:
         coords = np.asarray(positions, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise ConfigurationError(
-                f"positions must be an (n, 2) sequence, got shape {coords.shape}"
-            )
         super().__init__(coords.shape[0], arena)
-        for x, y in coords:
-            if not arena.contains(float(x), float(y)):
-                raise ConfigurationError(f"position ({x}, {y}) outside arena")
         self._coords = coords
 
     # Topology helpers --------------------------------------------------

@@ -92,13 +92,6 @@ class RandomWaypoint(MobilityModel):
         pause_time: float = 0.0,
     ) -> None:
         super().__init__(num_nodes, arena)
-        if not WAYPOINT_MIN_SPEED_MPS <= max_speed:
-            raise ConfigurationError(
-                f"max_speed must be >= {WAYPOINT_MIN_SPEED_MPS} m/s, "
-                f"got {max_speed}"
-            )
-        if pause_time < 0:
-            raise ConfigurationError(f"pause_time must be >= 0, got {pause_time}")
         self._rng = rng
         self.max_speed = max_speed
         self.pause_time = pause_time

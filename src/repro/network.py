@@ -23,6 +23,7 @@ key           MAC             power manager    overhearing
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -73,6 +74,35 @@ if TYPE_CHECKING:
 
 #: All supported scheme keys.
 SCHEMES = ("ieee80211", "psm", "psm-nooh", "odpm", "rcast", "span")
+
+#: Range of every numeric :class:`SimulationConfig` field as ``(lo,
+#: closed)``: the value must satisfy ``lo <= x < inf`` when ``closed``,
+#: else ``lo < x < inf``.  Both forms are NaN-safe, since NaN fails every
+#: comparison.  A field in :data:`_INTEGER_FIELDS` must also be an
+#: integer (numpy integers pass; NaN, infinity and 2.5 do not).
+_FIELD_RANGES: Dict[str, Tuple[float, bool]] = {
+    "seed": (-math.inf, False),
+    "sim_time": (0.0, False),
+    "num_nodes": (1, True),
+    "arena_w": (0.0, False),
+    "arena_h": (0.0, False),
+    "tx_range": (0.0, False),
+    "cs_range": (0.0, False),
+    "bitrate": (0.0, False),
+    "max_speed": (constants.WAYPOINT_MIN_SPEED_MPS, True),
+    "pause_time": (0.0, True),
+    "beacon_interval": (0.0, False),
+    "atim_window": (0.0, False),
+    "queue_capacity": (1, True),
+    "clock_jitter": (0.0, True),
+    "num_connections": (0, True),
+    "packet_rate": (0.0, False),
+    "packet_bytes": (1, True),
+    "battery_joules": (0.0, False),  # None (unbounded) is not checked
+}
+_INTEGER_FIELDS = frozenset(
+    ("seed", "num_nodes", "queue_capacity", "num_connections",
+     "packet_bytes"))
 
 
 @dataclass
@@ -136,24 +166,56 @@ class SimulationConfig:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
+        """Check every field: the one boundary for outside input, so the
+        layers :func:`build_network` wires trust their arguments."""
         if self.scheme not in SCHEMES:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; choose one of {SCHEMES}"
             )
-        # ``not 0 < x < inf`` also rejects NaN, which fails every
-        # comparison: a NaN or infinite horizon never ends the run.
-        if not 0 < self.sim_time < math.inf:
-            raise ConfigurationError("sim_time must be positive and finite")
-        if not 0 < self.packet_rate < math.inf:
+        for name, (lo, closed) in _FIELD_RANGES.items():
+            value = getattr(self, name)
+            if value is None and name == "battery_joules":
+                continue
+            try:
+                if name in _INTEGER_FIELDS:
+                    operator.index(value)
+                ok = ((lo <= value if closed else lo < value)
+                      and value < math.inf)
+            except TypeError:  # not a number at all
+                ok = False
+            if not ok:
+                kind = "integer" if name in _INTEGER_FIELDS else "number"
+                raise ConfigurationError(
+                    f"{name} must be a finite {kind} {'>=' if closed else '>'}"
+                    f" {lo}, got {value!r}")
+        if not self.tx_range <= self.cs_range:
             raise ConfigurationError(
-                "packet_rate must be positive and finite")
-        if not 0 < self.bitrate < math.inf:
-            raise ConfigurationError("bitrate must be positive and finite")
-        if self.queue_capacity <= 0:
-            raise ConfigurationError("queue_capacity must be positive")
-        if self.battery_joules is not None and not self.battery_joules > 0:
+                f"cs_range ({self.cs_range}) must be >= tx_range "
+                f"({self.tx_range})")
+        if not self.atim_window < self.beacon_interval:
             raise ConfigurationError(
-                "battery_joules must be positive (None = unbounded)")
+                f"need atim_window < beacon_interval, got "
+                f"{self.atim_window} / {self.beacon_interval}")
+        if not self.clock_jitter < self.beacon_interval:
+            raise ConfigurationError(
+                "clock_jitter must be in [0, beacon_interval)")
+        if self.num_connections > self.num_nodes:
+            raise ConfigurationError(
+                f"cannot pick {self.num_connections} distinct sources from "
+                f"{self.num_nodes} nodes")
+        if self.num_connections and self.num_nodes < 2:
+            raise ConfigurationError("need at least two nodes for traffic")
+        if self.positions is not None:
+            if len(self.positions) != self.num_nodes:
+                raise ConfigurationError(
+                    f"{len(self.positions)} positions for "
+                    f"{self.num_nodes} nodes")
+            arena = Arena(self.arena_w, self.arena_h)
+            for point in self.positions:
+                if len(point) != 2 or not arena.contains(*point):
+                    raise ConfigurationError(
+                        f"position {point!r} is not an (x, y) point inside "
+                        f"the {self.arena_w} x {self.arena_h} m arena")
         unknown = set(self.rcast_factors) - {"sender", "mobility", "battery"}
         if unknown:
             raise ConfigurationError(f"unknown rcast factors: {sorted(unknown)}")
@@ -169,10 +231,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown overhearing policy {self.overhearing_policy!r}; "
                 f"choose one of {OVERHEARING_POLICIES}"
-            )
-        if not 0 <= self.clock_jitter < self.beacon_interval:
-            raise ConfigurationError(
-                "clock_jitter must be in [0, beacon_interval)"
             )
         if isinstance(self.faults, dict):
             self.faults = FaultPlan.from_dict(self.faults)
@@ -231,6 +289,12 @@ class Network:
         if self._ran:
             raise ConfigurationError("Network.run() may only be called once")
         self._ran = True
+        horizon = self.config.sim_time
+        period = observe_period or self.config.beacon_interval
+        # ``not period > 0`` also rejects NaN: ``min(nan, horizon)`` never
+        # reaches the horizon, so the loop below would never end.
+        if observer is not None and not period > 0:
+            raise ConfigurationError("observe_period must be positive")
         sanitizer = None
         if sanitize:
             # Imported here: repro.analysis depends on the simulator
@@ -242,15 +306,9 @@ class Network:
         try:
             for node in self.nodes:
                 node.start()
-            horizon = self.config.sim_time
             if observer is None:
                 self.sim.run(until=horizon)
             else:
-                period = (observe_period if observe_period
-                          else self.config.beacon_interval)
-                if period <= 0:
-                    raise ConfigurationError(
-                        "observe_period must be positive")
                 t = 0.0
                 while t < horizon:
                     t = min(t + period, horizon)
@@ -299,11 +357,6 @@ def build_mobility(config: SimulationConfig, rngs: RngRegistry,
             max_speed=config.max_speed, pause_time=config.pause_time,
         )
     if config.positions is not None:
-        if len(config.positions) != config.num_nodes:
-            raise ConfigurationError(
-                f"{len(config.positions)} positions for "
-                f"{config.num_nodes} nodes"
-            )
         return StaticPlacement(list(config.positions), arena)
     return StaticPlacement.uniform_random(config.num_nodes, arena, rng)
 

@@ -32,9 +32,22 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.rng import derived_stream
+
+#: Histogram span in decades (delays and per-bit energies fall inside)
+#: and resolution.
+HISTOGRAM_LO_EXP = -4
+HISTOGRAM_HI_EXP = 3
+HISTOGRAM_PER_DECADE = 8
+
+#: Interior bucket edges, ascending (decades * per decade + 1 of them).
+_HISTOGRAM_EDGES: Tuple[float, ...] = tuple(
+    10.0 ** (HISTOGRAM_LO_EXP + i / HISTOGRAM_PER_DECADE)
+    for i in range((HISTOGRAM_HI_EXP - HISTOGRAM_LO_EXP)
+                   * HISTOGRAM_PER_DECADE + 1)
+)
 
 
 class Welford:
@@ -111,9 +124,10 @@ class ReservoirSampler:
 class StreamingHistogram:
     """Fixed-bucket log-spaced histogram with interpolated quantiles.
 
-    Buckets span ``[10**lo_exp, 10**hi_exp)`` with ``per_decade``
-    buckets per decade, plus an underflow bucket (anything below the
-    span, including zero and negatives) and an overflow bucket.  Edges
+    Buckets span ``[10**HISTOGRAM_LO_EXP, 10**HISTOGRAM_HI_EXP)`` with
+    ``HISTOGRAM_PER_DECADE`` buckets per decade, plus an underflow bucket
+    (anything below the span, including zero and negatives) and an
+    overflow bucket.  Edges
     are fixed at construction — the histogram never rebalances — so the
     bucket counts for a given multiset of values are independent of
     arrival order, and memory is O(buckets) forever.
@@ -125,18 +139,8 @@ class StreamingHistogram:
     range.
     """
 
-    def __init__(self, lo_exp: int = -4, hi_exp: int = 3,
-                 per_decade: int = 8) -> None:
-        if hi_exp <= lo_exp:
-            raise ValueError("hi_exp must exceed lo_exp")
-        if per_decade <= 0:
-            raise ValueError("per_decade must be positive")
-        self.per_decade = per_decade
-        #: interior bucket edges, ascending (len = decades*per_decade + 1)
-        self.edges: Tuple[float, ...] = tuple(
-            10.0 ** (lo_exp + i / per_decade)
-            for i in range((hi_exp - lo_exp) * per_decade + 1)
-        )
+    def __init__(self) -> None:
+        self.edges = _HISTOGRAM_EDGES
         #: counts[0] = underflow, counts[-1] = overflow
         self.counts: List[int] = [0] * (len(self.edges) + 1)
         self.n = 0
@@ -191,7 +195,7 @@ class StreamingHistogram:
             "n": self.n,
             "min": self.min if self.n else None,
             "max": self.max if self.n else None,
-            "per_decade": self.per_decade,
+            "per_decade": HISTOGRAM_PER_DECADE,
             "first_edge": self.edges[0],
             "last_edge": self.edges[-1],
             "buckets": [[i, c] for i, c in self.nonzero_buckets()],
@@ -211,13 +215,11 @@ class StreamStats:
     so two series in the same run draw from independent streams.
     """
 
-    def __init__(self, name: str, seed: int, reservoir_k: int = 64,
-                 histogram: Optional[StreamingHistogram] = None) -> None:
+    def __init__(self, name: str, seed: int, reservoir_k: int = 64) -> None:
         self.name = name
         self.moments = Welford()
         self.reservoir = ReservoirSampler(reservoir_k, seed, name=name)
-        self.histogram = (histogram if histogram is not None
-                          else StreamingHistogram())
+        self.histogram = StreamingHistogram()
 
     def push(self, x: float) -> None:
         """Fold one value into every aggregator."""

@@ -145,8 +145,6 @@ class Channel:
         bitrate: float = BITRATE_BPS,
         trace: TraceSink = NULL_TRACE,
     ) -> None:
-        if bitrate <= 0:
-            raise ChannelError(f"bitrate must be positive, got {bitrate}")
         self.sim = sim
         self.positions = positions
         self.radios = radios

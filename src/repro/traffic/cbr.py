@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConfigurationError
 from repro.traffic.base import RoutingAgent
 
 if TYPE_CHECKING:
@@ -31,10 +30,6 @@ class CbrSource:
         stop: Optional[float] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if rate_pps <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate_pps}")
-        if packet_bytes <= 0:
-            raise ConfigurationError(f"packet size must be positive, got {packet_bytes}")
         self.sim = sim
         self.dsr = dsr
         self.dst = dst

@@ -114,7 +114,9 @@ class TestStreamLedger:
 
 class TestInterceptor:
     def make(self):
-        san = DeterminismSanitizer(canary_interval=10**9)
+        # Each test fires a handful of events, far below CANARY_INTERVAL,
+        # so no canary sample (which needs an attached network) runs.
+        san = DeterminismSanitizer()
         return san, san._build_interceptor()
 
     def test_normal_sequence_no_findings(self):

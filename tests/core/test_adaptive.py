@@ -12,6 +12,17 @@ import random
 
 import pytest
 
+from repro.constants import (
+    ADAPTIVE_BANDIT_COST_WEIGHT,
+    ADAPTIVE_BANDIT_EPSILON,
+    ADAPTIVE_DEGREE_ALPHA,
+    ADAPTIVE_DEGREE_COLD_DEGREE,
+    ADAPTIVE_DEGREE_WARMUP_WINDOWS,
+    ADAPTIVE_DEGREE_WINDOW_EPOCHS,
+    ADAPTIVE_ENERGY_M_MAX,
+    ADAPTIVE_ENERGY_M_MIN,
+    ADAPTIVE_ENERGY_SETPOINT,
+)
 from repro.core.adaptive import (
     ADAPTIVE_POLICIES,
     BANDIT_ARM_LABELS,
@@ -37,49 +48,54 @@ class Ann:
 ANN = Ann()
 
 
-def degree_policy(**kwargs) -> MeasuredDegreePolicy:
-    kwargs.setdefault("window_epochs", 1)
-    return MeasuredDegreePolicy(**kwargs)
-
-
 def close_window(policy: MeasuredDegreePolicy, senders=()):
     for sender in senders:
         policy.on_announcement_heard(sender)
     fields = None
-    for _ in range(policy.window_epochs):
+    for _ in range(ADAPTIVE_DEGREE_WINDOW_EPOCHS):
         fields = policy.on_epoch(0.0)
     return fields
 
 
+def warm_up(policy: MeasuredDegreePolicy, senders):
+    """Fold ``senders`` into as many windows as the warm-up needs."""
+    for _ in range(ADAPTIVE_DEGREE_WARMUP_WINDOWS):
+        close_window(policy, senders)
+    assert policy.warm
+
+
 class TestMeasuredDegree:
     def test_cold_start_uses_conservative_constant(self):
-        policy = degree_policy(cold_degree=32)
+        policy = MeasuredDegreePolicy()
         assert not policy.warm
-        assert policy(ANN) == pytest.approx(1.0 / 32.0)
+        assert policy(ANN) == pytest.approx(1.0 / ADAPTIVE_DEGREE_COLD_DEGREE)
 
     def test_first_window_seeds_estimate_directly(self):
-        policy = degree_policy()
+        policy = MeasuredDegreePolicy()
         close_window(policy, [3, 5, 5, 9])  # 3 distinct senders
         assert policy.estimate == pytest.approx(3.0)
 
     def test_ewma_arithmetic(self):
-        policy = degree_policy(alpha=0.5, warmup_windows=1)
-        close_window(policy, [1, 2, 3, 4])    # seed: 4
-        close_window(policy, [1, 2])          # 4 + 0.5*(2-4) = 3
-        assert policy.estimate == pytest.approx(3.0)
-        assert policy(ANN) == pytest.approx(1.0 / 3.0)
+        policy = MeasuredDegreePolicy()
+        warm_up(policy, [1, 2, 3, 4])         # seed 4, then 4 + a*(4-4)
+        close_window(policy, [1, 2])          # 4 + a*(2-4)
+        expected = 4.0 + ADAPTIVE_DEGREE_ALPHA * (2.0 - 4.0)
+        assert policy.estimate == pytest.approx(expected)
+        assert policy(ANN) == pytest.approx(1.0 / expected)
 
     def test_warmup_gates_the_estimate(self):
-        policy = degree_policy(warmup_windows=2, cold_degree=10)
-        close_window(policy, [1, 2])
-        assert not policy.warm                 # one active window of two
-        assert policy(ANN) == pytest.approx(0.1)
+        policy = MeasuredDegreePolicy()
+        for _ in range(ADAPTIVE_DEGREE_WARMUP_WINDOWS - 1):
+            close_window(policy, [1, 2])
+            assert not policy.warm
+            assert policy(ANN) == pytest.approx(
+                1.0 / ADAPTIVE_DEGREE_COLD_DEGREE)
         close_window(policy, [1, 2])
         assert policy.warm
         assert policy(ANN) == pytest.approx(0.5)
 
     def test_silent_window_leaves_estimate_untouched(self):
-        policy = degree_policy(warmup_windows=1)
+        policy = MeasuredDegreePolicy()
         close_window(policy, [1, 2, 3])
         before = policy.summary()
         fields = close_window(policy)          # nothing heard
@@ -89,38 +105,26 @@ class TestMeasuredDegree:
         assert after["active_windows"] == before["active_windows"]
 
     def test_mid_window_epoch_returns_no_trace(self):
-        policy = degree_policy(window_epochs=4)
+        policy = MeasuredDegreePolicy()
         policy.on_announcement_heard(1)
-        assert policy.on_epoch(0.0) is None    # epoch 1 of 4
-        assert policy.on_epoch(0.0) is None
-        assert policy.on_epoch(0.0) is None
+        for _ in range(ADAPTIVE_DEGREE_WINDOW_EPOCHS - 1):
+            assert policy.on_epoch(0.0) is None
         assert policy.on_epoch(0.0) is not None  # window boundary
 
     def test_estimate_floor_is_one(self):
         # A lone announcing neighbor must not push P_R above 1.
-        policy = degree_policy(warmup_windows=1)
-        close_window(policy, [7])
+        policy = MeasuredDegreePolicy()
+        warm_up(policy, [7])
         assert policy(ANN) == pytest.approx(1.0)
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            MeasuredDegreePolicy(alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            MeasuredDegreePolicy(window_epochs=0)
-        with pytest.raises(ConfigurationError):
-            MeasuredDegreePolicy(warmup_windows=0)
-        with pytest.raises(ConfigurationError):
-            MeasuredDegreePolicy(cold_degree=0)
 
-
-def energy_policy(awake_fn, remaining=1.0, **kwargs) -> EnergyBudgetPolicy:
-    kwargs.setdefault("rng", random.Random(1))
+def energy_policy(awake_fn, remaining=1.0) -> EnergyBudgetPolicy:
     return EnergyBudgetPolicy(
         neighbor_count_fn=lambda: 10,
         awake_seconds_fn=awake_fn,
         remaining_fraction_fn=lambda now: remaining,
         beacon_interval=0.25,
-        **kwargs,
+        rng=random.Random(1),
     )
 
 
@@ -153,11 +157,14 @@ class TestEnergyBudget:
         assert policy.multiplier < 1.0
 
     def test_multiplier_clamps_at_rails(self):
-        policy = energy_policy(lambda now: 0.0, m_max=2.0, m_min=0.5)
-        policy.on_epoch(0.25)
-        for i in range(50):  # always under target -> rail at m_max
-            policy.on_epoch(0.25 * (i + 2))
-        assert policy.multiplier == pytest.approx(2.0)
+        for awake_fn, rail in (
+                (lambda now: 0.0, ADAPTIVE_ENERGY_M_MAX),  # never awake
+                (lambda now: now, ADAPTIVE_ENERGY_M_MIN)):  # always awake
+            policy = energy_policy(awake_fn)
+            policy.on_epoch(0.25)
+            for i in range(50):
+                policy.on_epoch(0.25 * (i + 2))
+            assert policy.multiplier == pytest.approx(rail)
 
     def test_draining_battery_lowers_the_target(self):
         # Same awake fraction, but an empty battery turns a comfortable
@@ -169,27 +176,31 @@ class TestEnergyBudget:
                                    remaining=remaining)
             policy.on_epoch(0.25)
             fields[remaining] = policy.on_epoch(0.50)
-        assert fields[1.0]["target"] == pytest.approx(0.35)
+        assert fields[1.0]["target"] == pytest.approx(ADAPTIVE_ENERGY_SETPOINT)
         assert fields[0.0]["target"] == 0.0
         assert fields[1.0]["multiplier"] > 1.0   # under budget: up
         assert fields[0.0]["multiplier"] < 1.0   # no budget left: down
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            energy_policy(lambda now: 0.0, setpoint=0.0)
-        with pytest.raises(ConfigurationError):
-            energy_policy(lambda now: 0.0, step=1.0)
-        with pytest.raises(ConfigurationError):
-            energy_policy(lambda now: 0.0, m_min=0.0)
+
+class StubRng:
+    """Every ``random()`` draw returns ``value``; ``randrange`` the top."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+    def randrange(self, n):
+        return n - 1
 
 
-def bandit_policy(awake_fn=lambda now: 0.0, **kwargs) -> EpsilonGreedyBanditPolicy:
-    kwargs.setdefault("rng", random.Random(1))
+def bandit_policy(awake_fn=lambda now: 0.0, rng=None) -> EpsilonGreedyBanditPolicy:
     return EpsilonGreedyBanditPolicy(
         neighbor_count_fn=lambda: 10,
         awake_seconds_fn=awake_fn,
         beacon_interval=0.25,
-        **kwargs,
+        rng=rng if rng is not None else random.Random(1),
     )
 
 
@@ -206,20 +217,20 @@ class TestEpsilonGreedyBandit:
 
     def test_reward_is_taps_minus_weighted_awake_fraction(self):
         awake = iter([0.0, 0.125])  # second interval: fraction 0.5
-        policy = bandit_policy(lambda now: next(awake), epsilon=0.0,
-                               cost_weight=2.0)
-        policy.on_epoch(0.25)       # arms the baseline, re-selects greedily
+        policy = bandit_policy(lambda now: next(awake))
+        policy.on_epoch(0.25)       # arms the baseline, re-selects an arm
         incumbent = policy.arm
         policy.on_overhear_delivered()
         policy.on_overhear_delivered()
         policy.on_overhear_delivered()
         fields = policy.on_epoch(0.50)
-        assert fields["reward"] == pytest.approx(3.0 - 2.0 * 0.5)
-        assert policy.values[incumbent] == pytest.approx(2.0)
+        reward = 3.0 - ADAPTIVE_BANDIT_COST_WEIGHT * 0.5
+        assert fields["reward"] == pytest.approx(reward)
+        assert policy.values[incumbent] == pytest.approx(reward)
         assert policy.pulls[incumbent] == 1
 
     def test_incremental_mean_over_pulls(self):
-        policy = bandit_policy(epsilon=0.0)
+        policy = bandit_policy()
         policy.values[1] = 4.0
         policy.pulls[1] = 1
         policy._last_awake = 0.0
@@ -229,39 +240,36 @@ class TestEpsilonGreedyBandit:
         assert policy.pulls[1] == 2
 
     def test_greedy_picks_best_value_ties_to_lowest_arm(self):
-        policy = bandit_policy(epsilon=0.0)
+        policy = bandit_policy()
         policy.values = [1.0, 3.0, 3.0, 0.0]
         assert policy._greedy_arm() == 1
         policy.values = [5.0, 3.0, 3.0, 0.0]
         assert policy._greedy_arm() == 0
 
     def test_epsilon_zero_never_explores(self):
-        policy = bandit_policy(epsilon=0.0)
+        """Draws at or above epsilon act as epsilon = 0: always greedy."""
+        policy = bandit_policy(rng=StubRng(ADAPTIVE_BANDIT_EPSILON))
         for i in range(40):
             policy.on_epoch(0.25 * (i + 1))
         assert policy.explore_counts == [0, 0, 0, 0]
         assert sum(policy.arm_counts) == 40
 
     def test_epsilon_one_always_explores(self):
-        policy = bandit_policy(epsilon=1.0)
+        """Draws below epsilon act as epsilon = 1: always explore."""
+        policy = bandit_policy(rng=StubRng(0.0))
         for i in range(40):
             policy.on_epoch(0.25 * (i + 1))
-        assert sum(policy.explore_counts) == 40
+        assert policy.explore_counts == [0, 0, 0, 40]
         assert policy.explore_counts == policy.arm_counts
 
     def test_explore_trace_field_matches_histogram(self):
-        policy = bandit_policy(epsilon=0.5)
+        policy = bandit_policy()
         explores = 0
-        for i in range(60):
+        for i in range(200):
             fields = policy.on_epoch(0.25 * (i + 1))
             explores += 1 if fields["explore"] else 0
+        assert explores
         assert explores == sum(policy.explore_counts)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            bandit_policy(epsilon=-0.1)
-        with pytest.raises(ConfigurationError):
-            bandit_policy(epsilon=1.1)
 
 
 class TestFactory:
@@ -310,10 +318,10 @@ class TestFactory:
 
 class TestRunSummary:
     def test_degree_summary_folds_only_warm_nodes(self):
-        warm = degree_policy(warmup_windows=1)
-        close_window(warm, [1, 2, 3, 4])       # estimate 4, true 6
-        cold = degree_policy(warmup_windows=5)
-        close_window(cold, [1])
+        warm = MeasuredDegreePolicy()
+        warm_up(warm, [1, 2, 3, 4])            # estimate 4, true 6
+        cold = MeasuredDegreePolicy()
+        close_window(cold, [1])                # one window: still cold
         summary = adaptive_run_summary(
             "degree", [(0, warm), (1, cold)], lambda node: 6)
         assert summary["warm_nodes"] == 1

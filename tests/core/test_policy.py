@@ -48,12 +48,6 @@ def test_rcast_policy_paper_table():
     assert policy.level_for(Pkt("rreq")) is OverhearingLevel.UNCONDITIONAL
 
 
-def test_rcast_policy_overrides():
-    policy = RcastPolicy(overrides={"data": OverhearingLevel.NONE})
-    assert policy.level_for(Pkt("data")) is OverhearingLevel.NONE
-    assert policy.level_for(Pkt("rrep")) is OverhearingLevel.RANDOMIZED
-
-
 def test_rcast_policy_unknown_kind_defaults_to_randomized():
     assert RcastPolicy().level_for(Pkt("exotic")) is OverhearingLevel.RANDOMIZED
 

@@ -10,9 +10,11 @@ from repro.core.policy import (
     RcastPolicy,
     UnconditionalOverhearing,
 )
+from repro.errors import ConfigurationError
 from repro.mac.frames import BROADCAST
 from repro.mac.odpm import OdpmPowerManager
 from repro.mac.power import AlwaysPs, PowerMode
+from repro.network import SimulationConfig
 
 from tests.mac.conftest import DummyPacket, make_psm_rig
 
@@ -174,8 +176,11 @@ def test_mode_beliefs_updated_from_announcements():
 
 
 def test_atim_window_validation():
-    with pytest.raises(Exception):
-        make_psm_rig(LINE3, beacon_interval=0.1, atim_window=0.2)
+    """PsmMac trusts its timing; the config checks it."""
+    with pytest.raises(ConfigurationError, match="atim_window"):
+        SimulationConfig(beacon_interval=0.1, atim_window=0.2)
+    with pytest.raises(ConfigurationError, match="atim_window"):
+        SimulationConfig(beacon_interval=0.1, atim_window=0.1)
 
 
 def test_interval_counters():
@@ -266,7 +271,7 @@ def test_zero_offset_misses_nothing():
 
 
 def test_clock_offset_validation():
-    import pytest as _pytest
-
-    with _pytest.raises(Exception):
-        make_psm_rig(LINE3, clock_offset=0.25)  # >= beacon interval
+    """A node's clock offset is drawn from [0, clock_jitter), and the
+    config keeps the jitter below the beacon interval."""
+    with pytest.raises(ConfigurationError, match="clock_jitter"):
+        SimulationConfig(clock_jitter=0.25)  # == the beacon interval

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mobility.base import Arena, MobilityModel
+from repro.network import SimulationConfig
 
 
 def test_arena_contains_interior_and_boundary():
@@ -25,15 +26,17 @@ def test_arena_clamp():
     assert arena.clamp(30.0, 20.0) == (30.0, 20.0)
 
 
+# Arena and MobilityModel trust their arguments: the config is the one
+# place a bad arena or node count is rejected.
 @pytest.mark.parametrize("w,h", [(0.0, 10.0), (10.0, 0.0), (-1.0, 5.0)])
 def test_arena_rejects_bad_dimensions(w, h):
-    with pytest.raises(ConfigurationError):
-        Arena(w, h)
+    with pytest.raises(ConfigurationError, match="arena_"):
+        SimulationConfig(arena_w=w, arena_h=h)
 
 
 def test_mobility_model_rejects_zero_nodes():
-    with pytest.raises(ConfigurationError):
-        MobilityModel(0, Arena(10.0, 10.0))
+    with pytest.raises(ConfigurationError, match="num_nodes"):
+        SimulationConfig(num_nodes=0, num_connections=0)
 
 
 def test_mobility_model_positions_abstract():

@@ -7,6 +7,7 @@ from repro.mobility.base import Arena
 from repro.mobility.manager import PositionService
 from repro.mobility.static import StaticPlacement
 from repro.mobility.waypoint import RandomWaypoint
+from repro.network import SimulationConfig
 from repro.sim.engine import Simulator
 
 
@@ -92,22 +93,21 @@ def test_static_network_has_no_link_changes(sim):
     assert service.link_changes.sum() == 0
 
 
-def test_cs_range_must_cover_tx_range(sim):
-    arena = Arena(100.0, 100.0)
-    model = StaticPlacement([(1.0, 1.0), (2.0, 2.0)], arena)
-    with pytest.raises(ConfigurationError):
-        PositionService(sim, model, tx_range=100.0, cs_range=50.0)
+# PositionService trusts its ranges: the config is the one place they
+# are checked.
+def test_cs_range_must_cover_tx_range():
+    SimulationConfig(tx_range=100.0, cs_range=100.0)
+    with pytest.raises(ConfigurationError, match="cs_range"):
+        SimulationConfig(tx_range=100.0, cs_range=50.0)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(tx_range=0.0),
     dict(tx_range=-5.0),
 ])
-def test_invalid_parameters(sim, kwargs):
-    arena = Arena(100.0, 100.0)
-    model = StaticPlacement([(1.0, 1.0), (2.0, 2.0)], arena)
-    with pytest.raises(ConfigurationError):
-        PositionService(sim, model, **kwargs)
+def test_invalid_parameters(kwargs):
+    with pytest.raises(ConfigurationError, match="tx_range"):
+        SimulationConfig(**kwargs)
 
 
 # --- Interned snapshot identity (hot-path contract) ------------------------

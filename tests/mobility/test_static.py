@@ -6,6 +6,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mobility.base import Arena
 from repro.mobility.static import StaticPlacement
+from repro.network import SimulationConfig
+
+
+def static_config(*positions):
+    return SimulationConfig(
+        num_nodes=len(positions), num_connections=0, mobility="static",
+        arena_w=10.0, arena_h=10.0, positions=positions)
 
 
 def test_explicit_positions():
@@ -30,14 +37,17 @@ def test_positions_at_returns_copy():
     assert model.positions_at(0.0).tolist() == [[1.0, 2.0]]
 
 
+# StaticPlacement trusts its arguments: the config checks the positions.
 def test_position_outside_arena_rejected():
-    with pytest.raises(ConfigurationError):
-        StaticPlacement([(11.0, 5.0)], Arena(10.0, 10.0))
+    static_config((10.0, 10.0))  # the arena's corner is inside
+    for point in ((11.0, 5.0), (5.0, -1.0), (float("nan"), 5.0)):
+        with pytest.raises(ConfigurationError, match="inside"):
+            static_config(point)
 
 
 def test_bad_shape_rejected():
-    with pytest.raises(ConfigurationError):
-        StaticPlacement([(1.0, 2.0, 3.0)], Arena(10.0, 10.0))
+    with pytest.raises(ConfigurationError, match="inside"):
+        static_config((1.0, 2.0, 3.0))
 
 
 def test_line_topology_spacing():

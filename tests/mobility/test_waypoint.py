@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mobility.base import Arena
 from repro.mobility.waypoint import RandomWaypoint
+from repro.network import SimulationConfig
 
 
 def make_model(rng, pause=0.0, max_speed=10.0, n=20, arena=None):
@@ -80,6 +81,7 @@ def test_backwards_query_rejected(rng):
     dict(max_speed=float("nan")),
     dict(max_speed=5.0, pause_time=-0.1),
 ])
-def test_invalid_parameters_rejected(rng, kwargs):
+def test_invalid_parameters_rejected(kwargs):
+    """RandomWaypoint trusts its arguments; the config rejects them."""
     with pytest.raises(ConfigurationError):
-        RandomWaypoint(5, Arena(100.0, 100.0), rng, **kwargs)
+        SimulationConfig(mobility="waypoint", **kwargs)

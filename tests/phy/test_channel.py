@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import ChannelError
+from repro.errors import ChannelError, ConfigurationError
 from repro.mobility.base import Arena
 from repro.mobility.manager import PositionService
 from repro.mobility.static import StaticPlacement
+from repro.network import SimulationConfig
 from repro.phy.channel import Channel
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
@@ -213,13 +214,9 @@ def test_transmit_while_asleep_raises():
 
 
 def test_bad_bitrate_rejected():
-    sim = Simulator()
-    arena = Arena(100.0, 100.0)
-    model = StaticPlacement([(1.0, 1.0), (2.0, 2.0)], arena)
-    service = PositionService(sim, model, tx_range=50.0, cs_range=50.0)
-    radios = {0: Radio(sim, 0), 1: Radio(sim, 1)}
-    with pytest.raises(ChannelError):
-        Channel(sim, service, radios, bitrate=0.0)
+    """Channel trusts its bit rate; the config checks it."""
+    with pytest.raises(ConfigurationError, match="bitrate"):
+        SimulationConfig(bitrate=0.0)
 
 
 def test_half_duplex_receiver_transmitting_misses():

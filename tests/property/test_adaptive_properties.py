@@ -20,6 +20,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import ADAPTIVE_DEGREE_WINDOW_EPOCHS
 from repro.core.adaptive import ADAPTIVE_POLICIES, MeasuredDegreePolicy
 from repro.experiments.parallel import run_grid
 from repro.faults.plan import FaultPlan, NodeCrash, PacketLoss
@@ -84,7 +85,7 @@ _windows = st.lists(
 
 def _replay(windows, order_seed=None) -> MeasuredDegreePolicy:
     """Feed ``windows`` of announcements; optionally shuffle each window."""
-    policy = MeasuredDegreePolicy(window_epochs=2)
+    policy = MeasuredDegreePolicy()
     shuffler = random.Random(order_seed) if order_seed is not None else None
     now = 0.0
     for senders in windows:
@@ -93,7 +94,7 @@ def _replay(windows, order_seed=None) -> MeasuredDegreePolicy:
             shuffler.shuffle(senders)
         for sender in senders:
             policy.on_announcement_heard(sender)
-        for _ in range(policy.window_epochs):
+        for _ in range(ADAPTIVE_DEGREE_WINDOW_EPOCHS):
             now += 0.25
             policy.on_epoch(now)
     return policy

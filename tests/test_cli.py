@@ -32,6 +32,13 @@ def test_invalid_scheme_rejected():
         main(["run", "--scheme", "bogus"])
 
 
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_bad_config_exits_with_message(command):
+    """A bad config ends the command with one error line, no traceback."""
+    with pytest.raises(SystemExit, match="error: cannot pick 20 distinct"):
+        main([command, "--nodes", "5"])  # 20 connections by default
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
@@ -168,10 +175,12 @@ def test_run_command_arena_flags():
 
     parser = _build_parser()
     config = _config_from_args(parser.parse_args([
-        "run", "--nodes", "10", "--arena-w", "500", "--arena-h", "400"]))
+        "run", "--nodes", "10", "--connections", "2",
+        "--arena-w", "500", "--arena-h", "400"]))
     assert (config.arena_w, config.arena_h) == (500.0, 400.0)
     # Without the flags the paper's arena stays the default.
-    config = _config_from_args(parser.parse_args(["run", "--nodes", "10"]))
+    config = _config_from_args(parser.parse_args(
+        ["run", "--nodes", "10", "--connections", "2"]))
     assert (config.arena_w, config.arena_h) == (1500.0, 300.0)
     # And the override actually reaches a run.
     code = main([

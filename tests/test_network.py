@@ -1,5 +1,7 @@
 """Tests for SimulationConfig validation and network assembly."""
 
+import dataclasses
+import math
 import warnings
 
 import pytest
@@ -85,12 +87,55 @@ def test_degenerate_config_fails_fast(overrides):
 def test_bad_radio_range_rejected(overrides):
     """A NaN range used to run to pdr 0 (and a NaN carrier-sense range
     warned from the grid-cell cast) instead of failing."""
-    config = SimulationConfig(num_nodes=5, num_connections=1, sim_time=3.0,
-                              **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigurationError):
-            build_network(config)
+        with pytest.raises(ConfigurationError, match="_range"):
+            SimulationConfig(num_nodes=5, num_connections=1, sim_time=3.0,
+                             **overrides)
+
+
+#: The numeric SimulationConfig fields, read from the dataclass so that a
+#: new field without a row in the validation table fails the walk below.
+NUMERIC_FIELDS = [f.name for f in dataclasses.fields(SimulationConfig)
+                  if f.type in ("int", "float", "Optional[float]")]
+
+#: Walk values that are valid for their field: each must run.
+WALK_VALID = {("pause_time", 0), ("clock_jitter", 0), ("num_connections", 0),
+              ("seed", 0), ("seed", -1)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, -1],
+                         ids=str)
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_numeric_field_walk(field, value):
+    """Every numeric field x {nan, +-inf, 0, -1}: the constructor raises
+    ConfigurationError, or the run finishes without a warning.
+
+    Before the single validation boundary, ``num_nodes=nan`` raised
+    TypeError from ``range``, ``packet_bytes=inf`` OverflowError, and
+    ``arena_w=nan`` or ``beacon_interval=inf`` ran silently to pdr 0.
+    """
+    params = dict(num_nodes=6, sim_time=6.0, arena_w=400.0, arena_h=300.0,
+                  num_connections=2, packet_rate=1.0, mobility="waypoint",
+                  max_speed=5.0, pause_time=1.0, seed=1)
+    params[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (field, value) not in WALK_VALID:
+            with pytest.raises(ConfigurationError, match=field):
+                SimulationConfig(**params)
+            return
+        metrics = build_network(SimulationConfig(**params)).run()
+    assert metrics.sim_time == 6.0
+
+
+@pytest.mark.parametrize("period", [math.nan, -1.0])
+def test_bad_observe_period_rejected(period):
+    """A NaN period never reached the horizon, so the run never ended."""
+    network = build_network(line_config("rcast", n=2, sim_time=1.0))
+    with pytest.raises(ConfigurationError, match="observe_period"):
+        network.run(observer=lambda net: None, observe_period=period)
+    assert network.sim.processed_events == 0  # no node was started
 
 
 def test_unknown_rcast_factor_rejected():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.traffic.cbr import CbrSource
 from repro.traffic.pairs import choose_connections
@@ -48,12 +49,14 @@ def test_pairs_deterministic_for_seed():
 
 
 def test_pairs_validation():
-    with pytest.raises(ConfigurationError):
-        choose_connections(10, 0, random.Random(1))
-    with pytest.raises(ConfigurationError):
-        choose_connections(1, 1, random.Random(1))
-    with pytest.raises(ConfigurationError):
-        choose_connections(5, 6, random.Random(1))
+    """choose_connections trusts its arguments; the config checks them."""
+    SimulationConfig(num_nodes=1, num_connections=0)  # no traffic: fine
+    with pytest.raises(ConfigurationError, match="num_connections"):
+        SimulationConfig(num_nodes=10, num_connections=-1)
+    with pytest.raises(ConfigurationError, match="two nodes"):
+        SimulationConfig(num_nodes=1, num_connections=1)
+    with pytest.raises(ConfigurationError, match="distinct sources"):
+        SimulationConfig(num_nodes=5, num_connections=6)
 
 
 # --- CbrSource ------------------------------------------------------------
@@ -113,11 +116,11 @@ def test_cbr_start_is_idempotent():
 
 
 def test_cbr_validation():
-    sim = Simulator()
-    with pytest.raises(ConfigurationError):
-        CbrSource(sim, FakeDsr(), 1, rate_pps=0.0, packet_bytes=100)
-    with pytest.raises(ConfigurationError):
-        CbrSource(sim, FakeDsr(), 1, rate_pps=1.0, packet_bytes=0)
+    """CbrSource trusts its arguments; the config checks them."""
+    with pytest.raises(ConfigurationError, match="packet_rate"):
+        SimulationConfig(packet_rate=0.0)
+    with pytest.raises(ConfigurationError, match="packet_bytes"):
+        SimulationConfig(packet_bytes=0)
 
 
 def test_cbr_src_property():
