@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -317,7 +318,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     import json as json_module
-    from pathlib import Path
 
     from dataclasses import replace
 
@@ -332,10 +332,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.faults:
         try:
-            plan = FaultPlan.load(args.faults)
+            config = replace(config, faults=FaultPlan.load(args.faults))
         except ConfigurationError as exc:
-            raise SystemExit(f"--faults: {exc}")
-        config = replace(config, faults=plan)
+            raise SystemExit(f"error: --faults: {exc}")
     # perf_counter, not time.time(): monotonic, immune to NTP clock steps.
     # This module is on the rcast-lint R002 allowlist because reporting
     # elapsed wall time to a human is the one legitimate wall-clock use —
@@ -353,7 +352,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--trace-categories: unknown {unknown}; known categories: "
                 f"{', '.join(TRACE_CATEGORIES)}"
             )
-        jsonl = JsonlSink(args.trace_out, rotate_bytes=args.trace_rotate)
+        try:
+            jsonl = JsonlSink(args.trace_out, rotate_bytes=args.trace_rotate)
+        except ValueError as exc:  # a non-positive --trace-rotate
+            raise SystemExit(f"error: --trace-rotate: {exc}")
         trace = (FilteredSink(jsonl, categories=categories)
                  if categories else jsonl)
     recorder = (TimelineRecorder(args.sample_interval)
@@ -397,6 +399,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(metrics.describe())
     print(f"transmissions: {metrics.transmissions}")
     print(f"drops: {metrics.drop_reasons}")
+    if metrics.fault_counts:
+        print(f"faults: {metrics.fault_counts}")
     print(f"wall time: {wall_time:.1f}s")
     if jsonl is not None:
         print(f"trace: {jsonl.written} records -> {jsonl.path}")
@@ -431,7 +435,6 @@ def _report_sanitizer(args: argparse.Namespace, config: SimulationConfig,
     and canaries are what is being compared), then diffs the two reports.
     """
     import json as json_module
-    from pathlib import Path
 
     from repro.analysis.sanitizer import diff_reports
     from repro.network import build_network
@@ -473,7 +476,6 @@ def _report_sanitizer(args: argparse.Namespace, config: SimulationConfig,
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json as json_module
-    from pathlib import Path
 
     from repro.network import build_network
     from repro.obs.profiler import SimulationProfiler
@@ -590,9 +592,25 @@ def _cmd_sweep(args: argparse.Namespace, scale: ExperimentScale,
     return 0
 
 
+#: argparse destinations of every option naming a file a command writes.
+_OUTPUT_DESTS = ("json_out", "trace_out", "telemetry_out", "sanitize_out",
+                 "json_path", "csv_path")
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Fail before any work when an output file's directory is missing,
+    so a run's results are never computed only to be lost at the end."""
+    for dest in _OUTPUT_DESTS:
+        path = getattr(args, dest, None)
+        if path and not Path(path).parent.is_dir():
+            raise SystemExit(f"error: cannot write {path}: directory "
+                             f"{Path(path).parent} does not exist")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
+    _check_output_paths(args)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "profile":

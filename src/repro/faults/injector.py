@@ -212,24 +212,18 @@ class FaultInjector:
         num_nodes = len(self.nodes)
         for index, event in enumerate(self.plan.events):
             if isinstance(event, NodeCrash):
-                self._check_node(event.node, num_nodes)
                 self._schedule_crash(event.node, event.at, event.recover_at,
                                      deplete=False)
             elif isinstance(event, EnergyDepletion):
-                self._check_node(event.node, num_nodes)
                 self._schedule_crash(event.node, event.at, None, deplete=True)
             elif isinstance(event, (RandomCrashes, RandomDepletions)):
                 self._expand_random(event, index, num_nodes)
             elif isinstance(event, NoiseWindow):
                 self._noise.append(event)
                 self._extend_veto_envelope(event.start, event.stop)
-            elif isinstance(event, (PacketLoss, BurstLoss)):
+            else:  # PacketLoss or BurstLoss
                 self._loss_rules.append(_LossRule(event, index, self.seed))
                 self._extend_veto_envelope(event.start, event.stop)
-            else:  # pragma: no cover - plan types are closed
-                raise ConfigurationError(
-                    f"unhandled fault event type {type(event).__name__}"
-                )
 
     def _extend_veto_envelope(self, start: float,
                               stop: Optional[float]) -> None:
@@ -239,14 +233,6 @@ class FaultInjector:
         effective_stop = stop if stop is not None else float("inf")
         if effective_stop > self.veto_until:
             self.veto_until = effective_stop
-
-    @staticmethod
-    def _check_node(node: int, num_nodes: int) -> None:
-        if node >= num_nodes:
-            raise ConfigurationError(
-                f"fault plan targets node {node} but the network has "
-                f"{num_nodes} nodes"
-            )
 
     def _expand_random(self, event: object, index: int,
                        num_nodes: int) -> None:
@@ -259,7 +245,6 @@ class FaultInjector:
         # Ascending candidate order: the draw sequence (and therefore the
         # expansion) is a pure function of (seed, plan position).
         for node in sorted(candidates):
-            self._check_node(node, num_nodes)
             if rng.random() >= event.fraction:
                 continue
             at = rng.uniform(event.start, event.stop)

@@ -17,6 +17,11 @@ shrink the effective reception range.  Plans are pure data:
   fault schedules across replications, and the same (config, seed, plan)
   triple is always bit-identical — serial or parallel.
 
+Every event is checked when it is built, from Python or JSON alike,
+against one field table shared by all seven kinds and by the same
+NaN-safe :func:`repro.errors.check_field` as ``SimulationConfig``; the
+config then checks the plan's node ids against its node count.
+
 The empty plan is a provable no-op: :func:`repro.network.build_network`
 installs no injector for it, leaving every code path (and every RNG
 stream) byte-identical to a run with no plan at all.
@@ -28,23 +33,76 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    Type,
-    Union,
-)
+    Any, Dict, Iterator, Optional, Tuple, Type, Union, get_args)
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FieldRange, check_field
 
 #: Directed link scope: (sender, receiver) pairs.
 LinkScope = Tuple[Tuple[int, int], ...]
 
+#: Range of every fault-event field, keyed by field name (the kinds share
+#: their names); the ``nodes`` and ``links`` rows apply to each node id in
+#: them.  A ``None`` optional field is unset and not checked.
+_FIELD_RANGES: Dict[str, FieldRange] = {
+    **dict.fromkeys(("node", "nodes", "links"),
+                    FieldRange(0, lo_closed=True, integer=True)),
+    **dict.fromkeys(("fraction", "rate", "loss_good", "loss_bad"),
+                    FieldRange(0.0, 1.0, lo_closed=True, hi_closed=True)),
+    "range_factor": FieldRange(0.0, 1.0, hi_closed=True),
+    **dict.fromkeys(("mean_good", "mean_bad", "recover_after"),
+                    FieldRange(0.0)),
+    **dict.fromkeys(("at", "start", "stop", "recover_at"),
+                    FieldRange(0.0, lo_closed=True)),
+}
+
 
 @dataclass(frozen=True)
-class NodeCrash:
+class _FaultEvent:
+    """The check every event kind shares: the table, then the cross-field
+    rules."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "kind" or (value is None and f.default is None):
+                continue
+            row = _FIELD_RANGES[f.name]
+            if f.name not in ("nodes", "links"):
+                check_field(f.name, value, row)
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ConfigurationError(
+                    f"{f.name} must be a list, got {value!r}")
+            if f.name == "links":
+                if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                           for pair in value):
+                    raise ConfigurationError(
+                        "links must be a list of (sender, receiver) pairs, "
+                        f"got {value!r}")
+                value = tuple(tuple(pair) for pair in value)
+            for node in (value if f.name == "nodes" else sum(value, ())):
+                check_field(f"{f.name} entry", node, row)
+            object.__setattr__(self, f.name, tuple(value))
+        start = getattr(self, "start", None)
+        stop = getattr(self, "stop", None)
+        # A noise window must not be empty; a loss window or a crash
+        # schedule may be.
+        empty_ok = not isinstance(self, NoiseWindow)
+        if stop is not None and not (stop >= start if empty_ok
+                                     else stop > start):
+            raise ConfigurationError(
+                f"need start {'<=' if empty_ok else '<'} stop, got "
+                f"[{start}, {stop})")
+        at = getattr(self, "at", None)
+        recover_at = getattr(self, "recover_at", None)
+        if recover_at is not None and not recover_at > at:
+            raise ConfigurationError(
+                f"recover_at ({recover_at}) must be after the crash time "
+                f"({at})")
+
+
+@dataclass(frozen=True)
+class NodeCrash(_FaultEvent):
     """Node ``node`` crashes at ``at`` (optionally recovering later).
 
     A crash kills the whole stack: the radio drops to the doze state, the
@@ -60,20 +118,9 @@ class NodeCrash:
     at: float
     recover_at: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ConfigurationError(f"crash node must be >= 0, got {self.node}")
-        if self.at < 0:
-            raise ConfigurationError(f"crash time must be >= 0, got {self.at}")
-        if self.recover_at is not None and self.recover_at <= self.at:
-            raise ConfigurationError(
-                f"recover_at ({self.recover_at}) must be after crash time "
-                f"({self.at})"
-            )
-
 
 @dataclass(frozen=True)
-class RandomCrashes:
+class RandomCrashes(_FaultEvent):
     """Parametric crash schedule: each candidate node crashes i.i.d.
 
     Every node in ``nodes`` (default: all) crashes with probability
@@ -91,23 +138,9 @@ class RandomCrashes:
     recover_after: Optional[float] = None
     nodes: Optional[Tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ConfigurationError(
-                f"crash fraction must be in [0, 1], got {self.fraction}"
-            )
-        if self.start < 0 or self.stop < self.start:
-            raise ConfigurationError(
-                f"need 0 <= start <= stop, got [{self.start}, {self.stop})"
-            )
-        if self.recover_after is not None and self.recover_after <= 0:
-            raise ConfigurationError(
-                f"recover_after must be positive, got {self.recover_after}"
-            )
-
 
 @dataclass(frozen=True)
-class EnergyDepletion:
+class EnergyDepletion(_FaultEvent):
     """Node ``node``'s battery dies prematurely at ``at`` (no recovery).
 
     Behaves like a permanent crash, and additionally closes the node's
@@ -120,19 +153,9 @@ class EnergyDepletion:
     node: int
     at: float
 
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ConfigurationError(
-                f"depletion node must be >= 0, got {self.node}"
-            )
-        if self.at < 0:
-            raise ConfigurationError(
-                f"depletion time must be >= 0, got {self.at}"
-            )
-
 
 @dataclass(frozen=True)
-class RandomDepletions:
+class RandomDepletions(_FaultEvent):
     """Parametric depletion schedule (the battery analogue of RandomCrashes)."""
 
     kind: str = field(default="random-depletions", init=False)
@@ -142,19 +165,9 @@ class RandomDepletions:
     stop: float
     nodes: Optional[Tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ConfigurationError(
-                f"depletion fraction must be in [0, 1], got {self.fraction}"
-            )
-        if self.start < 0 or self.stop < self.start:
-            raise ConfigurationError(
-                f"need 0 <= start <= stop, got [{self.start}, {self.stop})"
-            )
-
 
 @dataclass(frozen=True)
-class PacketLoss:
+class PacketLoss(_FaultEvent):
     """Bernoulli packet-loss impairment at frame delivery.
 
     Each otherwise-successful delivery inside ``[start, stop)`` is dropped
@@ -171,21 +184,9 @@ class PacketLoss:
     nodes: Optional[Tuple[int, ...]] = None
     links: Optional[LinkScope] = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigurationError(
-                f"loss rate must be in [0, 1], got {self.rate}"
-            )
-        if self.start < 0:
-            raise ConfigurationError(f"start must be >= 0, got {self.start}")
-        if self.stop is not None and self.stop < self.start:
-            raise ConfigurationError(
-                f"need start <= stop, got [{self.start}, {self.stop})"
-            )
-
 
 @dataclass(frozen=True)
-class BurstLoss:
+class BurstLoss(_FaultEvent):
     """Gilbert-Elliott two-state burst loss at frame delivery.
 
     Each scoped link evolves an independent good/bad Markov chain in
@@ -207,28 +208,9 @@ class BurstLoss:
     nodes: Optional[Tuple[int, ...]] = None
     links: Optional[LinkScope] = None
 
-    def __post_init__(self) -> None:
-        if self.mean_good <= 0 or self.mean_bad <= 0:
-            raise ConfigurationError(
-                "burst-loss sojourn means must be positive, got "
-                f"good={self.mean_good} bad={self.mean_bad}"
-            )
-        for name, p in (("loss_good", self.loss_good),
-                        ("loss_bad", self.loss_bad)):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in [0, 1], got {p}"
-                )
-        if self.start < 0:
-            raise ConfigurationError(f"start must be >= 0, got {self.start}")
-        if self.stop is not None and self.stop < self.start:
-            raise ConfigurationError(
-                f"need start <= stop, got [{self.start}, {self.stop})"
-            )
-
 
 @dataclass(frozen=True)
-class NoiseWindow:
+class NoiseWindow(_FaultEvent):
     """Ambient noise from ``start`` to ``stop`` shrinks reception range.
 
     While active, a receiver farther than ``range_factor x tx_range`` from
@@ -241,16 +223,6 @@ class NoiseWindow:
     start: float
     stop: float
     range_factor: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop <= self.start:
-            raise ConfigurationError(
-                f"need 0 <= start < stop, got [{self.start}, {self.stop})"
-            )
-        if not 0.0 < self.range_factor <= 1.0:
-            raise ConfigurationError(
-                f"range_factor must be in (0, 1], got {self.range_factor}"
-            )
 
 
 #: Every concrete fault-event type a plan may carry.
@@ -265,10 +237,7 @@ FaultEvent = Union[
 ]
 
 _EVENT_TYPES: Dict[str, Type[Any]] = {
-    cls.kind: cls
-    for cls in (NodeCrash, RandomCrashes, EnergyDepletion, RandomDepletions,
-                PacketLoss, BurstLoss, NoiseWindow)
-}
+    cls.kind: cls for cls in get_args(FaultEvent)}
 
 #: JSON document version written by :meth:`FaultPlan.to_dict`.
 PLAN_FORMAT_VERSION = 1
@@ -303,12 +272,6 @@ def _event_from_dict(data: Dict[str, Any]) -> FaultEvent:
         raise ConfigurationError(
             f"unknown fields {sorted(unknown)} for fault event kind {kind!r}"
         )
-    if "nodes" in kwargs and kwargs["nodes"] is not None:
-        kwargs["nodes"] = tuple(int(n) for n in kwargs["nodes"])
-    if "links" in kwargs and kwargs["links"] is not None:
-        kwargs["links"] = tuple(
-            (int(a), int(b)) for a, b in kwargs["links"]
-        )
     try:
         event: FaultEvent = cls(**kwargs)
     except TypeError as exc:
@@ -329,6 +292,10 @@ class FaultPlan:
         # canonical tuple so frozen equality and hashing behave.
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
+        for event in self.events:
+            if not isinstance(event, _FaultEvent):
+                raise ConfigurationError(
+                    f"fault plan entry {event!r} is not a fault event")
 
     @property
     def is_empty(self) -> bool:
@@ -340,6 +307,16 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def node_ids(self) -> Iterator[int]:
+        """Every node id the plan names, in plan order."""
+        for event in self.events:
+            node = getattr(event, "node", None)
+            if node is not None:
+                yield node
+            yield from getattr(event, "nodes", None) or ()
+            for pair in getattr(event, "links", None) or ():
+                yield from pair
 
     def __add__(self, other: "FaultPlan") -> "FaultPlan":
         """Compose two plans by concatenating their event lists."""
@@ -400,16 +377,6 @@ class FaultPlan:
                 f"cannot read fault plan {path}: {exc}"
             ) from None
         return cls.from_json(text)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers (used by the injector and tests)
-    # ------------------------------------------------------------------
-
-    def select(self, *kinds: str) -> List[FaultEvent]:
-        """Events whose ``kind`` is one of ``kinds``, in plan order."""
-        wanted = set(kinds)
-        return [e for e in self.events if e.kind in wanted]
-
 
 #: Shared empty plan (the canonical no-op).
 EMPTY_PLAN = FaultPlan()

@@ -23,7 +23,6 @@ key           MAC             power manager    overhearing
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -41,7 +40,7 @@ from repro.core.policy import (
     UnconditionalOverhearing,
 )
 from repro.core.rcast import RcastManager
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FieldRange, check_field
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.mac.base import AlwaysOnMac, MacBase
@@ -75,34 +74,28 @@ if TYPE_CHECKING:
 #: All supported scheme keys.
 SCHEMES = ("ieee80211", "psm", "psm-nooh", "odpm", "rcast", "span")
 
-#: Range of every numeric :class:`SimulationConfig` field as ``(lo,
-#: closed)``: the value must satisfy ``lo <= x < inf`` when ``closed``,
-#: else ``lo < x < inf``.  Both forms are NaN-safe, since NaN fails every
-#: comparison.  A field in :data:`_INTEGER_FIELDS` must also be an
-#: integer (numpy integers pass; NaN, infinity and 2.5 do not).
-_FIELD_RANGES: Dict[str, Tuple[float, bool]] = {
-    "seed": (-math.inf, False),
-    "sim_time": (0.0, False),
-    "num_nodes": (1, True),
-    "arena_w": (0.0, False),
-    "arena_h": (0.0, False),
-    "tx_range": (0.0, False),
-    "cs_range": (0.0, False),
-    "bitrate": (0.0, False),
-    "max_speed": (constants.WAYPOINT_MIN_SPEED_MPS, True),
-    "pause_time": (0.0, True),
-    "beacon_interval": (0.0, False),
-    "atim_window": (0.0, False),
-    "queue_capacity": (1, True),
-    "clock_jitter": (0.0, True),
-    "num_connections": (0, True),
-    "packet_rate": (0.0, False),
-    "packet_bytes": (1, True),
-    "battery_joules": (0.0, False),  # None (unbounded) is not checked
+#: Range of every numeric :class:`SimulationConfig` field, checked by
+#: :func:`repro.errors.check_field`.
+_FIELD_RANGES: Dict[str, FieldRange] = {
+    "seed": FieldRange(-math.inf, integer=True),
+    "sim_time": FieldRange(0.0),
+    "num_nodes": FieldRange(1, lo_closed=True, integer=True),
+    "arena_w": FieldRange(0.0),
+    "arena_h": FieldRange(0.0),
+    "tx_range": FieldRange(0.0),
+    "cs_range": FieldRange(0.0),
+    "bitrate": FieldRange(0.0),
+    "max_speed": FieldRange(constants.WAYPOINT_MIN_SPEED_MPS, lo_closed=True),
+    "pause_time": FieldRange(0.0, lo_closed=True),
+    "beacon_interval": FieldRange(0.0),
+    "atim_window": FieldRange(0.0),
+    "queue_capacity": FieldRange(1, lo_closed=True, integer=True),
+    "clock_jitter": FieldRange(0.0, lo_closed=True),
+    "num_connections": FieldRange(0, lo_closed=True, integer=True),
+    "packet_rate": FieldRange(0.0),
+    "packet_bytes": FieldRange(1, lo_closed=True, integer=True),
+    "battery_joules": FieldRange(0.0),  # None (unbounded) is not checked
 }
-_INTEGER_FIELDS = frozenset(
-    ("seed", "num_nodes", "queue_capacity", "num_connections",
-     "packet_bytes"))
 
 
 @dataclass
@@ -162,7 +155,8 @@ class SimulationConfig:
     #: deterministic fault plan for the run; ``None`` (or an empty plan)
     #: builds no injector at all — behaviour is byte-identical to a build
     #: that predates the fault subsystem (golden-trace enforced).  A plain
-    #: dict (the plan's JSON form) is accepted and coerced.
+    #: dict (the plan's JSON form) is accepted and coerced; every node id
+    #: the plan names must be below ``num_nodes``.
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -172,22 +166,10 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; choose one of {SCHEMES}"
             )
-        for name, (lo, closed) in _FIELD_RANGES.items():
+        for name, row in _FIELD_RANGES.items():
             value = getattr(self, name)
-            if value is None and name == "battery_joules":
-                continue
-            try:
-                if name in _INTEGER_FIELDS:
-                    operator.index(value)
-                ok = ((lo <= value if closed else lo < value)
-                      and value < math.inf)
-            except TypeError:  # not a number at all
-                ok = False
-            if not ok:
-                kind = "integer" if name in _INTEGER_FIELDS else "number"
-                raise ConfigurationError(
-                    f"{name} must be a finite {kind} {'>=' if closed else '>'}"
-                    f" {lo}, got {value!r}")
+            if not (value is None and name == "battery_joules"):
+                check_field(name, value, row)
         if not self.tx_range <= self.cs_range:
             raise ConfigurationError(
                 f"cs_range ({self.cs_range}) must be >= tx_range "
@@ -234,6 +216,15 @@ class SimulationConfig:
             )
         if isinstance(self.faults, dict):
             self.faults = FaultPlan.from_dict(self.faults)
+        if not isinstance(self.faults, (FaultPlan, type(None))):
+            raise ConfigurationError(
+                "faults must be a FaultPlan, a plan dict or None, got "
+                f"{type(self.faults).__name__}")
+        for node in self.faults.node_ids() if self.faults else ():
+            if node >= self.num_nodes:
+                raise ConfigurationError(
+                    f"fault plan targets node {node} but the network has "
+                    f"{self.num_nodes} nodes")
 
 
 class Network:

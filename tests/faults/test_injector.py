@@ -51,10 +51,24 @@ class TestWiring:
         assert isinstance(config.faults, FaultPlan)
         assert config.faults.events == (PacketLoss(rate=0.25),)
 
-    def test_plan_targeting_missing_node_rejected_at_build(self) -> None:
+    def test_plan_targeting_missing_node_rejected_by_config(self) -> None:
         plan = FaultPlan((NodeCrash(node=7, at=1.0),))
         with pytest.raises(ConfigurationError, match="node 7"):
-            build_network(line_config("rcast", n=3, faults=plan))
+            line_config("rcast", n=3, faults=plan)
+
+    @pytest.mark.parametrize("event", [
+        PacketLoss(rate=1.0, nodes=(99,)),
+        PacketLoss(rate=1.0, links=((0, 99),)),
+        RandomCrashes(fraction=1.0, start=0.0, stop=1.0, nodes=(0, 99)),
+    ], ids=["loss-nodes", "loss-links", "random-crash-nodes"])
+    def test_scoped_node_ids_checked_by_config(self, event) -> None:
+        """A loss scope naming a missing node used to be a silent no-op."""
+        with pytest.raises(ConfigurationError, match="node 99"):
+            line_config("rcast", n=3, faults=FaultPlan((event,)))
+
+    def test_config_rejects_non_plan_faults(self) -> None:
+        with pytest.raises(ConfigurationError, match="faults must be"):
+            line_config("rcast", n=3, faults=[NodeCrash(node=1, at=1.0)])
 
     def test_injector_refuses_empty_plan(self) -> None:
         net = build_network(line_config("rcast", n=3))

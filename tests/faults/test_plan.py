@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -63,11 +66,13 @@ class TestPlanBasics:
         with pytest.raises(TypeError):
             full_plan() + [PacketLoss(rate=0.1)]  # type: ignore[operator]
 
-    def test_select_filters_by_kind_in_order(self) -> None:
-        plan = full_plan()
-        losses = plan.select("packet-loss", "burst-loss")
-        assert [e.kind for e in losses] == ["packet-loss", "burst-loss"]
-        assert plan.select("nope") == []
+    def test_entries_must_be_fault_events(self) -> None:
+        with pytest.raises(ConfigurationError, match="not a fault event"):
+            FaultPlan((NodeCrash(node=0, at=1.0),
+                       "crash"))  # type: ignore[arg-type]
+
+    def test_node_ids_in_plan_order(self) -> None:
+        assert list(full_plan().node_ids()) == [3, 0, 2, 4, 1, 1, 0, 1, 1, 2]
 
 
 class TestSerialization:
@@ -101,6 +106,9 @@ class TestSerialization:
         assert isinstance(event, PacketLoss)
         assert event.nodes == (2, 3)
         assert event.links == ((0, 1),)
+        # Python callers passing lists get the same frozen value.
+        assert event == PacketLoss(
+            rate=0.5, nodes=[2, 3], links=[[0, 1]])  # type: ignore[arg-type]
 
 
 class TestDocumentErrors:
@@ -167,10 +175,35 @@ class TestEventValidation:
         lambda: NoiseWindow(start=2.0, stop=2.0, range_factor=0.5),
         lambda: NoiseWindow(start=0.0, stop=1.0, range_factor=0.0),
         lambda: NoiseWindow(start=0.0, stop=1.0, range_factor=1.5),
+        # NaN failed every old ``x < 0`` check; a non-integer node crashed
+        # the run mid-way; an infinite stop drew a crash at t = inf.
+        lambda: NodeCrash(node=1, at=math.nan),
+        lambda: NodeCrash(node=1.5, at=3.0),  # type: ignore[arg-type]
+        lambda: BurstLoss(mean_good=math.nan, mean_bad=1.0),
+        lambda: RandomCrashes(fraction=0.5, start=0.0, stop=math.inf),
+        lambda: PacketLoss(rate=0.5, nodes=(1, -1)),
+        lambda: PacketLoss(rate=0.5, nodes=3),  # type: ignore[arg-type]
+        lambda: PacketLoss(rate=0.5,
+                           links=((0, 1, 2),)),  # type: ignore[arg-type]
     ])
     def test_rejects(self, bad) -> None:
         with pytest.raises(ConfigurationError):
             bad()
+
+    @pytest.mark.parametrize("scope, message", [
+        ('"nodes": [NaN]', "nodes entry"),
+        ('"nodes": [2.7]', "nodes entry"),
+        ('"nodes": ["2"]', "nodes entry"),
+        ('"links": [[1]]', "links must be a list of"),
+        ('"links": [[0, 1.5]]', "links entry"),
+    ], ids=["nan", "fraction", "string", "short-link", "fraction-link"])
+    def test_json_node_ids_rejected(self, scope, message) -> None:
+        """JSON node ids used to go through ``int()``: NaN and a short
+        link raised ValueError, and 2.7 silently became node 2."""
+        text = ('{"version": 1, "events": [{"kind": "packet-loss", '
+                f'"rate": 0.5, {scope}}}]}}')
+        with pytest.raises(ConfigurationError, match=message):
+            FaultPlan.from_json(text)
 
     def test_boundary_values_accepted(self) -> None:
         RandomCrashes(fraction=0.0, start=0.0, stop=0.0)
@@ -178,3 +211,47 @@ class TestEventValidation:
         PacketLoss(rate=0.0)
         PacketLoss(rate=1.0, start=0.0, stop=0.0)
         NoiseWindow(start=0.0, stop=0.1, range_factor=1.0)
+
+
+#: Valid arguments for every event kind.
+VALID_EVENTS = {
+    NodeCrash: dict(node=1, at=2.0, recover_at=5.0),
+    RandomCrashes: dict(fraction=0.5, start=1.0, stop=4.0,
+                        recover_after=2.0),
+    EnergyDepletion: dict(node=1, at=2.0),
+    RandomDepletions: dict(fraction=0.5, start=1.0, stop=4.0),
+    PacketLoss: dict(rate=0.5, start=1.0, stop=4.0),
+    BurstLoss: dict(mean_good=1.0, mean_bad=0.5, loss_good=0.1,
+                    loss_bad=0.9, start=1.0, stop=4.0),
+    NoiseWindow: dict(start=1.0, stop=4.0, range_factor=0.5),
+}
+
+#: Fields whose range tops out at 1, so 2 is out of range too.
+UNIT_FIELDS = {"fraction", "rate", "loss_good", "loss_bad", "range_factor"}
+
+#: (event class, numeric field) read off the dataclasses, so that a new
+#: field without a row in the fault table fails the walk below.
+NUMERIC_FIELDS = [(cls, f.name) for cls in VALID_EVENTS
+                  for f in dataclasses.fields(cls)
+                  if f.type in ("int", "float", "Optional[float]")]
+
+
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}"
+                              for cls, name in NUMERIC_FIELDS])
+def test_fault_field_walk(cls, name) -> None:
+    """Every numeric fault field x {nan, +-inf, -1, and 2 for [0, 1]
+    fields} raises ConfigurationError naming the field, from the
+    constructor and from a plan document alike."""
+    kwargs = VALID_EVENTS[cls]
+    cls(**kwargs)
+    values = [math.nan, math.inf, -math.inf, -1]
+    if name in UNIT_FIELDS:
+        values.append(2)
+    for value in values:
+        bad = {**kwargs, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            cls(**bad)
+        document = {"version": 1, "events": [{"kind": cls.kind, **bad}]}
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            FaultPlan.from_dict(document)

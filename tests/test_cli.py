@@ -39,6 +39,49 @@ def test_bad_config_exits_with_message(command):
         main([command, "--nodes", "5"])  # 20 connections by default
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--json-out"],
+    ["run", "--trace-out"],
+    ["run", "--telemetry-out"],
+    ["run", "--sanitize-out"],
+    ["sweep", "--scale", "smoke", "--json"],
+    ["sweep", "--scale", "smoke", "--csv"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_missing_output_directory_fails_before_any_work(argv, tmp_path,
+                                                        monkeypatch):
+    """Each of these used to end in a FileNotFoundError traceback, for
+    ``run --json-out`` only after the whole run."""
+    import importlib
+
+    import repro.network
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulation work started")
+
+    monkeypatch.setattr(repro.network, "build_network", no_work)
+    # The package re-exports the function under the module's name.
+    sweep_module = importlib.import_module("repro.experiments.sweep")
+    monkeypatch.setattr(sweep_module, "sweep", no_work)
+    missing = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [str(missing)])
+    assert str(excinfo.value.code) == (
+        f"error: cannot write {missing}: directory {missing.parent} does "
+        "not exist")
+
+
+def test_trace_rotate_must_be_positive(tmp_path):
+    """``--trace-rotate 0`` used to raise ValueError from the trace sink."""
+    trace_path = tmp_path / "trace.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--nodes", "5", "--connections", "1", "--sim-time", "1",
+              "--trace-out", str(trace_path), "--trace-rotate", "0"])
+    message = str(excinfo.value.code)
+    assert message == (
+        "error: --trace-rotate: rotate_bytes must be positive, got 0")
+    assert not trace_path.exists()
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])

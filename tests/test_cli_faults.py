@@ -33,6 +33,7 @@ def test_run_with_faults_reports_counts(tmp_path, capsys):
     assert counts == data["metrics"]["fault_counts"]
     assert counts["crashes"] == 1
     assert counts["recoveries"] == 1
+    assert f"faults: {counts}" in capsys.readouterr().out
 
 
 def test_run_without_faults_omits_counts(tmp_path):
@@ -74,7 +75,18 @@ def test_faults_file_invalid_event(tmp_path):
     }))
     with pytest.raises(SystemExit) as excinfo:
         main(RUN_ARGS + ["--faults", str(path)])
-    assert "crash time" in str(excinfo.value.code)
+    assert str(excinfo.value.code) == (
+        "error: --faults: at must be a finite number >= 0.0, got -1.0")
+
+
+def test_faults_plan_naming_missing_node_exits_with_error(tmp_path):
+    """The config rejects the plan; that used to be a traceback."""
+    plan = FaultPlan((NodeCrash(node=12, at=1.0),))
+    with pytest.raises(SystemExit) as excinfo:
+        main(RUN_ARGS + ["--faults", write_plan(tmp_path, plan)])
+    assert str(excinfo.value.code) == (
+        "error: --faults: fault plan targets node 12 but the network has "
+        "10 nodes")
 
 
 def test_unknown_subcommand_exits_with_usage_error():
