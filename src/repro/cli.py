@@ -298,22 +298,19 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         arena["arena_w"] = args.arena_w
     if args.arena_h is not None:
         arena["arena_h"] = args.arena_h
-    try:
-        return SimulationConfig(
-            scheme=args.scheme,
-            num_nodes=args.nodes,
-            packet_rate=args.rate,
-            sim_time=args.sim_time,
-            num_connections=args.connections,
-            mobility="static" if args.static else "waypoint",
-            max_speed=args.speed,
-            pause_time=args.pause,
-            seed=args.seed,
-            overhearing_policy=args.overhearing_policy,
-            **arena,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(f"error: {exc}")
+    return SimulationConfig(
+        scheme=args.scheme,
+        num_nodes=args.nodes,
+        packet_rate=args.rate,
+        sim_time=args.sim_time,
+        num_connections=args.connections,
+        mobility="static" if args.static else "waypoint",
+        max_speed=args.speed,
+        pause_time=args.pause,
+        seed=args.seed,
+        overhearing_policy=args.overhearing_policy,
+        **arena,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -541,8 +538,12 @@ def _cmd_sweep(args: argparse.Namespace, scale: ExperimentScale,
     from repro.obs.live import LiveSweepMonitor, TelemetryWriter
 
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    rates = ([float(r) for r in args.rates.split(",")]
-             if args.rates else None)
+    try:
+        rates = ([float(r) for r in args.rates.split(",")]
+                 if args.rates else None)
+    except ValueError:
+        raise ConfigurationError(f"--rates: expected comma-separated "
+                                 f"numbers, got {args.rates!r}")
     scenario_names = {s.strip() for s in args.scenarios.split(",")}
     unknown = scenario_names - {"mobile", "static"}
     if unknown:
@@ -608,9 +609,20 @@ def _check_output_paths(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Bad input found past argument parsing ends every subcommand the same
+    way: one ``error: ...`` line and exit status 1, never a traceback.
+    """
     args = _build_parser().parse_args(argv)
     _check_output_paths(args)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "profile":

@@ -20,7 +20,7 @@ The upper layer (DSR) talks to every MAC through four callbacks set with
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.mac.dcf import DcfTransmitter, TxOutcome
 from repro.mac.frames import BROADCAST, Frame, FrameKind
@@ -131,13 +131,14 @@ class AlwaysOnMac(MacBase):
 
     This is the paper's ``802.11`` baseline — best delivery ratio and delay,
     maximum (and perfectly uniform) energy: every node idles at 1.15 W for
-    the whole run.  Overhearing is unconditional and free.
+    the whole run.  Overhearing is unconditional and free.  Decoded frames
+    reach the MAC's upcalls through its channel's :class:`_AlwaysOnFanout`,
+    one call per frame.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # Served by the channel's default fan-out, one call per receiver.
-        self.channel.attach(self.node_id, self._on_channel_receive)
+        join_fanout(_AlwaysOnFanout, self)
 
     def start(self) -> None:
         """Wake the radio permanently (no PSM)."""
@@ -165,13 +166,57 @@ class AlwaysOnMac(MacBase):
             self._on_link_failure(frame.packet, frame.dst)
         # DEFERRED cannot happen here (no deadlines without PSM).
 
-    def _on_channel_receive(self, frame: Frame, sender: int) -> None:
+
+def join_fanout(group_cls: Any, mac: MacBase) -> Any:
+    """Add ``mac`` to its channel's fan-out group of type ``group_cls``.
+
+    A MAC family serves a decoded frame with one call, not one per
+    receiver: the first member constructed on a channel makes the group,
+    which installs its ``deliver`` as the channel's fan-out, and later
+    members find it there (the way :class:`repro.mac.epoch.EpochScheduler`
+    groups beacon chains, so hand-built rigs need no wiring).  A channel
+    carries one MAC family: fan-outs of different families do not chain.
+    """
+    channel = mac.channel
+    group = getattr(channel.fanout, "__self__", None)
+    if not isinstance(group, group_cls):
+        group = group_cls(channel)
+    group.macs[mac.node_id] = mac
+    return group
+
+
+class _AlwaysOnFanout:
+    """The always-on MACs on one channel and their receive fan-out."""
+
+    __slots__ = ("macs",)
+
+    def __init__(self, channel: Channel) -> None:
+        self.macs: Dict[int, AlwaysOnMac] = {}
+        channel.set_fanout(self.deliver)
+
+    def deliver(self, frame: Frame, sender: int,
+                delivery_order: List[int]) -> None:
+        """One decoded frame to all its receivers, in ascending order.
+
+        The addressee and every receiver of a broadcast get the packet
+        through ``_on_receive``; everyone else overhears it through
+        ``_on_promiscuous`` (always-awake radios overhear everything, as
+        classic DSR assumes).  Both upcalls are read from the MAC at call
+        time: they are instance attributes an observer may wrap after
+        the network is built.
+        """
         dst = frame.dst
-        if dst == self.node_id or dst == BROADCAST:
-            self._on_receive(frame.packet, sender)
-        else:
-            # Always-awake radios overhear everything, as classic DSR assumes.
-            self._on_promiscuous(frame.packet, sender)
+        packet = frame.packet
+        macs = self.macs
+        if dst == BROADCAST:
+            for node in delivery_order:
+                macs[node]._on_receive(packet, sender)
+            return
+        for node in delivery_order:
+            if node == dst:
+                macs[node]._on_receive(packet, sender)
+            else:
+                macs[node]._on_promiscuous(packet, sender)
 
 
 __all__ = ["MacBase", "AlwaysOnMac"]

@@ -63,7 +63,7 @@ from repro.constants import (
     PSM_MODE_BELIEF_TTL_S,
 )
 from repro.core.rcast import RcastManager
-from repro.mac.base import MacBase
+from repro.mac.base import MacBase, join_fanout
 from repro.mac.dcf import TxOutcome
 from repro.mac.epoch import EpochScheduler, _EpochGroup
 from repro.mac.frames import BROADCAST, Announcement, Frame, FrameKind
@@ -170,7 +170,7 @@ class PsmMac(MacBase):
         self.overhear_elections = 0
         self.missed_announcements = 0
         #: the channel's PSM group: receive and ATIM fan-outs, peer map
-        self._fanout = _PsmFanout.join(self)
+        self._fanout: _PsmFanout = join_fanout(_PsmFanout, self)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -441,23 +441,12 @@ class _PsmFanout:
     in.
     """
 
-    __slots__ = ("sim", "channel", "macs")
+    __slots__ = ("sim", "macs")
 
     def __init__(self, channel: Channel) -> None:
         self.sim = channel.sim
-        self.channel = channel
         self.macs: Dict[int, PsmMac] = {}
         channel.set_fanout(self.deliver)
-
-    @classmethod
-    def join(cls, mac: PsmMac) -> "_PsmFanout":
-        """Add ``mac`` to its channel's group, made by the first PSM MAC."""
-        channel = mac.channel
-        group: object = getattr(channel.fanout, "__self__", None)
-        if not isinstance(group, cls):
-            group = cls(channel)
-        group.macs[mac.node_id] = mac
-        return group
 
     def deliver(self, frame: Frame, sender: int,
                 delivery_order: List[int]) -> None:
@@ -472,15 +461,8 @@ class _PsmFanout:
         kind = getattr(packet, "kind", None)
         power_event = kind if kind in _POWER_EVENTS else None
         macs = self.macs
-        receivers = self.channel._receivers
         for node in delivery_order:
-            mac = macs.get(node)
-            if mac is None:
-                # Not a PSM node: its MAC attached a per-node receiver.
-                receiver = receivers.get(node)
-                if receiver is not None:
-                    receiver(frame, sender)
-                continue
+            mac = macs[node]
             mac._heard_at[sender] = now
             if belief is not None:
                 mac._mode_beliefs[sender] = belief

@@ -96,7 +96,6 @@ class AodvProtocol:
         self.rreq_sent = 0
         self.rrep_sent = 0
         self.rerr_sent = 0
-        self.overheard_packets = 0
 
     # ------------------------------------------------------------------
     # Application interface
@@ -339,7 +338,6 @@ class AodvProtocol:
         # AODV does not learn from overheard traffic (the paper's point).
         if self.down:
             return
-        self.overheard_packets += 1
         if self.metrics is not None:
             self.metrics.overheard(self.node_id)
 

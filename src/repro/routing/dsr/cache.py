@@ -20,9 +20,15 @@ primary the first time it is actually used.
 Hot-path note: ``add_path`` runs on every overheard path, every RREQ
 reverse path and every forwarded source route — at dense-network rates it
 is one of the busiest functions in the whole simulator, and once a segment
-is full every new path evicts one.  Eviction pops a per-segment binary
-heap of ``(last_used, added_at, seq, entry)`` tuples instead of scanning
-the segment.  Touches stay plain ``last_used`` writes and push nothing;
+is full every new path evicts one.  Its whole lookup is one frame: per
+segment, one dict probe for the path itself and one scan of its
+first-hop bucket, with no helper call between them.  On the always-on
+802.11 workload over half the calls are exact refreshes of a secondary
+entry, and most nodes hold no primary entry via the probe's first hop,
+so the primary segment is asked for its bucket first and the secondary
+for the exact path first.  Eviction pops a per-segment binary heap of
+``(last_used, added_at, seq, entry)`` tuples instead of scanning the
+segment.  Touches stay plain ``last_used`` writes and push nothing;
 the heap is repaired lazily when eviction pops a stale tuple (see
 :meth:`_Segment.pop_lru`), and each touch costs at most one such re-push,
 so eviction is amortised O(log n) rather than O(n).  The
@@ -37,16 +43,16 @@ extension of a probe path shares its second element, and the buckets
 covering scan to the handful of same-first-hop candidates.  They also
 guard it: a bucket exists iff some entry has that first hop (``remove``
 deletes emptied buckets, ``clear`` all of them), so a segment holding
-nothing via the path's first hop costs ``add_path`` one dict probe.
+nothing via the path's first hop costs ``add_path`` no scan.
 ``using_link`` keeps the linear scan but rejects non-members with two
 C-speed tuple probes before walking any hop pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.constants import DSR_CACHE_CAPACITY, DSR_CACHE_PRIMARY_CAPACITY
 from repro.errors import RoutingError
@@ -54,18 +60,32 @@ from repro.errors import RoutingError
 #: sources that go to the primary segment
 PRIMARY_SOURCES = frozenset({"rrep", "forward", "local"})
 
-@dataclass
 class CachedPath:
-    """One cached path with bookkeeping."""
+    """One cached path with bookkeeping.
 
-    path: Tuple[int, ...]
-    added_at: float
-    last_used: float
-    source: str = "unknown"  # 'rrep' | 'forward' | 'overhear' | 'rreq' | ...
-    uses: int = 0
-    #: position in the owning segment's insertion order (set by
-    #: ``_Segment.insert``); the final LRU tie-break
-    seq: int = field(default=0, compare=False, repr=False)
+    A plain slotted record: equality is identity, so a first-hop bucket's
+    ``list.remove`` finds its entry without comparing field tuples.
+    """
+
+    __slots__ = ("path", "added_at", "last_used", "source", "uses", "seq")
+
+    def __init__(self, path: Tuple[int, ...], added_at: float,
+                 last_used: float, source: str = "unknown",
+                 uses: int = 0) -> None:
+        self.path = path
+        self.added_at = added_at
+        self.last_used = last_used
+        #: 'rrep' | 'forward' | 'overhear' | 'rreq' | ...
+        self.source = source
+        self.uses = uses
+        #: position in the owning segment's insertion order (set by
+        #: ``_Segment.insert``, -1 once removed); the final LRU tie-break
+        self.seq = -1
+
+    def __repr__(self) -> str:
+        return (f"CachedPath(path={self.path}, added_at={self.added_at}, "
+                f"last_used={self.last_used}, source={self.source!r}, "
+                f"uses={self.uses})")
 
 
 class _Segment:
@@ -75,27 +95,30 @@ class _Segment:
     segment order, so "the first entry in segment order extending path P"
     is the first match in scan order.  ``by_hop`` buckets entries by their
     second element (the first hop): every extension of a probe path shares
-    that element, so ``known`` scans one bucket instead of the
-    whole segment.  Buckets hold entries in segment insertion order (a
+    that element, so ``RouteCache.add_path`` scans one bucket instead of
+    the whole segment.  Buckets hold entries in segment insertion order (a
     subsequence of the dict order), so "earliest inserted" is preserved,
     and their memory is strictly bounded by the segment capacity — one
     list slot per entry — unlike the per-prefix index removed for eating
     >190 MB at 1,000 nodes.
 
     ``heap`` orders entries for eviction by ``(last_used, added_at, seq)``.
-    ``seq`` counts insertions into this segment, so it increases along the
-    dict order and reproduces the tie-break of ``min()`` over
-    ``entries.values()`` (the first in dict order wins); a path is never
-    re-inserted over itself, so every insertion appends.
+    ``seq`` numbers insertions from ``seqs``, one counter for both
+    segments of a cache, so it increases along the dict order and
+    reproduces the tie-break of ``min()`` over ``entries.values()`` (the
+    first in dict order wins); a path is never re-inserted over itself, so
+    every insertion appends.  Numbers are never reused and a removed
+    entry's ``seq`` is -1, so a heap tuple belongs to a live entry of this
+    segment iff its ``seq`` is the entry's.
     """
 
-    __slots__ = ("entries", "by_hop", "heap", "next_seq")
+    __slots__ = ("entries", "by_hop", "heap", "seqs")
 
-    def __init__(self) -> None:
+    def __init__(self, seqs: Iterator[int]) -> None:
         self.entries: Dict[Tuple[int, ...], CachedPath] = {}
         self.by_hop: Dict[int, List[CachedPath]] = {}
         self.heap: List[Tuple[float, float, int, CachedPath]] = []
-        self.next_seq = 0
+        self.seqs = seqs
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,12 +127,12 @@ class _Segment:
         """Append ``entry``; its path must not already be in the segment."""
         self.entries[entry.path] = entry
         self.by_hop.setdefault(entry.path[1], []).append(entry)
-        entry.seq = seq = self.next_seq
-        self.next_seq = seq + 1
+        entry.seq = seq = next(self.seqs)
         heappush(self.heap, (entry.last_used, entry.added_at, seq, entry))
 
     def remove(self, entry: CachedPath) -> None:
         del self.entries[entry.path]
+        entry.seq = -1
         hop = entry.path[1]
         bucket = self.by_hop[hop]
         bucket.remove(entry)
@@ -129,43 +152,21 @@ class _Segment:
         Touches overwrite ``last_used`` without updating the heap, which
         stays exact because simulated time never decreases: every live
         entry has exactly one heap tuple, and its key is a lower bound on
-        the entry's true key.  So a popped tuple whose entry is gone is
-        skipped, one whose ``last_used`` has moved is re-pushed with the
-        current value, and one whose key is still current is the minimum.
+        the entry's true key.  So a popped tuple whose entry is gone (its
+        ``seq`` no longer matches) is skipped, one whose ``last_used`` has
+        moved is re-pushed with the current value, and one whose key is
+        still current is the minimum.
         """
         heap = self.heap
-        entries = self.entries
         while True:
             last_used, added_at, seq, entry = heappop(heap)
-            if entries.get(entry.path) is not entry:
+            if entry.seq != seq:
                 continue
             if entry.last_used != last_used:
                 heappush(heap, (entry.last_used, added_at, seq, entry))
                 continue
             self.remove(entry)
             return entry
-
-    def known(self, path: Tuple[int, ...]) -> Optional[CachedPath]:
-        """``path``'s own entry, else the earliest-inserted one extending it.
-
-        ``path`` must have at least two elements.  An exact match and every
-        extension share the first hop ``path[1]``, and ``by_hop`` has that
-        key iff some entry here has that first hop, so a segment without
-        one costs a single dict probe.
-        """
-        bucket = self.by_hop.get(path[1])
-        if bucket is None:
-            return None
-        exact = self.entries.get(path)
-        if exact is not None:
-            return exact
-        n = len(path)
-        last = path[n - 1]
-        for entry in bucket:
-            p = entry.path
-            if len(p) > n and p[n - 1] == last and p[:n] == path:
-                return entry
-        return None
 
     def using_link(self, a: int, b: int) -> List[CachedPath]:
         """Entries traversing undirected link ``a-b``, in insertion order."""
@@ -206,8 +207,11 @@ class RouteCache:
         self.owner = owner
         self.capacity = capacity              # secondary segment bound
         self.primary_capacity = primary_capacity
-        self._primary = _Segment()
-        self._secondary = _Segment()
+        seqs = itertools.count()
+        self._primary = _Segment(seqs)
+        self._secondary = _Segment(seqs)
+        #: both segments in lookup order, primary first
+        self._segments = (self._primary, self._secondary)
         # Statistics
         self.hits = 0
         self.misses = 0
@@ -230,9 +234,6 @@ class RouteCache:
         return (list(self._primary.entries.values())
                 + list(self._secondary.entries.values()))
 
-    def _segments(self) -> Tuple[_Segment, ...]:
-        return (self._primary, self._secondary)
-
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
@@ -246,8 +247,15 @@ class RouteCache:
         that already guarantee the path invariants (the DSR learning paths
         build every path from a loop-free packet route) may pass
         ``validate=False`` to skip re-checking them.
+
+        An equal path, or one ``path`` is a strict prefix of, already
+        carries this information.  Each segment, primary first, is asked
+        for ``path``'s own entry, then for the earliest-inserted entry
+        extending it; every extension shares the first hop ``path[1]``,
+        so only that first-hop bucket is scanned.
         """
-        path = tuple(path)
+        if type(path) is not tuple:
+            path = tuple(path)
         if validate:
             if len(path) < 2:
                 raise RoutingError(f"path too short: {path}")
@@ -256,27 +264,50 @@ class RouteCache:
                     f"path {path} does not start at owner {self.owner}")
             if len(set(path)) != len(path):
                 raise RoutingError(f"path has a loop: {path}")
-        # An equal path, or one it is a strict prefix of, already carries
-        # this information: primary first, then secondary.
-        known = self._primary.known(path)
+        hop = path[1]
+        # Primary: most nodes forward on few routes, so the first-hop
+        # bucket is usually absent and one int-keyed probe settles it.
+        primary = self._primary
+        bucket = primary.by_hop.get(hop)
+        if bucket is not None:
+            known = primary.entries.get(path)
+            if known is None:
+                n = len(path)
+                last = path[n - 1]
+                for entry in bucket:
+                    p = entry.path
+                    if len(p) > n and p[n - 1] == last and p[:n] == path:
+                        known = entry
+                        break
+            if known is not None:
+                known.last_used = now
+                return False
+        # Secondary: an exact refresh is the commonest outcome of all.
+        secondary = self._secondary
+        known = secondary.entries.get(path)
         if known is None:
-            known = self._secondary.known(path)
+            bucket = secondary.by_hop.get(hop)
+            if bucket is not None:
+                n = len(path)
+                last = path[n - 1]
+                for entry in bucket:
+                    p = entry.path
+                    if len(p) > n and p[n - 1] == last and p[:n] == path:
+                        known = entry
+                        break
         if known is not None:
             known.last_used = now
             return False
         if source in PRIMARY_SOURCES:
-            segment, bound = self._primary, self.primary_capacity
+            segment, bound = primary, self.primary_capacity
         else:
-            segment, bound = self._secondary, self.capacity
-        if len(segment) >= bound:
-            self._evict_lru(segment)
+            segment, bound = secondary, self.capacity
+        if len(segment.entries) >= bound:
+            segment.pop_lru()
+            self.evictions += 1
         segment.insert(CachedPath(path, now, now, source))
         self.insertions += 1
         return True
-
-    def _evict_lru(self, segment: _Segment) -> None:
-        segment.pop_lru()
-        self.evictions += 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -292,7 +323,7 @@ class RouteCache:
         best: Optional[CachedPath] = None
         best_len = None
         best_segment = None
-        for segment in self._segments():
+        for segment in self._segments:
             for cached in segment.entries.values():
                 path = cached.path
                 # Membership probe first: raising ValueError from .index()
@@ -319,7 +350,8 @@ class RouteCache:
         if best_segment is self._secondary:
             self._secondary.remove(best)
             if len(self._primary) >= self.primary_capacity:
-                self._evict_lru(self._primary)
+                self._primary.pop_lru()
+                self.evictions += 1
             self._primary.insert(best)
             self.promotions += 1
         return best.path[:best_len]
@@ -330,7 +362,7 @@ class RouteCache:
         # equivalent to "dst is a member and is not the owner" — no slice.
         return any(
             dst != c.path[0] and dst in c.path
-            for seg in self._segments() for c in seg.entries.values()
+            for seg in self._segments for c in seg.entries.values()
         )
 
     # ------------------------------------------------------------------
@@ -345,7 +377,7 @@ class RouteCache:
         are dropped.  Returns the number of affected entries.
         """
         affected = 0
-        for segment in self._segments():
+        for segment in self._segments:
             replacements: List[Tuple[CachedPath, Optional[CachedPath]]] = []
             for cached in segment.using_link(a, b):
                 cut = self._link_position(cached.path, a, b)

@@ -1465,6 +1465,7 @@ class TestR012:
 
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         for rel, fanouts in (("phy/channel.py", {"_deliver_each"}),
+                             ("mac/base.py", {"deliver"}),
                              ("mac/psm.py", {"deliver", "announce"})):
             source = (src / rel).read_text()
             scanned = {fn.name for fn in

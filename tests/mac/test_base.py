@@ -1,6 +1,6 @@
 """Tests for the always-on (no PSM) MAC."""
 
-from repro.mac.frames import BROADCAST
+from repro.mac.frames import BROADCAST, Frame, FrameKind
 
 from tests.mac.conftest import DummyPacket, MacRig, always_on_factory
 
@@ -64,3 +64,52 @@ def test_counters():
     rig.sim.run(until=1.0)
     assert rig.macs[0].unicasts_sent == 1
     assert rig.macs[0].broadcasts_sent == 1
+
+
+def _cluster_rig():
+    """Five always-on nodes in mutual range, recording every upcall in
+    call order as (node, upcall)."""
+    rig = MacRig([(x, 50.0) for x in (0.0, 20.0, 40.0, 60.0, 80.0)],
+                 always_on_factory)
+    calls = []
+    for node, mac in rig.macs.items():
+        mac.set_upper(
+            on_receive=lambda p, s, n=node: calls.append((n, "receive")),
+            on_promiscuous=lambda p, s, n=node: calls.append((n, "tap")))
+    return rig, calls
+
+
+def test_always_on_fanout_is_one_call_per_frame():
+    rig, calls = _cluster_rig()
+    group = rig.channel.fanout.__self__
+    assert group.macs == rig.macs
+    assert all(node not in rig.channel._receivers for node in rig.macs)
+    packet = DummyPacket()
+    # Unicast 1 -> 3: the addressee receives, everyone else overhears,
+    # in ascending node order.
+    rig.channel.fanout(Frame(1, 3, packet, FrameKind.DATA), 1, [0, 2, 3, 4])
+    assert calls == [(0, "tap"), (2, "tap"), (3, "receive"), (4, "tap")]
+    calls.clear()
+    rig.channel.fanout(Frame(2, BROADCAST, packet, FrameKind.DATA), 2,
+                       [0, 1, 3, 4])
+    assert calls == [(0, "receive"), (1, "receive"), (3, "receive"),
+                     (4, "receive")]
+
+
+def test_always_on_fanout_reads_upcalls_at_call_time():
+    """An observer may wrap a MAC's upcall after the network is built."""
+    rig, calls = _cluster_rig()
+    mac = rig.macs[4]
+    inner = mac._on_promiscuous
+
+    def wrapped(packet, sender):
+        calls.append((4, "wrapper"))
+        inner(packet, sender)
+
+    mac._on_promiscuous = wrapped
+    rig.start()
+    packet = DummyPacket()
+    rig.macs[0].send(packet, 1)
+    rig.sim.run(until=1.0)
+    assert calls == [(1, "receive"), (2, "tap"), (3, "tap"),
+                     (4, "wrapper"), (4, "tap")]

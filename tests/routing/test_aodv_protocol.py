@@ -163,13 +163,12 @@ def test_no_promiscuous_learning():
     rig = line_rig(4)
     rig.aodv[0].send_data(3, 256)
     rig.run(until=5.0)
-    # Overheard counters may move, but tables only contain endpoints the
-    # node legitimately routed for.
+    # Overhearing may happen, but tables only contain endpoints the node
+    # legitimately routed for.
     for agent in rig.aodv.values():
         table = agent.table
         assert {dst for dst in table._routes
                 if table.lookup(dst, rig.sim.now) is not None} <= {0, 3}
-    assert rig.aodv[0].overheard_packets >= 0
 
 
 def test_unreachable_target_drops_after_retries():

@@ -39,6 +39,25 @@ def test_bad_config_exits_with_message(command):
         main([command, "--nodes", "5"])  # 20 connections by default
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--rates", "abc", "error: --rates: expected comma-separated numbers, "
+                       "got 'abc'"),
+    ("--rates", "0.5,x", "error: --rates: expected comma-separated "
+                         "numbers, got '0.5,x'"),
+    ("--rates", "nan", "error: packet_rate must be a finite number > 0.0, "
+                       "got nan"),
+    ("--schemes", "bogus", "error: unknown scheme 'bogus'"),
+])
+def test_sweep_bad_input_exits_with_message(option, value, message):
+    """Bad sweep input ends in one error line, not a traceback."""
+    argv = ["sweep", "--scale", "smoke", "--scenarios", "static",
+            "--schemes", "rcast", "--rates", "0.5"]
+    argv[argv.index(option) + 1] = value
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert str(excinfo.value.code).startswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--json-out"],
     ["run", "--trace-out"],
