@@ -1,5 +1,7 @@
 """Tests for DSR packet types."""
 
+from dataclasses import MISSING, fields
+
 import pytest
 
 from repro.errors import RoutingError
@@ -159,3 +161,46 @@ def test_kind_markers():
                         request_id=1, ttl=5, route_record=(0,))
     assert rreq.kind == "rreq"
     assert rreq.target == 9
+
+
+# Every field of each packet class, set to a non-default value, and the
+# copy under test with the fields it is meant to change.
+_COPY_CASES = [
+    ("data.advance", DataPacket,
+     dict(src=1, dst=4, uid=101, created_at=2.5, trip_route=(1, 2, 3, 4),
+          trip_index=1, payload_bytes=512, app_seq=7, salvage_count=1),
+     lambda p: p.advance(), {"trip_index": 2}),
+    ("data.salvaged", DataPacket,
+     dict(src=1, dst=4, uid=102, created_at=2.5, trip_route=(1, 2, 3, 4),
+          trip_index=1, payload_bytes=512, app_seq=7, salvage_count=1),
+     lambda p: p.salvaged((2, 5, 4)),
+     {"trip_route": (2, 5, 4), "trip_index": 0, "salvage_count": 2}),
+    ("rrep.advance", RouteReply,
+     dict(src=3, dst=0, uid=103, created_at=1.5, trip_route=(3, 2, 1, 0),
+          trip_index=1, path=(0, 1, 2, 3), request_key=(0, 7)),
+     lambda p: p.advance(), {"trip_index": 2}),
+    ("rerr.advance", RouteError,
+     dict(src=2, dst=0, uid=104, created_at=0.5, trip_route=(2, 1, 0),
+          trip_index=0, broken=(2, 3)),
+     lambda p: p.advance(), {"trip_index": 1}),
+    ("rreq.extended", RouteRequest,
+     dict(src=0, dst=9, uid=105, created_at=3.5, request_id=4, ttl=5,
+          route_record=(0, 1)),
+     lambda p: p.extended(2), {"ttl": 4, "route_record": (0, 1, 2)}),
+]
+
+
+@pytest.mark.parametrize("cls, values, copy, changed",
+                         [case[1:] for case in _COPY_CASES],
+                         ids=[case[0] for case in _COPY_CASES])
+def test_copies_keep_every_other_field(cls, values, copy, changed):
+    # A field added to the class must be added here too, with a value
+    # other than its default, or a copy that drops it would go unseen.
+    assert set(values) == {f.name for f in fields(cls)}
+    for f in fields(cls):
+        assert f.default is MISSING or values[f.name] != f.default, f.name
+    packet = cls(**values)
+    result = copy(packet)
+    assert type(result) is cls
+    assert {f.name: getattr(result, f.name) for f in fields(cls)} == {
+        **values, **changed}
