@@ -21,6 +21,10 @@ Subcommands:
   recorded JSONL trace, as a sortable table and/or JSON;
 * ``lint``     — rcast-lint determinism & protocol-invariant checks.
 
+The experiment commands (``table1`` .. ``adaptive``, ``ablation``) are the
+rows of :data:`repro.experiments.evaluation.EXPERIMENTS`; each prints its
+series and then its shape verdicts.
+
 ``run`` metrics always carry fixed-memory delay / energy-per-bit
 distribution summaries.  Its telemetry knobs: ``--live`` renders an
 in-place progress line, ``--telemetry-out`` streams progress records as
@@ -43,77 +47,22 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from repro.core.adaptive import OVERHEARING_POLICIES
-from repro.experiments import (
-    ablation,
-    adaptive_study,
-    aodv_study,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    lifetime,
-    resilience,
-    sensitivity,
-    span_study,
-    staleness_study,
-    sync_study,
-    table1,
-)
-from repro.experiments.scenarios import (
-    BENCH_SCALE,
-    PAPER_SCALE,
-    SMOKE_SCALE,
-    ExperimentScale,
-)
+from repro.experiments.evaluation import EXPERIMENTS
+from repro.experiments.scenarios import SCALES as _SCALES
+from repro.experiments.scenarios import ExperimentScale
 from repro.errors import ConfigurationError
 from repro.network import SCHEMES, SimulationConfig
 
 if TYPE_CHECKING:
     from repro.experiments.parallel import ProgressEvent
 
-_SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
-
-#: study name -> (run function, result formatter).  The run functions share
-#: the (scale, seed=, progress=, workers=) calling convention but return
-#: study-specific result objects, hence Callable[..., Any].
-_FIGURES: Dict[str, Tuple[Callable[..., Any], Callable[..., str]]] = {
-    "table1": (table1.run, table1.format_result),
-    "fig5": (fig5.run, fig5.format_result),
-    "fig6": (fig6.run, fig6.format_result),
-    "fig7": (fig7.run, fig7.format_result),
-    "fig8": (fig8.run, fig8.format_result),
-    "fig9": (fig9.run, fig9.format_result),
-    "lifetime": (lifetime.run, lifetime.format_result),
-    "sensitivity": (sensitivity.run, sensitivity.format_result),
-    "aodv": (aodv_study.run, aodv_study.format_result),
-    "span": (span_study.run, span_study.format_result),
-    "sync": (sync_study.run, sync_study.format_result),
-    "staleness": (staleness_study.run, staleness_study.format_result),
-    "resilience": (resilience.run, resilience.format_result),
-    "adaptive": (adaptive_study.run, adaptive_study.format_result),
-}
-
-#: figure subcommands whose run() accepts an ``overhearing_policy`` kwarg
-#: (the adaptive study sweeps every policy itself, so it is not here).
-_POLICY_AWARE = ("fig7", "lifetime", "resilience")
-
-_ABLATIONS: Dict[str, Callable[..., Any]] = {
-    "factors": ablation.run_factors,
-    "tap": ablation.run_tap,
-    "rreq": ablation.run_rreq,
-}
+#: the ``ablation <study>`` experiments; every other experiment of the
+#: table is a subcommand of its own.
+_ABLATIONS = tuple(name.split("-", 1)[1] for name in EXPERIMENTS
+                   if name.startswith("ablation-"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,11 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_p.add_argument("--json-out", dest="json_out", default=None,
                            help="write the profile report as JSON")
 
-    for name in _FIGURES:
+    for name, experiment in EXPERIMENTS.items():
+        if name.startswith("ablation-"):
+            continue
         fig_p = sub.add_parser(name, help=f"reproduce {name}")
         fig_p.add_argument("--scale", choices=_SCALES, default="bench")
         fig_p.add_argument("--seed", type=int, default=1)
-        if name in _POLICY_AWARE:
+        if experiment.policy_aware:
             fig_p.add_argument("--overhearing-policy",
                                dest="overhearing_policy",
                                choices=OVERHEARING_POLICIES, default="fixed",
@@ -637,29 +588,33 @@ def _dispatch(args: argparse.Namespace) -> int:
     progress = lambda line: print(f"  .. {line}", file=sys.stderr)  # noqa: E731
     if args.command == "sweep":
         return _cmd_sweep(args, scale, progress)
-    if args.command == "ablation":
-        result = _ABLATIONS[args.study](scale, seed=args.seed,
-                                        progress=progress,
-                                        workers=args.workers)
-        print(ablation.format_result(result))
-        _maybe_write_json(result, args)
-        return 0
-    run_fn, fmt_fn = _FIGURES[args.command]
+    return _cmd_experiment(args, scale, progress)
+
+
+def _cmd_experiment(args: argparse.Namespace, scale: ExperimentScale,
+                    progress: Callable[[str], None]) -> int:
+    """Run one experiment of the table; print its series, then verdicts."""
+    from repro.experiments.export import write_result_json
+    from repro.experiments.verdict import format_verdicts
+
+    name = (f"ablation-{args.study}" if args.command == "ablation"
+            else args.command)
+    experiment = EXPERIMENTS[name]
     extra: Dict[str, Any] = {}
-    if args.command in _POLICY_AWARE:
+    if experiment.policy_aware:
         extra["overhearing_policy"] = args.overhearing_policy
-    result = run_fn(scale, seed=args.seed, progress=progress,
-                    workers=args.workers, **extra)
-    print(fmt_fn(result))
-    _maybe_write_json(result, args)
+    result = experiment.run(scale, seed=args.seed, progress=progress,
+                            workers=args.workers, **extra)
+    print(experiment.format(result))
+    payload = experiment.to_json(result)
+    if experiment.verdicts is not None:
+        verdicts = experiment.verdicts(result)
+        print()
+        print(format_verdicts(verdicts))
+        payload["verdicts"] = [v.to_dict() for v in verdicts]
+    if args.json_out:
+        print(f"wrote {write_result_json(payload, args.json_out)}")
     return 0
-
-
-def _maybe_write_json(result: Any, args: argparse.Namespace) -> None:
-    if getattr(args, "json_out", None):
-        from repro.experiments.export import write_result_json
-
-        print(f"wrote {write_result_json(result, args.json_out)}")
 
 
 if __name__ == "__main__":

@@ -250,3 +250,9 @@ WAYPOINT_MIN_SPEED_MPS = 0.1
 
 #: Neighbor-table refresh period for the position service, seconds.
 NEIGHBOR_REFRESH_S = 1.0
+
+# --- Observability -----------------------------------------------------------
+
+#: Minimum wall seconds between two renders of a live progress line
+#: (``--live``); forced final updates always render.
+LIVE_RENDER_INTERVAL_S = 0.25

@@ -1,33 +1,31 @@
 """Reproduction harness for the paper's evaluation (Section 4).
 
-Each experiment module regenerates one table or figure:
+Every experiment is a row of one table,
+:data:`repro.experiments.evaluation.EXPERIMENTS`:
 
-========== ==========================================================
-module     paper content
-========== ==========================================================
-`table1`   scheme-behaviour comparison (Table 1), backed by measurement
-`fig5`     per-node energy consumption, sorted (Figure 5, 4 panels)
-`fig6`     variance of per-node energy vs packet rate (Figure 6)
-`fig7`     total energy, PDR, energy-per-bit vs rate (Figure 7)
-`fig8`     average delay and normalized routing overhead (Figure 8)
-`fig9`     role number vs energy scatter (Figure 9)
-`ablation` extension studies: decision factors, opportunistic tap,
-           randomized RREQ reception
-`adaptive_study` adaptive P_R policies vs fixed 1/n at 100/1,000 nodes
-           (extension)
-`lifetime` network lifetime under finite batteries (extension)
-`sensitivity` PSM beacon/ATIM timing sensitivity (extension)
-`aodv_study`  footnote 1: DSR vs AODV under PSM (extension)
-`resilience`  scheme degradation under injected faults (extension)
-`export`   JSON/CSV serialization of sweep results
-========== ==========================================================
+================ ======================================================
+module           paper content
+================ ======================================================
+`table1`         scheme-behaviour comparison (Table 1), measured
+`fig5`           per-node energy consumption, sorted (Figure 5)
+`series`         rate sweeps, one row per figure: energy variance (6);
+                 energy, PDR, energy-per-bit (7); delay, overhead (8)
+`fig9`           role number vs energy scatter (Figure 9)
+`ablation`       extensions: decision factors, tap, randomized RREQ
+`lifetime`, `sensitivity`, `aodv_study`, `span_study`, `sync_study`,
+`staleness_study`, `resilience`, `adaptive_study`: extension studies
+`verdict`        a shape claim held to its bound
+`export`         JSON/CSV serialization of results
+================ ======================================================
 
-Every module exposes ``run(scale)`` returning a result object and a
-``format_result`` helper producing the text tables the benchmarks print.
-``scale`` is an :class:`~repro.experiments.scenarios.ExperimentScale`:
-``PAPER_SCALE`` matches the paper exactly (100 nodes, 1125 s, 10
-repetitions — hours of CPU), ``BENCH_SCALE`` preserves the shape at
-laptop-friendly cost, and ``SMOKE_SCALE`` exists for tests.
+Each module's ``run(scale, seed, progress, workers)`` returns a result
+object, ``format_result`` renders its text tables and ``verdicts`` its
+shape claims.  Table 1 and Figures 5-9 also expose ``cells(scale)`` and
+``from_grid(scale, grid)``: they read one (scheme x rate x scenario)
+grid, which :func:`~repro.experiments.evaluation.paper_grid` simulates
+once.  ``PAPER_SCALE`` matches the paper exactly (hours of CPU),
+``BENCH_SCALE`` preserves the shape at laptop-friendly cost, and
+``SMOKE_SCALE`` exists for tests.
 """
 
 from repro.experiments.parallel import (

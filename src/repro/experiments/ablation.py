@@ -16,12 +16,13 @@ Three studies, all marked future work or design alternatives in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constants import POWER_AWAKE_W
 from repro.experiments.parallel import run_grid
 from repro.experiments.runner import AggregateMetrics, aggregate
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 from repro.network import SimulationConfig
 
@@ -107,6 +108,40 @@ def run_rreq(scale: ExperimentScale, seed: int = 1,
                          progress)
 
 
+def _pdr_floor(result: AblationResult, floor: float) -> List[Verdict]:
+    return [check(f"pdr[{name}]", f"the variant keeps delivering "
+                  f"(PDR > {floor:.0%})", agg.pdr, ">", floor)
+            for name, agg in result.variants.items()]
+
+
+def factors_verdicts(result: AblationResult) -> List[Verdict]:
+    """Every factor combination stays functional and in Rcast's regime:
+    factors modulate overhearing, they must not bring back the
+    unconditional-overhearing energy bill."""
+    baseline = result.variants["neighbors-only"].total_energy
+    return _pdr_floor(result, 0.80) + [
+        check(f"energy[{name}]", "the variant stays below 1.8x the "
+              "neighbors-only energy", agg.total_energy, "<", baseline * 1.8)
+        for name, agg in result.variants.items()]
+
+
+def tap_verdicts(result: AblationResult) -> List[Verdict]:
+    """The tap is (near) free: awake time is decided before any tapping."""
+    off, on = (result.variants[v].total_energy for v in ("tap-off", "tap-on"))
+    return [check("energy_free", "tapping moves total energy by < 25%",
+                  abs(on - off), "<", 0.25 * off)] + _pdr_floor(result, 0.85)
+
+
+def rreq_verdicts(result: AblationResult) -> List[Verdict]:
+    """Floored randomization keeps discovery working at no extra energy."""
+    every, randomized = (result.variants[v]
+                         for v in ("rreq-all", "rreq-randomized"))
+    return [check("pdr", "floored randomization does not break discovery",
+                  randomized.pdr, ">", 0.85),
+            check("energy", "randomized RREQ reception costs no extra energy",
+                  randomized.total_energy, "<=", every.total_energy * 1.1)]
+
+
 def format_result(result: AblationResult) -> str:
     """Comparison table across variants."""
     rows = []
@@ -129,5 +164,8 @@ __all__ = [
     "run_factors",
     "run_tap",
     "run_rreq",
+    "factors_verdicts",
+    "tap_verdicts",
+    "rreq_verdicts",
     "format_result",
 ]

@@ -19,22 +19,15 @@ measures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import AggregateMetrics
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
 PROTOCOLS = ("dsr", "aodv")
 SCHEMES = ("psm", "rcast")
-
-
-def rreq_share(metrics: AggregateMetrics, raw_transmissions: Dict[str, int]) -> float:
-    """Fraction of control transmissions that were RREQs."""
-    control = sum(raw_transmissions.get(k, 0) for k in ("rreq", "rrep", "rerr"))
-    if control == 0:
-        return 0.0
-    return raw_transmissions.get("rreq", 0) / control
 
 
 @dataclass
@@ -47,9 +40,10 @@ class AodvStudyResult:
     transmissions: Dict[Tuple[str, str], Dict[str, int]]
 
     def rreq_share_of(self, protocol: str, scheme: str) -> float:
-        """RREQ fraction of control transmissions for one cell."""
-        return rreq_share(self.cells[(protocol, scheme)],
-                          self.transmissions[(protocol, scheme)])
+        """Fraction of one cell's control transmissions that were RREQs."""
+        tx = self.transmissions[(protocol, scheme)]
+        control = sum(tx.get(k, 0) for k in ("rreq", "rrep", "rerr"))
+        return tx.get("rreq", 0) / control if control else 0.0
 
 
 def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
@@ -79,6 +73,18 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
     return AodvStudyResult(scale.name, scale.low_rate, cells, tx)
 
 
+def verdicts(result: AodvStudyResult) -> List[Verdict]:
+    """RREQ dominates AODV's overhead; both protocols work under PSM."""
+    aodv, dsr = (result.rreq_share_of(p, "rcast") for p in ("aodv", "dsr"))
+    return [check("aodv_rreq_share", "RREQs dominate AODV's control "
+                  "traffic", aodv, ">", 0.6),
+            check("aodv_above_dsr", "AODV's RREQ share is above DSR's",
+                  aodv, ">", dsr)] + [
+        check(f"pdr[{protocol}/{scheme}]", "the protocol stays functional "
+              "under PSM (PDR > 80%)", agg.pdr, ">", 0.80)
+        for (protocol, scheme), agg in result.cells.items()]
+
+
 def format_result(result: AodvStudyResult) -> str:
     """Comparison table plus the footnote's headline numbers."""
     rows = []
@@ -105,5 +111,5 @@ def format_result(result: AodvStudyResult) -> str:
     return table + "\n" + note
 
 
-__all__ = ["AodvStudyResult", "run", "format_result", "PROTOCOLS", "SCHEMES",
-           "rreq_share"]
+__all__ = ["AodvStudyResult", "run", "verdicts", "format_result", "PROTOCOLS",
+           "SCHEMES"]

@@ -2,15 +2,9 @@
 
 Four panels — (packet rate, scenario) in {low, high} x {mobile, static} —
 each showing the per-node energy of all nodes drawn in increasing order for
-802.11, ODPM and Rcast.
-
-Shape to reproduce:
-
-* ``ieee80211`` is a flat line at ``P_awake x T`` (maximum possible);
-* ``odpm`` shows a step profile: uninvolved nodes near the ATIM-only floor,
-  involved nodes near the maximum — the step is sharpest in the static
-  high-rate panel;
-* ``rcast`` sits low and rises smoothly — the energy-balance claim.
+802.11, ODPM and Rcast: 802.11 flat at ``P_awake x T``, ODPM's step from
+the ATIM-only floor to the maximum, Rcast low and smooth.  :func:`verdicts`
+states what must hold.
 """
 
 from __future__ import annotations
@@ -23,7 +17,8 @@ from numpy.typing import NDArray
 
 from repro.experiments.runner import AggregateMetrics
 from repro.experiments.scenarios import ExperimentScale
-from repro.experiments.sweep import sweep
+from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
 SCHEMES = ("ieee80211", "odpm", "rcast")
@@ -40,32 +35,64 @@ class Fig5Result:
     rates: Tuple[float, float]           # (low, high)
     panels: Dict[PanelKey, Dict[str, NDArray[np.float64]]]
 
-    def panel(self, rate: float,
-              mobile: bool) -> Dict[str, NDArray[np.float64]]:
-        """Scheme -> sorted-energy curve for one panel."""
-        return self.panels[(rate, mobile)]
+
+def cells(scale: ExperimentScale) -> List[SweepKey]:
+    """The three schemes at both focus rates, in both scenarios."""
+    return [(scheme, rate, mobile) for mobile in (True, False)
+            for rate in (scale.low_rate, scale.high_rate)
+            for scheme in SCHEMES]
+
+
+def from_grid(scale: ExperimentScale, grid: SweepResult) -> Fig5Result:
+    """The four panels read off a grid holding :func:`cells`."""
+    rates = (scale.low_rate, scale.high_rate)
+    panels = {(rate, mobile): {scheme: _curve(grid.get(scheme, rate, mobile))
+                               for scheme in SCHEMES}
+              for mobile in (True, False) for rate in rates}
+    return Fig5Result(scale.name, rates, panels)
 
 
 def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
         workers: Optional[int] = None) -> Fig5Result:
     """Run the four panels of Figure 5."""
-    rates = (scale.low_rate, scale.high_rate)
-    grid = sweep(scale, SCHEMES, rates=rates, scenarios=(True, False),
-                 seed=seed, progress=progress, workers=workers)
-    panels: Dict[PanelKey, Dict[str, NDArray[np.float64]]] = {}
-    for mobile in (True, False):
-        for rate in rates:
-            panels[(rate, mobile)] = {
-                scheme: _curve(grid.get(scheme, rate, mobile))
-                for scheme in SCHEMES
-            }
-    return Fig5Result(scale.name, rates, panels)
+    return from_grid(scale, run_cells(scale, cells(scale), seed=seed,
+                                      progress=progress, workers=workers))
 
 
 def _curve(agg: AggregateMetrics) -> NDArray[np.float64]:
     curve = agg.sorted_node_energy
     assert curve is not None, "aggregate() always fills sorted_node_energy"
     return curve
+
+
+def verdicts(result: Fig5Result) -> List[Verdict]:
+    """The panel shapes: 802.11 flat on top, Rcast tighter than ODPM."""
+    out: List[Verdict] = []
+    for (rate, mobile), curves in sorted(result.panels.items(),
+                                         key=lambda kv: (not kv[0][1], kv[0][0])):
+        at = f"[{'mobile' if mobile else 'static'} {rate}]"
+        base, odpm, rcast = (curves[s] for s in SCHEMES)
+        # np.allclose(base, base[0], rtol=1e-6): |a - b| <= 1e-8 + 1e-6|b|.
+        out.append(check("80211_flat" + at, "802.11 is a flat line",
+                         np.abs(base - base[0]).max(), "<=",
+                         1e-8 + 1e-6 * abs(base[0])))
+        out += [check(f"80211_above_{s}{at}", "802.11 sits at the maximum, "
+                      f"above every {s} node", base[0], ">=",
+                      curves[s].max() - 1e-6) for s in ("odpm", "rcast")]
+        out.append(check("rcast_tighter" + at, "Rcast's spread (max - min) "
+                         "is tighter than ODPM's step",
+                         rcast[-1] - rcast[0], "<", odpm[-1] - odpm[0]))
+        if rate == result.rates[0]:
+            out.append(check("rcast_peak_below_odpm" + at, "away from "
+                             "saturation Rcast's hungriest node uses less "
+                             "than ODPM's", rcast[-1], "<", odpm[-1]))
+        else:
+            # At the top rate the involved nodes of both schemes pin to
+            # the ceiling and the maxima converge.
+            out.append(check("rcast_peak_near_odpm" + at, "at saturation "
+                             "Rcast's hungriest node is within 5% of "
+                             "ODPM's", rcast[-1], "<=", odpm[-1] * 1.05))
+    return out
 
 
 def format_result(result: Fig5Result, step: int = 10) -> str:
@@ -87,4 +114,5 @@ def format_result(result: Fig5Result, step: int = 10) -> str:
     return "\n\n".join(blocks)
 
 
-__all__ = ["Fig5Result", "run", "format_result", "SCHEMES"]
+__all__ = ["Fig5Result", "cells", "from_grid", "run", "verdicts",
+           "format_result", "SCHEMES"]

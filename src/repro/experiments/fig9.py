@@ -1,13 +1,9 @@
 """Figure 9: role number vs per-node energy (scatter), mobile scenario.
 
 The role number measures packet-forwarding responsibility (see
-:mod:`repro.metrics.role`).  Shape to reproduce:
-
-* 802.11: energy identical for all nodes (points on a horizontal line);
-* ODPM: wide role spread — the paper reads a maximum role number of ~50 at
-  high rate, with energy strongly split between involved/uninvolved nodes;
-* Rcast: tighter role distribution (max ~30 in the paper) and much tighter
-  energy spread, i.e. better balance in both dimensions.
+:mod:`repro.metrics.role`).  At the high rate the paper reads a maximum
+role of ~50 for ODPM against ~30 for Rcast, with Rcast's energy spread
+much tighter; :func:`verdicts` states what must hold.
 """
 
 from __future__ import annotations
@@ -20,7 +16,8 @@ from numpy.typing import NDArray
 
 from repro.experiments.runner import AggregateMetrics
 from repro.experiments.scenarios import ExperimentScale
-from repro.experiments.sweep import sweep
+from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 from repro.metrics.stats import sample_variance
 
@@ -73,17 +70,44 @@ def _make_panel(scheme: str, rate: float, agg: AggregateMetrics) -> Fig9Panel:
     )
 
 
+def cells(scale: ExperimentScale) -> List[SweepKey]:
+    """The three schemes at both focus rates, mobile scenario."""
+    return [(scheme, rate, True)
+            for rate in (scale.low_rate, scale.high_rate)
+            for scheme in SCHEMES]
+
+
+def from_grid(scale: ExperimentScale, grid: SweepResult) -> Fig9Result:
+    """The six panels read off a grid holding :func:`cells`."""
+    rates = (scale.low_rate, scale.high_rate)
+    panels = {(scheme, rate): _make_panel(scheme, rate,
+                                          grid.get(scheme, rate, True))
+              for scheme in SCHEMES for rate in rates}
+    return Fig9Result(scale.name, rates, panels)
+
+
 def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
         workers: Optional[int] = None) -> Fig9Result:
     """Run the six panels (3 schemes x 2 rates) of Figure 9 (mobile)."""
-    rates = (scale.low_rate, scale.high_rate)
-    grid = sweep(scale, SCHEMES, rates=rates, scenarios=(True,), seed=seed,
-                 progress=progress, workers=workers)
-    panels = {
-        (scheme, rate): _make_panel(scheme, rate, grid.get(scheme, rate, True))
-        for scheme in SCHEMES for rate in rates
-    }
-    return Fig9Result(scale.name, rates, panels)
+    return from_grid(scale, run_cells(scale, cells(scale), seed=seed,
+                                      progress=progress, workers=workers))
+
+
+def verdicts(result: Fig9Result) -> List[Verdict]:
+    """High-rate balance: flat 802.11, Rcast's energy and roles vs ODPM's."""
+    base, odpm, rcast = (result.panels[(s, result.rates[1])] for s in SCHEMES)
+    return [
+        check("80211_flat", "802.11: every node burns the same energy",
+              base.energy_variance, "<=", 1.0),
+        check("energy_balance", "Rcast balances energy far better than ODPM "
+              "at high load", rcast.energy_variance, "<",
+              odpm.energy_variance),
+        check("role_spread", "forwarding responsibility is no more "
+              "concentrated under Rcast", rcast.role_variance, "<=",
+              odpm.role_variance * 1.5),
+        check("scatter_complete", "the scatter has one point per node",
+              len(rcast.scatter_points()), "==", rcast.roles.shape[0]),
+    ]
 
 
 def format_result(result: Fig9Result) -> str:
@@ -112,4 +136,5 @@ def format_result(result: Fig9Result) -> str:
     return table + "\n" + note
 
 
-__all__ = ["Fig9Panel", "Fig9Result", "run", "format_result", "SCHEMES"]
+__all__ = ["Fig9Panel", "Fig9Result", "cells", "from_grid", "run",
+           "verdicts", "format_result", "SCHEMES"]

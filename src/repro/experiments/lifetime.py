@@ -12,11 +12,12 @@ and the alive fraction at the run horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.constants import POWER_AWAKE_W
 from repro.experiments.parallel import run_grid
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.lifetime import lifetime_from_metrics
 from repro.metrics.report import format_table
 from repro.metrics.stats import mean
@@ -76,6 +77,18 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
     return LifetimeResult(scale.name, scale.low_rate, battery, summaries)
 
 
+def verdicts(result: LifetimeResult) -> List[Verdict]:
+    """First deaths in the order 802.11, ODPM, Rcast."""
+    base, odpm, rcast = (result.summaries[s] for s in SCHEMES)
+    return [check("80211_dies_first", "802.11's first battery dies before "
+                  "ODPM's", base.first_death, "<", odpm.first_death),
+            check("rcast_lives_longest", "ODPM's first battery dies before "
+                  "Rcast's", odpm.first_death, "<", rcast.first_death),
+            check("rcast_alive_at_end", "at least as many nodes are alive "
+                  "at the end under Rcast", rcast.alive_at_end, ">=",
+                  odpm.alive_at_end)]
+
+
 def format_result(result: LifetimeResult) -> str:
     """Comparison table."""
     rows = []
@@ -91,5 +104,5 @@ def format_result(result: LifetimeResult) -> str:
     )
 
 
-__all__ = ["LifetimeResult", "LifetimeSummary", "run", "format_result",
-           "SCHEMES"]
+__all__ = ["LifetimeResult", "LifetimeSummary", "run", "verdicts",
+           "format_result", "SCHEMES"]

@@ -76,6 +76,10 @@ SMOKE_SCALE = ExperimentScale(
 )
 
 
+#: scale name -> scale (the CLI's ``--scale``, ``RCAST_BENCH_SCALE``)
+SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
+
+
 def make_config(
     scale: ExperimentScale,
     scheme: str,
@@ -122,6 +126,7 @@ __all__ = [
     "PAPER_SCALE",
     "BENCH_SCALE",
     "SMOKE_SCALE",
+    "SCALES",
     "make_config",
     "replication_seed",
 ]

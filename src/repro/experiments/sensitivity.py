@@ -15,11 +15,12 @@ choice encodes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.experiments.parallel import run_grid
 from repro.experiments.runner import AggregateMetrics, aggregate
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
 #: beacon intervals swept (seconds), ATIM fraction fixed at 0.2
@@ -68,6 +69,22 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
                              by_fraction)
 
 
+def verdicts(result: SensitivityResult) -> List[Verdict]:
+    """Delay rises with the beacon interval, the floor with the ATIM."""
+    beacon = [result.by_beacon[b] for b in sorted(result.by_beacon)]
+    atim = [result.by_fraction[f] for f in sorted(result.by_fraction)]
+    return [check("delay_vs_beacon", "delay rises with the beacon interval",
+                  beacon[-1].avg_delay, ">", beacon[0].avg_delay),
+            check("energy_vs_atim", "a larger ATIM window raises the "
+                  "always-awake floor", atim[-1].total_energy, ">",
+                  atim[0].total_energy)] + [
+        check(f"pdr[{label} {x}]", "delivery survives every sweep point "
+              "(PDR > 85%)", agg.pdr, ">", 0.85)
+        for label, points in (("beacon", result.by_beacon),
+                              ("atim", result.by_fraction))
+        for x, agg in sorted(points.items())]
+
+
 def format_result(result: SensitivityResult) -> str:
     """Two tables: beacon-interval sweep and ATIM-fraction sweep."""
     rows = []
@@ -91,5 +108,5 @@ def format_result(result: SensitivityResult) -> str:
     return beacon_table + "\n\n" + fraction_table
 
 
-__all__ = ["SensitivityResult", "run", "format_result",
+__all__ = ["SensitivityResult", "run", "verdicts", "format_result",
            "BEACON_INTERVALS", "ATIM_FRACTIONS"]

@@ -11,11 +11,12 @@ and ODPM on energy and the fraction of always-on nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import parallel_map, run_grid
 from repro.experiments.runner import AggregateMetrics, aggregate
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 from repro.network import build_network
 
@@ -75,6 +76,22 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
                            scale.num_nodes)
 
 
+def verdicts(result: SpanStudyResult) -> List[Verdict]:
+    """SPAN's backbone grows as the network sparsens; both keep working."""
+    factors = sorted(DENSITY_FACTORS)
+    densest, sparsest = factors[0], factors[-1]
+    return [check("backbone_grows", "SPAN's backbone grows as the network "
+                  "sparsens", result.backbone[sparsest], ">=",
+                  result.backbone[densest])] + [
+        check(f"pdr[{scheme} x{factor}]", "the scheme keeps delivering "
+              "(PDR > 75%)", result.cells[(scheme, factor)].pdr, ">", 0.75)
+        for factor in factors for scheme in ("span", "rcast")] + [
+        # SPAN's always-on backbone makes it at least as expensive.
+        check("span_cost_when_sparse", "sparsest: SPAN uses at least 0.9x "
+              "Rcast's energy", result.cells[("span", sparsest)].total_energy,
+              ">=", 0.9 * result.cells[("rcast", sparsest)].total_energy)]
+
+
 def format_result(result: SpanStudyResult) -> str:
     """Energy table across densities plus the backbone-size row."""
     rows = []
@@ -97,5 +114,5 @@ def format_result(result: SpanStudyResult) -> str:
     )
 
 
-__all__ = ["SpanStudyResult", "run", "format_result", "SCHEMES",
+__all__ = ["SpanStudyResult", "run", "verdicts", "format_result", "SCHEMES",
            "DENSITY_FACTORS"]

@@ -1,8 +1,10 @@
 """Parameter sweeps: (scheme x rate x scenario) grids.
 
-The paper's Figures 6-8 are rate sweeps at two pause times; :func:`sweep`
-runs the full grid and returns a :class:`SweepResult` the figure modules
-slice series out of.
+The paper's Table 1 and Figures 5-9 all read cells of one grid;
+:func:`run_cells` simulates a set of cells once and returns a
+:class:`SweepResult` the experiments slice their numbers out of, and
+:func:`sweep` runs a full product of axes (the ``rcast-repro sweep``
+command's grid).
 
 With ``workers > 1`` the sweep shards every (cell x repetition) work item
 across a process pool (:mod:`repro.experiments.parallel`) — not just the
@@ -15,7 +17,8 @@ never by completion order: the same seed produces bit-identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.experiments.parallel import (
     ProgressCallback,
@@ -53,42 +56,37 @@ class SweepResult:
         return [metric(self.cells[(scheme, r, mobile)]) for r in self.rates]
 
 
-def sweep(
+def run_cells(
     scale: ExperimentScale,
-    schemes: Sequence[str],
-    rates: Optional[Sequence[float]] = None,
-    scenarios: Sequence[bool] = (True, False),
+    keys: Iterable[SweepKey],
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     workers: Optional[int] = None,
     on_event: Optional[ProgressCallback] = None,
     **config_overrides: Any,
 ) -> SweepResult:
-    """Run the full grid; each cell is aggregated over the scale's reps.
+    """Simulate each distinct ``(scheme, rate, mobile)`` cell once.
 
-    ``workers=None`` (or 1) executes serially in-process; ``workers=N``
-    shards all (cell x repetition) items across ``N`` worker processes
-    (``workers=0`` = all cores).  ``progress`` receives one human-readable
-    line per finished cell in deterministic grid order; ``on_event``
-    receives the structured
-    :class:`~repro.experiments.parallel.ProgressEvent` stream.  Every
-    replication's :class:`~repro.obs.manifest.RunManifest` is collected on
-    ``result.manifests`` (sorted by cell/rep, independent of completion
-    order).
+    Each cell is aggregated over the scale's repetitions; the result's
+    axes list the values the cells take, in first-seen order.
+    ``workers=None`` (or 1) runs serially, ``workers=N`` shards the
+    (cell x repetition) items over ``N`` processes (0 = all cores).
+    ``progress`` gets one line per finished cell in cell order,
+    ``on_event`` the :class:`~repro.experiments.parallel.ProgressEvent`
+    stream; every replication's manifest lands on ``result.manifests``
+    (sorted by cell/rep, independent of completion order).
     """
-    rates = tuple(rates if rates is not None else scale.rates)
+    cells = list(dict.fromkeys(keys))
     result = SweepResult(
         scale_name=scale.name,
-        schemes=tuple(schemes),
-        rates=rates,
-        scenarios=tuple(scenarios),
+        schemes=tuple(dict.fromkeys(key[0] for key in cells)),
+        rates=tuple(dict.fromkeys(key[1] for key in cells)),
+        scenarios=tuple(dict.fromkeys(key[2] for key in cells)),
     )
     configs = {
         (scheme, rate, mobile): make_config(scale, scheme, rate, mobile,
                                             seed=seed, **config_overrides)
-        for mobile in scenarios
-        for rate in rates
-        for scheme in schemes
+        for scheme, rate, mobile in cells
     }
     manifests: List[RunManifest] = []
 
@@ -113,4 +111,24 @@ def sweep(
     return result
 
 
-__all__ = ["SweepKey", "SweepResult", "sweep"]
+def sweep(
+    scale: ExperimentScale,
+    schemes: Sequence[str],
+    rates: Optional[Sequence[float]] = None,
+    scenarios: Sequence[bool] = (True, False),
+    **kwargs: Any,
+) -> SweepResult:
+    """:func:`run_cells` over the (scheme x rate x scenario) product.
+
+    The package's entry point for a rectangular grid, named by its axes
+    as ``rcast-repro sweep`` takes them; ``rates`` defaults to the
+    scale's rate axis.  ``kwargs`` (seed, progress, workers, on_event and
+    config overrides) go to :func:`run_cells` unchanged.
+    """
+    rates = tuple(rates if rates is not None else scale.rates)
+    keys = [(scheme, rate, mobile)
+            for mobile in scenarios for rate in rates for scheme in schemes]
+    return run_cells(scale, keys, **kwargs)
+
+
+__all__ = ["SweepKey", "SweepResult", "run_cells", "sweep"]

@@ -17,11 +17,12 @@ and delay for delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.experiments.parallel import run_grid
 from repro.experiments.runner import AggregateMetrics, aggregate
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
 #: clock-jitter bounds swept, seconds.  0 = the paper's perfect sync; up
@@ -57,6 +58,24 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
     return SyncStudyResult(scale.name, scale.low_rate, cells)
 
 
+def verdicts(result: SyncStudyResult) -> List[Verdict]:
+    """Free within one ATIM window, functional and costlier beyond it."""
+    perfect, worst = result.cells[0.0], result.cells[max(result.cells)]
+    return [check("perfect_pdr", "perfect sync is near-lossless (PDR > 95%)",
+                  perfect.pdr, ">", 0.95),
+            check("one_window_free", "error within one ATIM window is free",
+                  result.cells[0.05].pdr, ">", perfect.pdr - 0.03)] + [
+        # DSR routes around the disjoint-window pairs.
+        check(f"pdr[{jitter * 1e3:.0f}ms]", "the network stays functional "
+              "(PDR > 60%)", agg.pdr, ">", 0.60)
+        for jitter, agg in result.cells.items()] + [
+        check("overhead_cost", "beyond one window the error costs routing "
+              "overhead", worst.normalized_overhead, ">=",
+              perfect.normalized_overhead),
+        check("delay_cost", "beyond one window the error costs delay",
+              worst.avg_delay, ">=", perfect.avg_delay)]
+
+
 def format_result(result: SyncStudyResult) -> str:
     """PDR / energy / overhead across the jitter sweep."""
     rows = []
@@ -79,4 +98,4 @@ def format_result(result: SyncStudyResult) -> str:
     )
 
 
-__all__ = ["SyncStudyResult", "run", "format_result", "JITTERS"]
+__all__ = ["SyncStudyResult", "run", "verdicts", "format_result", "JITTERS"]

@@ -3,17 +3,20 @@
 The paper's Table 1 is qualitative ("802.11: best PDR and delay but most
 energy; ODPM: less delay than Rcast, more energy; Rcast: least energy and
 best balance").  This experiment runs all schemes (the paper's three plus
-the two PSM baselines) at a mid-load point and checks each expectation.
+the two PSM baselines) at a mid-load point; :func:`verdicts` checks each
+expectation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
-from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.experiments.export import result_to_jsonable
+from repro.experiments.runner import AggregateMetrics
+from repro.experiments.scenarios import ExperimentScale
+from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
 SCHEMES = ("ieee80211", "psm", "psm-nooh", "odpm", "rcast")
@@ -43,52 +46,63 @@ class Table1Result:
     rate: float
     mobile: bool
     rows: Dict[str, AggregateMetrics]
-    checks: List[Tuple[str, bool]]
+
+
+def cells(scale: ExperimentScale) -> List[SweepKey]:
+    """Every scheme at the scale's low rate, mobile scenario."""
+    return [(scheme, scale.low_rate, True) for scheme in SCHEMES]
+
+
+def from_grid(scale: ExperimentScale, grid: SweepResult) -> Table1Result:
+    """Table 1 read off a grid holding :func:`cells`."""
+    rows = {scheme: grid.get(scheme, rate, mobile)
+            for scheme, rate, mobile in cells(scale)}
+    return Table1Result(scale.name, scale.low_rate, True, rows)
 
 
 def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
         workers: Optional[int] = None) -> Table1Result:
     """Run all schemes at the scale's low rate, mobile scenario."""
-    rate = scale.low_rate
-    configs = {
-        scheme: make_config(scale, scheme, rate, mobile=True, seed=seed)
-        for scheme in SCHEMES
-    }
-    runs = run_grid(configs, scale.repetitions, workers=workers)
-    rows: Dict[str, AggregateMetrics] = {}
-    for scheme in SCHEMES:
-        rows[scheme] = aggregate(runs[scheme])
-        if progress is not None:
-            progress(rows[scheme].describe())
-    checks = _verify(rows)
-    return Table1Result(scale.name, rate, True, rows, checks)
+    return from_grid(scale, run_cells(scale, cells(scale), seed=seed,
+                                      progress=progress, workers=workers))
 
 
-def _verify(rows: Dict[str, AggregateMetrics]) -> List[Tuple[str, bool]]:
-    r = rows
+def verdicts(result: Table1Result) -> List[Verdict]:
+    """The eight behaviour expectations of Table 1."""
+    r = result.rows
+    base, odpm, rcast = r["ieee80211"], r["odpm"], r["rcast"]
+    most = max(r[s].total_energy for s in SCHEMES)
     return [
-        ("802.11 consumes the most energy",
-         all(r["ieee80211"].total_energy >= r[s].total_energy
-             for s in SCHEMES)),
-        ("802.11 has the best delay",
-         all(r["ieee80211"].avg_delay <= r[s].avg_delay for s in SCHEMES)),
-        ("802.11 energy variance is (near) zero",
-         r["ieee80211"].energy_variance <= 1.0),
-        ("Rcast consumes less energy than ODPM",
-         r["rcast"].total_energy < r["odpm"].total_energy),
-        ("Rcast consumes less energy than unconditional PSM",
-         r["rcast"].total_energy < r["psm"].total_energy),
-        ("ODPM delay is below Rcast delay (immediate AM transmissions)",
-         r["odpm"].avg_delay < r["rcast"].avg_delay),
-        ("Rcast balances energy better than ODPM (lower variance)",
-         r["rcast"].energy_variance < r["odpm"].energy_variance),
-        ("every scheme delivers most packets (PDR > 85%)",
-         all(r[s].pdr > 0.85 for s in SCHEMES)),
+        check("80211_most_energy", "802.11 consumes the most energy",
+              base.total_energy, ">=", most),
+        check("80211_best_delay", "802.11 has the best delay", base.avg_delay,
+              "<=", min(r[s].avg_delay for s in SCHEMES)),
+        check("80211_flat", "802.11 energy variance is (near) zero",
+              base.energy_variance, "<=", 1.0),
+        check("rcast_below_odpm", "Rcast consumes less energy than ODPM",
+              rcast.total_energy, "<", odpm.total_energy),
+        check("rcast_below_psm", "Rcast consumes less energy than "
+              "unconditional PSM", rcast.total_energy, "<",
+              r["psm"].total_energy),
+        check("odpm_faster", "ODPM delay is below Rcast delay (immediate AM "
+              "transmissions)", odpm.avg_delay, "<", rcast.avg_delay),
+        check("rcast_balance", "Rcast balances energy better than ODPM "
+              "(lower variance)", rcast.energy_variance, "<",
+              odpm.energy_variance),
+        check("pdr_floor", "every scheme delivers most packets (PDR > 85%)",
+              min(r[s].pdr for s in SCHEMES), ">", 0.85),
     ]
 
 
+def to_json(result: Table1Result) -> Dict[str, Any]:
+    """JSON export, with the ``checks`` list of ``[claim, passed]`` pairs."""
+    payload: Dict[str, Any] = result_to_jsonable(result)
+    payload["checks"] = [[v.claim, v.passed] for v in verdicts(result)]
+    return payload
+
+
 def format_result(result: Table1Result) -> str:
-    """Behaviour table plus measured metrics plus check outcomes."""
+    """Behaviour table plus measured metrics."""
     rows = []
     for scheme in SCHEMES:
         agg = result.rows[scheme]
@@ -107,10 +121,8 @@ def format_result(result: Table1Result) -> str:
     for scheme in SCHEMES:
         lines.append(f"  {scheme:10} {BEHAVIOUR[scheme]}")
         lines.append(f"  {'':10} expected: {EXPECTED[scheme]}")
-    lines.append("")
-    for label, ok in result.checks:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {label}")
     return "\n".join(lines)
 
 
-__all__ = ["Table1Result", "run", "format_result", "SCHEMES", "BEHAVIOUR"]
+__all__ = ["Table1Result", "cells", "from_grid", "run", "verdicts",
+           "to_json", "format_result", "SCHEMES", "BEHAVIOUR"]

@@ -31,6 +31,8 @@ import time
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Dict, Optional, Union
 
+from repro.constants import LIVE_RENDER_INTERVAL_S
+
 if TYPE_CHECKING:
     from repro.experiments.parallel import ProgressEvent
     from repro.network import Network
@@ -83,21 +85,19 @@ class _StatusLine:
     On a TTY the line redraws in place (carriage return, space-padded to
     cover the previous render); on a pipe each rendered update is a full
     line, so CI logs stay readable.  Updates are dropped unless
-    ``min_interval`` wall seconds have passed since the last render
-    (forced updates always render).
+    ``LIVE_RENDER_INTERVAL_S`` wall seconds have passed since the last
+    render (forced updates always render).
     """
 
-    def __init__(self, stream: Optional[IO[str]] = None,
-                 min_interval: float = 0.25) -> None:
+    def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self._stream = stream if stream is not None else sys.stderr
-        self._min_interval = min_interval
         self._last_render = float("-inf")
         self._last_width = 0
         self._is_tty = bool(getattr(self._stream, "isatty", lambda: False)())
 
     def update(self, line: str, force: bool = False) -> None:
         now = time.perf_counter()
-        if not force and now - self._last_render < self._min_interval:
+        if not force and now - self._last_render < LIVE_RENDER_INTERVAL_S:
             return
         self._last_render = now
         if self._is_tty:
@@ -130,12 +130,11 @@ class LiveRunMonitor:
     """
 
     def __init__(self, sim_time: float, stream: Optional[IO[str]] = None,
-                 min_interval: float = 0.25,
                  telemetry: Optional[TelemetryWriter] = None) -> None:
         if sim_time <= 0:
             raise ValueError(f"sim_time must be positive, got {sim_time!r}")
         self._sim_time = sim_time
-        self._status = _StatusLine(stream, min_interval)
+        self._status = _StatusLine(stream)
         self._telemetry = telemetry
         self._started = time.perf_counter()
         self.ticks = 0
@@ -185,9 +184,8 @@ class LiveSweepMonitor:
     """
 
     def __init__(self, stream: Optional[IO[str]] = None,
-                 min_interval: float = 0.25,
                  telemetry: Optional[TelemetryWriter] = None) -> None:
-        self._status = _StatusLine(stream, min_interval)
+        self._status = _StatusLine(stream)
         self._telemetry = telemetry
         self._events = 0
         self._faults: Dict[str, int] = {}

@@ -83,7 +83,7 @@ class Transmission:
     __slots__ = (
         "tx_id", "sender", "frame", "start", "end",
         "audible", "audible_set", "audible_idx",
-        "eligible_mask", "corrupt_mask", "overlaps", "waiters_touched",
+        "eligible_mask", "corrupt_mask", "waiters_touched",
     )
 
     #: Always ``False``: classification has one encoding (numpy masks over
@@ -112,8 +112,6 @@ class Transmission:
         #: ``None`` until the first corruption — most frames never collide,
         #: and the classification fast-path skips the mask ops entirely.
         self.corrupt_mask: Optional[NDArray[np.bool_]] = None
-        #: transmissions that overlapped this one in time
-        self.overlaps: List["Transmission"] = []
         #: idle-waiters whose busy count this transmission incremented;
         #: ``None`` until the first touch (most frames race no waiter).
         #: May contain duplicates/stale entries — teardown decrements via
@@ -395,11 +393,9 @@ class Channel:
             # gather from the blocked-until mirror (doze = +inf).
             tx.eligible_mask = self._blocked_until[idx] <= now
 
-        # Record mutual overlap with every currently active transmission and
-        # mark collisions eagerly where interference domains intersect.
+        # Mark collisions eagerly where the interference domains of this
+        # and every currently active transmission intersect.
         for other in self._active.values():
-            tx.overlaps.append(other)
-            other.overlaps.append(tx)
             self._mark_mutual_corruption(tx, other)
 
         # Incremental waiter busy counts: this transmission raises the

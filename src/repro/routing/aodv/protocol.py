@@ -208,6 +208,7 @@ class AodvProtocol:
             return
         if state.attempts >= AODV_MAX_DISCOVERY_RETRIES + 1:
             del self._discoveries[state.target]
+            state.timer = None
             self._drop_buffered(state.target, "no_route")
             return
         self._send_rreq(state)
@@ -216,6 +217,9 @@ class AodvProtocol:
         state = self._discoveries.pop(target, None)
         if state is not None and state.timer is not None:
             state.timer.cancel()
+            # The timer's args hold the state: drop the back reference so
+            # the pair is freed by refcount, not the cyclic collector.
+            state.timer = None
         self._drain_buffer()
 
     def _handle_rreq(self, rreq: AodvRreq, prev_hop: int) -> None:
@@ -401,6 +405,7 @@ class AodvProtocol:
         for state in self._discoveries.values():
             if state.timer is not None:
                 state.timer.cancel()
+                state.timer = None
         self._discoveries.clear()
         if self.metrics is not None:
             for entry in self._send_buffer:

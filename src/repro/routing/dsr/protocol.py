@@ -289,6 +289,7 @@ class DsrProtocol:
             return
         if state.attempts >= DSR_DISCOVERY_MAX_RETRIES:
             del self._discoveries[state.target]
+            state.timer = None
             if self.trace.enabled:
                 self.trace.emit(self.sim.now, "dsr", self.node_id,
                                 "discovery_failed", target=state.target,
@@ -301,6 +302,9 @@ class DsrProtocol:
         state = self._discoveries.pop(target, None)
         if state is not None and state.timer is not None:
             state.timer.cancel()
+            # The timer's args hold the state: drop the back reference so
+            # the pair is freed by refcount, not the cyclic collector.
+            state.timer = None
         self._drain_send_buffer()
 
     def _handle_rreq(self, rreq: RouteRequest) -> None:
@@ -587,6 +591,7 @@ class DsrProtocol:
         for state in self._discoveries.values():
             if state.timer is not None:
                 state.timer.cancel()
+                state.timer = None
         self._discoveries.clear()
         if self.metrics is not None:
             for entry in self._send_buffer:

@@ -8,11 +8,9 @@ import pytest
 from repro.experiments import (
     ablation,
     fig5,
-    fig6,
-    fig7,
-    fig8,
     fig9,
     lifetime,
+    series,
     table1,
 )
 from repro.experiments.scenarios import SMOKE_SCALE
@@ -43,37 +41,40 @@ def test_fig5_structure(micro):
 
 
 def test_fig6_structure(micro):
-    result = fig6.run(micro, seed=2)
+    result = series.run("fig6", micro, seed=2)
     for mobile in (True, False):
-        assert set(result.variance[mobile]) == {"ieee80211", "odpm", "rcast"}
-        for series in result.variance[mobile].values():
-            assert len(series) == 2
-            assert all(v >= 0 for v in series)
-    improvements = result.improvement_over_odpm(False)
-    assert len(improvements) == 2
-    assert "variance" in fig6.format_result(result)
+        variance = result.data[mobile]["variance"]
+        assert set(variance) == {"ieee80211", "odpm", "rcast"}
+        for values in variance.values():
+            assert len(values) == 2
+            assert all(v >= 0 for v in values)
+    text = series.format_result(result)
+    assert "variance" in text and "rcast vs odpm [%]" in text
+    exported = series.to_json(result)
+    assert set(exported["variance"]) == {"True", "False"}
+    assert len(series.verdicts(result)) == 4
 
 
 def test_fig7_structure(micro):
-    result = fig7.run(micro, seed=2)
+    result = series.run("fig7", micro, seed=2)
     for mobile in (True, False):
         for metric in ("total_energy", "pdr", "energy_per_bit"):
             for scheme in ("ieee80211", "odpm", "rcast"):
-                series = result.data[mobile][metric][scheme]
-                assert len(series) == 2
-    gaps = result.energy_gap_vs_odpm(False)
-    assert len(gaps) == 2
-    assert "Rcast energy advantage" in fig7.format_result(result)
+                assert len(result.data[mobile][metric][scheme]) == 2
+    assert len(result.gap_vs("odpm", False)) == 2
+    assert "Rcast energy advantage" in series.format_result(result)
+    assert set(series.to_json(result)) == {"figure", "scale_name", "rates",
+                                           "data"}
 
 
 def test_fig8_structure(micro):
-    result = fig8.run(micro, seed=2)
+    result = series.run("fig8", micro, seed=2)
     for mobile in (True, False):
         for metric in ("avg_delay", "overhead"):
             assert set(result.data[mobile][metric]) == {
                 "ieee80211", "odpm", "rcast",
             }
-    assert "delay" in fig8.format_result(result)
+    assert "delay" in series.format_result(result)
 
 
 def test_fig9_structure(micro):
@@ -85,15 +86,18 @@ def test_fig9_structure(micro):
     assert len(panel.scatter_points()) == 16
     assert panel.max_role >= panel.mean_role
     assert "role" in fig9.format_result(result)
+    assert [v.name for v in fig9.verdicts(result)] == [
+        "80211_flat", "energy_balance", "role_spread", "scatter_complete"]
 
 
 def test_table1_structure(micro):
     result = table1.run(micro, seed=2)
     assert set(result.rows) == set(table1.SCHEMES)
-    assert len(result.checks) == 8
-    text = table1.format_result(result)
-    assert "Table 1" in text
-    assert "PASS" in text or "FAIL" in text
+    verdicts = table1.verdicts(result)
+    assert len(verdicts) == 8
+    assert "Table 1" in table1.format_result(result)
+    assert table1.to_json(result)["checks"] == [
+        [v.claim, v.passed] for v in verdicts]
 
 
 def test_ablation_factors_structure(micro):

@@ -7,8 +7,15 @@ import pytest
 
 from repro.experiments.parallel import ProgressEvent, RunnerStats
 from repro.network import SimulationConfig, build_network
+from repro.obs import live
 from repro.obs.live import LiveRunMonitor, LiveSweepMonitor, TelemetryWriter
 from repro.obs.manifest import RunManifest
+
+
+@pytest.fixture
+def no_rate_limit(monkeypatch):
+    """Render every update: the live line's rate limit set to zero."""
+    monkeypatch.setattr(live, "LIVE_RENDER_INTERVAL_S", 0.0)
 
 
 def _manifest(events=1000, faults=None):
@@ -37,14 +44,14 @@ class TestTelemetryWriter:
 
 
 class TestLiveRunMonitor:
-    def test_renders_and_feeds_telemetry(self, tmp_path):
+    def test_renders_and_feeds_telemetry(self, tmp_path, no_rate_limit):
         config = SimulationConfig(scheme="rcast", num_nodes=10,
                                   num_connections=5, sim_time=10.0, seed=5)
         network = build_network(config)
         stream = io.StringIO()
         telemetry = TelemetryWriter(tmp_path / "t.jsonl")
         monitor = LiveRunMonitor(config.sim_time, stream=stream,
-                                 min_interval=0.0, telemetry=telemetry)
+                                 telemetry=telemetry)
         network.run(observer=monitor.observe, observe_period=1.0)
         monitor.finish()
         telemetry.close()
@@ -61,9 +68,9 @@ class TestLiveRunMonitor:
         assert times == sorted(times)
         assert records[-1]["progress"] == 1.0
 
-    def test_pipe_mode_writes_full_lines(self):
+    def test_pipe_mode_writes_full_lines(self, no_rate_limit):
         stream = io.StringIO()  # isatty() is False: one line per render
-        monitor = LiveRunMonitor(100.0, stream=stream, min_interval=0.0)
+        monitor = LiveRunMonitor(100.0, stream=stream)
         network = build_network(SimulationConfig(
             scheme="rcast", num_nodes=5, num_connections=2,
             sim_time=5.0, seed=5))
@@ -74,9 +81,10 @@ class TestLiveRunMonitor:
         assert len(lines) == 2
         assert not lines[0].startswith("\r")
 
-    def test_rate_limit_drops_updates(self):
+    def test_rate_limit_drops_updates(self, monkeypatch):
+        monkeypatch.setattr(live, "LIVE_RENDER_INTERVAL_S", 3600.0)
         stream = io.StringIO()
-        monitor = LiveRunMonitor(100.0, stream=stream, min_interval=3600.0)
+        monitor = LiveRunMonitor(100.0, stream=stream)
         network = build_network(SimulationConfig(
             scheme="rcast", num_nodes=5, num_connections=2,
             sim_time=5.0, seed=5))
@@ -91,11 +99,10 @@ class TestLiveRunMonitor:
 
 
 class TestLiveSweepMonitor:
-    def test_accumulates_rep_events(self, tmp_path):
+    def test_accumulates_rep_events(self, tmp_path, no_rate_limit):
         stream = io.StringIO()
         telemetry = TelemetryWriter(tmp_path / "t.jsonl")
-        monitor = LiveSweepMonitor(stream=stream, min_interval=0.0,
-                                   telemetry=telemetry)
+        monitor = LiveSweepMonitor(stream=stream, telemetry=telemetry)
         monitor(ProgressEvent(kind="cell-start", cell=(20, "rcast"),
                               completed_items=0, total_items=2, elapsed=0.0))
         monitor(ProgressEvent(kind="rep-finish", cell=(20, "rcast"),
@@ -119,9 +126,9 @@ class TestLiveSweepMonitor:
         assert records[2]["utilization"] == 0.75
         assert records[2]["workers"] == 2
 
-    def test_eta_before_any_completion_is_inf(self):
+    def test_eta_before_any_completion_is_inf(self, no_rate_limit):
         stream = io.StringIO()
-        monitor = LiveSweepMonitor(stream=stream, min_interval=0.0)
+        monitor = LiveSweepMonitor(stream=stream)
         monitor(ProgressEvent(kind="cell-start", cell=(20, "rcast"),
                               completed_items=0, total_items=4, elapsed=0.0))
         assert "eta   inf" in stream.getvalue()

@@ -187,10 +187,16 @@ def test_figure_command_workers_and_json_out(tmp_path, capsys, monkeypatch):
     code = main(["fig6", "--scale", "smoke", "--workers", "2",
                  "--json-out", str(json_path)])
     assert code == 0
-    assert "variance" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "variance" in out
+    # The series come first, then the figure's shape verdicts.
+    assert out.index("Fig.6") < out.index("shape verdicts:")
     data = json.loads(json_path.read_text())
     assert data["scale_name"] == "smoke"
     assert "variance" in data
+    assert [v["name"] for v in data["verdicts"]] == [
+        "80211_flat[mobile]", "rcast_balance[mobile]",
+        "80211_flat[static]", "rcast_balance[static]"]
 
 
 def test_run_command_trace_out(tmp_path, capsys):

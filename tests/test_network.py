@@ -278,3 +278,41 @@ def test_smoke_workload_peak_heap_under_ceiling():
         f"peak heap {peak:,} B breaches the {SMOKE_HEAP_CEILING_BYTES:,} B "
         "ceiling"
     )
+
+
+@pytest.mark.parametrize("scheme,routing,faults", [
+    ("rcast", "dsr", None),
+    ("ieee80211", "dsr", None),
+    ("rcast", "aodv", None),
+    ("odpm", "dsr", {"version": 1, "events": [
+        {"kind": "node-crash", "node": 1, "at": 4.0, "recover_at": 9.0}]}),
+])
+def test_run_leaves_no_cyclic_garbage(scheme, routing, faults):
+    """Frames, transmissions and discovery states die by refcount.
+
+    A reference cycle in per-frame or per-discovery state (a transmission
+    listing its overlaps, a discovery timer whose args hold the discovery)
+    leaves each object for the cyclic collector.  Under ``DEBUG_SAVEALL``
+    everything that collector reclaims lands in ``gc.garbage``.
+    """
+    import gc
+
+    config = SimulationConfig(
+        scheme=scheme, routing=routing, num_nodes=20, arena_w=600.0,
+        arena_h=300.0, packet_rate=2.0, sim_time=15.0, num_connections=4,
+        mobility="waypoint", max_speed=2.0, pause_time=0.0, seed=1,
+        faults=faults,
+    )
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        network = build_network(config)
+        network.run()
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert network.sim.now > 0
+    assert garbage == []

@@ -33,11 +33,11 @@ ALLOWED = {
         "test_decimates_at_capacity decimates a 40-call run in a 16-slot "
         "buffer; the default 1024 slots need 1025 observer calls"),
     "LiveRunMonitor": (
-        ("stream", "min_interval"),
-        "test seam: capture the progress stream, no rate limit"),
+        ("stream",),
+        "test seam: capture the progress stream"),
     "LiveSweepMonitor": (
-        ("stream", "min_interval"),
-        "test seam: capture the progress stream, no rate limit"),
+        ("stream",),
+        "test seam: capture the progress stream"),
 }
 
 
