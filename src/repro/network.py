@@ -22,6 +22,7 @@ key           MAC             power manager    overhearing
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -276,6 +277,9 @@ class Network:
         stream, a tie-key detector on the fire interceptor, and hot-path
         order canaries.  Metrics stay byte-identical; the report lands in
         :attr:`sanitizer_report`.
+
+        The cyclic garbage collector is off while the run executes; the
+        caller's setting is restored however the run ends.
         """
         if self._ran:
             raise ConfigurationError("Network.run() may only be called once")
@@ -294,6 +298,13 @@ class Network:
 
             sanitizer = DeterminismSanitizer()
             sanitizer.attach(self)
+        # The run leaves no cyclic garbage (frames, transmissions and
+        # discovery states die by refcount), so collector passes inside it
+        # reclaim nothing: they are triggered by the route caches and heaps
+        # filling up.  Switch it off for the run, not for the build, and
+        # hand the caller back the state it had.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             for node in self.nodes:
                 node.start()
@@ -308,6 +319,8 @@ class Network:
             for node in self.nodes:
                 node.finalize()
         finally:
+            if gc_was_enabled:
+                gc.enable()
             if sanitizer is not None:
                 self.sanitizer_report = sanitizer.detach()
         decisions = 0

@@ -26,6 +26,11 @@ class RadioState(enum.Enum):
     IDLE = "idle"
     TX = "tx"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is exact; ``Enum.__hash__`` is a Python call on every lookup of
+    # the meter's per-state tables, i.e. on every radio transition.
+    __hash__ = object.__hash__
+
     @property
     def awake(self) -> bool:
         """True for every state except SLEEP."""

@@ -26,12 +26,15 @@ first-hop bucket, with no helper call between them.  On the always-on
 802.11 workload over half the calls are exact refreshes of a secondary
 entry, and most nodes hold no primary entry via the probe's first hop,
 so the primary segment is asked for its bucket first and the secondary
-for the exact path first.  Eviction pops a per-segment binary heap of
+for the exact path first.  Eviction reads a per-segment binary heap of
 ``(last_used, added_at, seq, entry)`` tuples instead of scanning the
 segment.  Touches stay plain ``last_used`` writes and push nothing;
-the heap is repaired lazily when eviction pops a stale tuple (see
-:meth:`_Segment.pop_lru`), and each touch costs at most one such re-push,
-so eviction is amortised O(log n) rather than O(n).  The
+the heap is repaired lazily when the victim search meets a stale tuple
+(see :meth:`_Segment._lru`), and each touch costs at most one such
+re-push, so eviction is amortised O(log n) rather than O(n).  Once a
+segment is full, an insert evicts in place: the victim's entry object
+and heap slot take the new path (:meth:`_Segment.replace_lru`), so the
+evicting insert allocates no entry and swaps one heap tuple.  The
 per-prefix / per-link index structures that used to answer covering
 lookups and ``using_link`` in O(1) cost ~20x the path storage in
 key tuples and bucket lists (>190 MB at 1,000 nodes), which made cache
@@ -51,7 +54,7 @@ C-speed tuple probes before walking any hop pairs.
 from __future__ import annotations
 
 import itertools
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.constants import DSR_CACHE_CAPACITY, DSR_CACHE_PRIMARY_CAPACITY
@@ -65,6 +68,11 @@ class CachedPath:
 
     A plain slotted record: equality is identity, so a first-hop bucket's
     ``list.remove`` finds its entry without comparing field tuples.
+
+    Entries are reused on eviction: a full segment overwrites its victim's
+    fields with the new path's (:meth:`_Segment.replace_lru`).  So an
+    entry object names a cache slot, not a path; a reader that keeps one
+    past the next ``add_path`` may see it hold another path.
     """
 
     __slots__ = ("path", "added_at", "last_used", "source", "uses", "seq")
@@ -125,8 +133,13 @@ class _Segment:
 
     def insert(self, entry: CachedPath) -> None:
         """Append ``entry``; its path must not already be in the segment."""
-        self.entries[entry.path] = entry
-        self.by_hop.setdefault(entry.path[1], []).append(entry)
+        path = entry.path
+        self.entries[path] = entry
+        bucket = self.by_hop.get(path[1])
+        if bucket is None:
+            self.by_hop[path[1]] = [entry]
+        else:
+            bucket.append(entry)
         entry.seq = seq = next(self.seqs)
         heappush(self.heap, (entry.last_used, entry.added_at, seq, entry))
 
@@ -145,28 +158,68 @@ class _Segment:
                          for e in self.entries.values()]
             heapify(self.heap)
 
-    def pop_lru(self) -> CachedPath:
-        """Remove and return the least recently used entry.
+    def _lru(self) -> CachedPath:
+        """Bring the least recently used entry's tuple to the heap top.
 
         The victim is the entry minimising ``(last_used, added_at, seq)``.
         Touches overwrite ``last_used`` without updating the heap, which
         stays exact because simulated time never decreases: every live
         entry has exactly one heap tuple, and its key is a lower bound on
-        the entry's true key.  So a popped tuple whose entry is gone (its
-        ``seq`` no longer matches) is skipped, one whose ``last_used`` has
-        moved is re-pushed with the current value, and one whose key is
-        still current is the minimum.
+        the entry's true key.  So a top tuple whose entry is gone (its
+        ``seq`` no longer matches) is dropped, one whose ``last_used`` has
+        moved is replaced by the current value, and one whose key is still
+        current is the minimum.  Keys are unique (``seq`` is), so the
+        victim does not depend on the heap's layout.  This is the one
+        eviction law: :meth:`pop_lru` and :meth:`replace_lru` both use it.
         """
         heap = self.heap
         while True:
-            last_used, added_at, seq, entry = heappop(heap)
+            last_used, added_at, seq, entry = heap[0]
             if entry.seq != seq:
-                continue
-            if entry.last_used != last_used:
-                heappush(heap, (entry.last_used, added_at, seq, entry))
-                continue
-            self.remove(entry)
-            return entry
+                heappop(heap)
+            elif entry.last_used != last_used:
+                heapreplace(heap, (entry.last_used, added_at, seq, entry))
+            else:
+                return entry
+
+    def pop_lru(self) -> CachedPath:
+        """Remove and return the least recently used entry."""
+        entry = self._lru()
+        heappop(self.heap)
+        self.remove(entry)
+        return entry
+
+    def replace_lru(self, path: Tuple[int, ...], now: float,
+                    source: str) -> None:
+        """Evict the least recently used entry and store ``path`` in it.
+
+        The same victim as :meth:`pop_lru` followed by :meth:`insert` of a
+        fresh entry, with the same resulting segment order, buckets and
+        ``seq``; but the victim's object and heap slot are reused, so no
+        entry is allocated and the heap sees one ``heapreplace``.
+        """
+        entry = self._lru()
+        old = entry.path
+        entries = self.entries
+        del entries[old]
+        by_hop = self.by_hop
+        hop = old[1]
+        bucket = by_hop[hop]
+        bucket.remove(entry)
+        if not bucket:
+            del by_hop[hop]
+        entry.path = path
+        entry.added_at = entry.last_used = now
+        entry.source = source
+        entry.uses = 0
+        entries[path] = entry
+        bucket = by_hop.get(path[1])
+        if bucket is None:
+            by_hop[path[1]] = [entry]
+        else:
+            bucket.append(entry)
+        entry.seq = seq = next(self.seqs)
+        heapreplace(self.heap, (now, now, seq, entry))
 
     def using_link(self, a: int, b: int) -> List[CachedPath]:
         """Entries traversing undirected link ``a-b``, in insertion order."""
@@ -303,9 +356,10 @@ class RouteCache:
         else:
             segment, bound = secondary, self.capacity
         if len(segment.entries) >= bound:
-            segment.pop_lru()
+            segment.replace_lru(path, now, source)
             self.evictions += 1
-        segment.insert(CachedPath(path, now, now, source))
+        else:
+            segment.insert(CachedPath(path, now, now, source))
         self.insertions += 1
         return True
 

@@ -25,8 +25,8 @@ and ``advance``/``salvaged``/``extended`` build their copies through the
 same constructors, so learned paths are loop-free by construction.  Each
 learn site — the tap's splices, RREQ reverse paths, forwarding and RREP
 paths — therefore makes one direct :meth:`RouteCache.add_path` call per
-path with ``validate=False``, looking ``add_path`` up on the cache at
-call time.
+path with ``validate=False`` (positionally at the tap's splices, DSR's
+busiest call site), looking ``add_path`` up on the cache at call time.
 """
 
 from __future__ import annotations
@@ -500,10 +500,13 @@ class DsrProtocol:
         """
         me = self.node_id
         now = self.sim.now
-        for path in ((me,) + onward, (me,) + back):
-            self.cache.add_path(path, now, "overhear", validate=False)
-            if self.trace.enabled:
-                self._trace_cache_add(path, "overhear")
+        onward = (me,) + onward
+        back = (me,) + back
+        self.cache.add_path(onward, now, "overhear", False)
+        self.cache.add_path(back, now, "overhear", False)
+        if self.trace.enabled:
+            self._trace_cache_add(onward, "overhear")
+            self._trace_cache_add(back, "overhear")
 
     # ------------------------------------------------------------------
     # Cache-learning helpers

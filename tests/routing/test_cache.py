@@ -203,3 +203,19 @@ def test_invalid_capacity():
         RouteCache(0, capacity=0)
     with pytest.raises(RoutingError):
         RouteCache(0, primary_capacity=0)
+
+
+def test_full_segment_reuses_the_victims_entry_as_a_fresh_one():
+    cache = RouteCache(0, primary_capacity=1)
+    cache.add_path((0, 1, 2), now=0.0, source="rrep")
+    victim = cache._primary.entries[(0, 1, 2)]
+    assert cache.route_to(2, 1.0) == (0, 1, 2)
+    assert victim.uses == 1
+    assert cache.add_path((0, 3, 4), now=2.0, source="forward")
+    primary = cache._primary
+    assert list(primary.entries.values()) == [victim]
+    assert (victim.path, victim.added_at, victim.last_used, victim.source,
+            victim.uses) == ((0, 3, 4), 2.0, 2.0, "forward", 0)
+    assert primary.by_hop == {3: [victim]}
+    assert len(primary.heap) == 1
+    assert cache.evictions == 1 and cache.insertions == 2

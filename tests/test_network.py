@@ -316,3 +316,37 @@ def test_run_leaves_no_cyclic_garbage(scheme, routing, faults):
         gc.garbage.clear()
     assert network.sim.now > 0
     assert garbage == []
+
+
+def test_run_restores_the_callers_gc_state():
+    """``run`` switches the cyclic collector off only while it runs.
+
+    It hands back whatever state it was given: on after a normal run and
+    after an observer raises, still off when the caller had turned the
+    collector off itself.
+    """
+    import gc
+
+    seen = []
+
+    def note(network):
+        seen.append(gc.isenabled())
+
+    def fail(network):
+        raise RuntimeError("observer failed")
+
+    assert gc.isenabled()
+    build_network(small()).run(observer=note)
+    assert gc.isenabled()
+    assert seen and not any(seen)
+
+    with pytest.raises(RuntimeError, match="observer failed"):
+        build_network(small()).run(observer=fail)
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        build_network(small()).run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
