@@ -1,12 +1,13 @@
 """Every experiment's shape verdicts against the committed record.
 
 One case per judged experiment of
-:data:`repro.experiments.evaluation.EXPERIMENTS`.  Table 1 and Figures 5-9
-are read off one grid, simulated once per session; every other experiment
-runs on its own.  A case fails when any verdict — its name, its outcome,
-its measured value or its bound — differs from the record of the selected
-scale in ``verdicts.json``; a scale with no record (``paper``) expects
-every verdict to pass.  A deliberate result change re-records smoke and
+:data:`repro.experiments.evaluation.EXPERIMENTS`.  The jobs of every
+judged experiment form one table, each distinct simulation run once per
+session; each case folds its own experiment's results.  A case fails
+when any verdict — its name, its outcome, its measured value or its
+bound — differs from the record of the selected scale in
+``verdicts.json``; a scale with no record (``paper``) expects every
+verdict to pass.  A deliberate result change re-records smoke and
 bench together with ``write_record("benchmarks/verdicts.json")``.
 """
 
@@ -15,27 +16,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.evaluation import (
-    EXPERIMENTS,
-    JUDGED,
-    evaluate,
-    paper_grid,
-)
+from repro.experiments.evaluation import EXPERIMENTS, JUDGED, judge
 from repro.experiments.verdict import format_verdicts
 
 RECORD = json.loads(Path(__file__).with_name("verdicts.json").read_text())
 
 
 @pytest.fixture(scope="session")
-def grid(scale, workers):
-    return paper_grid(scale, workers=workers)
+def judged(scale, workers):
+    return judge(scale, workers)
 
 
 @pytest.mark.parametrize("name", JUDGED)
-def test_verdicts(name, scale, workers, request):
+def test_verdicts(name, scale, judged):
     experiment = EXPERIMENTS[name]
-    grid = request.getfixturevalue("grid") if experiment.cells else None
-    result, verdicts = evaluate(name, scale, grid, workers=workers)
+    result, verdicts = judged[name]
     print()
     print(experiment.format(result))
     print(format_verdicts(verdicts))

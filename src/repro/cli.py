@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from repro.core.adaptive import OVERHEARING_POLICIES
-from repro.experiments.evaluation import EXPERIMENTS
+from repro.experiments.evaluation import EXPERIMENTS, run_experiments
 from repro.experiments.scenarios import SCALES as _SCALES
 from repro.experiments.scenarios import ExperimentScale
 from repro.errors import ConfigurationError
@@ -469,21 +469,28 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _on_event(event: "ProgressEvent") -> None:
-    """Structured progress -> stderr (grid summary with utilization)."""
-    if event.kind == "grid-finish" and event.stats is not None:
-        stats = event.stats
-        print(
-            f"  .. grid done: {stats.items} runs in {stats.elapsed:.1f}s "
-            f"on {stats.workers} workers "
-            f"(utilization {stats.utilization * 100:.0f}%)",
-            file=sys.stderr,
-        )
+    """Structured progress -> stderr: the summary of a pooled run."""
+    from repro.obs.live import format_grid_summary
+
+    stats = event.stats
+    if event.kind == "grid-finish" and stats is not None and stats.workers > 1:
+        print(f"  .. grid done: {format_grid_summary(stats)}",
+              file=sys.stderr)
+
+
+def _on_experiment_event(event: "ProgressEvent") -> None:
+    """One stderr line per finished cell, then :func:`_on_event`."""
+    if event.kind == "cell-finish":
+        _, cell = event.cell
+        print(f"  .. [{event.completed_items}/{event.total_items}] {cell}",
+              file=sys.stderr)
+    _on_event(event)
 
 
 def _cmd_sweep(args: argparse.Namespace, scale: ExperimentScale,
                progress: Callable[[str], None]) -> int:
     from repro.experiments.export import write_sweep_csv, write_sweep_json
-    from repro.experiments.parallel import ProgressEvent, resolve_workers
+    from repro.experiments.parallel import ProgressEvent
     from repro.experiments.sweep import sweep as run_sweep
     from repro.metrics.report import format_series
     from repro.obs.live import LiveSweepMonitor, TelemetryWriter
@@ -506,17 +513,12 @@ def _cmd_sweep(args: argparse.Namespace, scale: ExperimentScale,
                  if args.telemetry_out else None)
     monitor = (LiveSweepMonitor(telemetry=telemetry)
                if (args.live or telemetry is not None) else None)
-    callbacks = [cb for cb in
-                 (_on_event if resolve_workers(args.workers) > 1 else None,
-                  monitor)
-                 if cb is not None]
-    on_event: Optional[Callable[[ProgressEvent], None]] = None
-    if callbacks:
-        def _fanout(event: ProgressEvent) -> None:
-            for callback in callbacks:
-                callback(event)
 
-        on_event = _fanout
+    def on_event(event: ProgressEvent) -> None:
+        _on_event(event)
+        if monitor is not None:
+            monitor(event)
+
     if monitor is not None:
         # The live line replaces the per-cell progress chatter.
         progress = lambda line: None  # noqa: E731
@@ -588,11 +590,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     progress = lambda line: print(f"  .. {line}", file=sys.stderr)  # noqa: E731
     if args.command == "sweep":
         return _cmd_sweep(args, scale, progress)
-    return _cmd_experiment(args, scale, progress)
+    return _cmd_experiment(args, scale)
 
 
-def _cmd_experiment(args: argparse.Namespace, scale: ExperimentScale,
-                    progress: Callable[[str], None]) -> int:
+def _cmd_experiment(args: argparse.Namespace, scale: ExperimentScale) -> int:
     """Run one experiment of the table; print its series, then verdicts."""
     from repro.experiments.export import write_result_json
     from repro.experiments.verdict import format_verdicts
@@ -600,11 +601,11 @@ def _cmd_experiment(args: argparse.Namespace, scale: ExperimentScale,
     name = (f"ablation-{args.study}" if args.command == "ablation"
             else args.command)
     experiment = EXPERIMENTS[name]
-    extra: Dict[str, Any] = {}
-    if experiment.policy_aware:
-        extra["overhearing_policy"] = args.overhearing_policy
-    result = experiment.run(scale, seed=args.seed, progress=progress,
-                            workers=args.workers, **extra)
+    result = run_experiments(
+        [name], scale, seed=args.seed, workers=args.workers,
+        on_event=_on_experiment_event,
+        overhearing_policy=getattr(args, "overhearing_policy", "fixed"),
+    )[name]
     print(experiment.format(result))
     payload = experiment.to_json(result)
     if experiment.verdicts is not None:

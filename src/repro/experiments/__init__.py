@@ -18,23 +18,22 @@ module           paper content
 `export`         JSON/CSV serialization of results
 ================ ======================================================
 
-Each module's ``run(scale, seed, progress, workers)`` returns a result
-object, ``format_result`` renders its text tables and ``verdicts`` its
-shape claims.  Table 1 and Figures 5-9 also expose ``cells(scale)`` and
-``from_grid(scale, grid)``: they read one (scheme x rate x scenario)
-grid, which :func:`~repro.experiments.evaluation.paper_grid` simulates
-once.  ``PAPER_SCALE`` matches the paper exactly (hours of CPU),
+Each row declares ``jobs(scale, seed)``, the simulations it needs, and
+``fold(scale, results)``, its result from theirs; ``format_result``
+renders the result's text tables and ``verdicts`` its shape claims.
+:func:`~repro.experiments.evaluation.run_experiments` runs the jobs of
+any set of rows as one table, each distinct simulation once.
+``PAPER_SCALE`` matches the paper exactly (hours of CPU),
 ``BENCH_SCALE`` preserves the shape at laptop-friendly cost, and
 ``SMOKE_SCALE`` exists for tests.
 """
 
 from repro.experiments.parallel import (
-    ParallelRunner,
     ProgressEvent,
     RunnerStats,
-    parallel_map,
     resolve_workers,
     run_grid,
+    run_jobs,
 )
 from repro.experiments.runner import (
     AggregateMetrics,
@@ -54,14 +53,13 @@ __all__ = [
     "BENCH_SCALE",
     "ExperimentScale",
     "PAPER_SCALE",
-    "ParallelRunner",
     "ProgressEvent",
     "RunnerStats",
     "SMOKE_SCALE",
     "aggregate",
     "make_config",
-    "parallel_map",
     "resolve_workers",
     "run_grid",
+    "run_jobs",
     "sweep",
 ]

@@ -16,15 +16,14 @@ Three studies, all marked future work or design alternatives in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.constants import POWER_AWAKE_W
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
-from repro.network import SimulationConfig
 
 #: factor combinations evaluated by the factor ablation
 FACTOR_SETS: Tuple[Tuple[str, ...], ...] = (
@@ -46,66 +45,50 @@ class AblationResult:
     variants: Dict[str, AggregateMetrics]
 
 
-def _run_variants(study: str, scale: ExperimentScale,
-                  configs: "Dict[str, SimulationConfig]",
-                  workers: Optional[int],
-                  progress: Optional[Callable[[str], None]]) -> AblationResult:
-    """Run a named-variant grid and fold it into an :class:`AblationResult`."""
-    runs = run_grid(configs, scale.repetitions, workers=workers)
-    variants: Dict[str, AggregateMetrics] = {}
-    for name in configs:
-        variants[name] = aggregate(runs[name])
-        if progress is not None:
-            progress(f"{name}: {variants[name].describe()}")
-    return AblationResult(study, scale.name, scale.low_rate, variants)
-
-
-def run_factors(scale: ExperimentScale, seed: int = 1,
-                progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> AblationResult:
+def factors_jobs(scale: ExperimentScale,
+                 seed: int = 1) -> Dict[Tuple[str, int], Job]:
     """Rcast decision-factor ablation (mobile scenario, low rate)."""
     # The battery factor needs a finite battery to have any effect; size it
     # so an always-awake node would drain ~2/3 of it during the run.
     battery = 1.5 * POWER_AWAKE_W * scale.sim_time
-    configs = {
+    return replications({
         ("+".join(factors) if factors else "neighbors-only"): make_config(
             scale, "rcast", scale.low_rate, mobile=True, seed=seed,
             rcast_factors=factors, battery_joules=battery,
         )
         for factors in FACTOR_SETS
-    }
-    return _run_variants("decision-factors", scale, configs, workers,
-                         progress)
+    }, scale.repetitions)
 
 
-def run_tap(scale: ExperimentScale, seed: int = 1,
-            progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> AblationResult:
+def tap_jobs(scale: ExperimentScale,
+             seed: int = 1) -> Dict[Tuple[str, int], Job]:
     """Opportunistic-tap ablation (mobile scenario, low rate)."""
-    configs = {
+    return replications({
         ("tap-on" if tap else "tap-off"): make_config(
             scale, "rcast", scale.low_rate, mobile=True, seed=seed,
             opportunistic_tap=tap,
         )
         for tap in (False, True)
-    }
-    return _run_variants("opportunistic-tap", scale, configs, workers,
-                         progress)
+    }, scale.repetitions)
 
 
-def run_rreq(scale: ExperimentScale, seed: int = 1,
-             progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> AblationResult:
+def rreq_jobs(scale: ExperimentScale,
+              seed: int = 1) -> Dict[Tuple[str, int], Job]:
     """Randomized RREQ-reception ablation (static dense network)."""
-    configs = {
+    return replications({
         ("rreq-randomized" if randomized else "rreq-all"): make_config(
             scale, "rcast", scale.low_rate, mobile=False, seed=seed,
             rreq_randomized=randomized,
         )
         for randomized in (False, True)
-    }
-    return _run_variants("randomized-rreq", scale, configs, workers,
-                         progress)
+    }, scale.repetitions)
+
+
+def fold(study: str, scale: ExperimentScale,
+         results: Mapping[Tuple[str, int], Any]) -> AblationResult:
+    """One study's variants, each aggregated over its replications."""
+    return AblationResult(study, scale.name, scale.low_rate,
+                          aggregate_cells(results))
 
 
 def _pdr_floor(result: AblationResult, floor: float) -> List[Verdict]:
@@ -161,9 +144,10 @@ def format_result(result: AblationResult) -> str:
 __all__ = [
     "FACTOR_SETS",
     "AblationResult",
-    "run_factors",
-    "run_tap",
-    "run_rreq",
+    "factors_jobs",
+    "tap_jobs",
+    "rreq_jobs",
+    "fold",
     "factors_verdicts",
     "tap_verdicts",
     "rreq_verdicts",

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.adaptive import BANDIT_ARM_LABELS
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate, runs_by_cell
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.metrics.collector import RunMetrics
 from repro.metrics.report import format_table
@@ -120,18 +120,11 @@ def _summarize(policy: str, num_nodes: int,
     return cell
 
 
-def run(
-    scale: ExperimentScale,
-    seed: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    node_counts: Optional[Sequence[int]] = None,
-) -> AdaptiveStudyResult:
-    """Run the policy x node-count grid (static scenario, focus rate)."""
-    counts = (tuple(node_counts) if node_counts
-              else default_node_counts(scale))
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[Cell, int], Job]:
+    """The policy x node-count grid (static scenario, focus rate)."""
     configs = {}
-    for num_nodes in counts:
+    for num_nodes in default_node_counts(scale):
         arena_w, arena_h = _arena_for(scale, num_nodes)
         for policy in POLICIES:
             configs[(policy, num_nodes)] = make_config(
@@ -139,21 +132,19 @@ def run(
                 num_nodes=num_nodes, arena_w=arena_w, arena_h=arena_h,
                 overhearing_policy=policy,
             )
-    if progress is not None:
-        progress(f"adaptive study: {len(configs)} cells x "
-                 f"{scale.repetitions} reps")
-    grid = run_grid(configs, scale.repetitions, workers=workers)
+    return replications(configs, scale.repetitions)
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[Cell, int], Any]) -> AdaptiveStudyResult:
+    """One summary per (policy, node count) cell."""
     result = AdaptiveStudyResult(
         scale_name=scale.name, rate=scale.low_rate,
-        node_counts=counts, policies=POLICIES,
+        node_counts=default_node_counts(scale), policies=POLICIES,
     )
-    for key in configs:
-        policy, num_nodes = key
-        cell = _summarize(policy, num_nodes, grid[key])
-        result.cells[key] = cell
-        if progress is not None:
-            progress(f"[n={num_nodes} {policy}] {cell.metrics.describe()} "
-                     f"P_R(emp)={cell.overhear_rate:.3f}")
+    for (policy, num_nodes), runs in runs_by_cell(results).items():
+        result.cells[(policy, num_nodes)] = _summarize(policy, num_nodes,
+                                                       runs)
     return result
 
 
@@ -198,6 +189,7 @@ __all__ = [
     "AdaptiveCellSummary",
     "AdaptiveStudyResult",
     "default_node_counts",
+    "fold",
     "format_result",
-    "run",
+    "jobs",
 ]

@@ -19,9 +19,10 @@ measures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.experiments.runner import AggregateMetrics
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate, runs_by_cell
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
@@ -46,30 +47,30 @@ class AodvStudyResult:
         return tx.get("rreq", 0) / control if control else 0.0
 
 
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> AodvStudyResult:
-    """Run the protocol x scheme grid (mobile scenario, low rate)."""
-    from repro.experiments.parallel import run_grid
-    from repro.experiments.runner import aggregate as aggregate_runs
-
-    configs = {
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[Tuple[str, str], int], Job]:
+    """The protocol x scheme grid (mobile scenario, low rate)."""
+    return replications({
         (protocol, scheme): make_config(scale, scheme, scale.low_rate,
                                         mobile=True, seed=seed,
                                         routing=protocol)
         for protocol in PROTOCOLS for scheme in SCHEMES
-    }
-    grid = run_grid(configs, scale.repetitions, workers=workers)
+    }, scale.repetitions)
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[Tuple[str, str], int], Any]
+         ) -> AodvStudyResult:
+    """Aggregates and summed transmission counts per (protocol, scheme)."""
     cells: Dict[Tuple[str, str], AggregateMetrics] = {}
     tx: Dict[Tuple[str, str], Dict[str, int]] = {}
-    for key, runs in grid.items():
-        cells[key] = aggregate_runs(runs)
+    for key, runs in runs_by_cell(results).items():
+        cells[key] = aggregate(runs)
         totals: Dict[str, int] = {}
         for metrics in runs:
             for kind, count in metrics.transmissions.items():
                 totals[kind] = totals.get(kind, 0) + count
         tx[key] = totals
-        if progress is not None:
-            progress(f"{key[0]}/{key[1]}: {cells[key].describe()}")
     return AodvStudyResult(scale.name, scale.low_rate, cells, tx)
 
 
@@ -111,5 +112,5 @@ def format_result(result: AodvStudyResult) -> str:
     return table + "\n" + note
 
 
-__all__ = ["AodvStudyResult", "run", "verdicts", "format_result", "PROTOCOLS",
-           "SCHEMES"]
+__all__ = ["AodvStudyResult", "jobs", "fold", "verdicts", "format_result",
+           "PROTOCOLS", "SCHEMES"]

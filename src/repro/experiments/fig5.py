@@ -10,14 +10,15 @@ states what must hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.experiments.runner import AggregateMetrics
+from repro.experiments.parallel import Job
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale
-from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.sweep import SweepKey, cell_jobs
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
@@ -36,27 +37,24 @@ class Fig5Result:
     panels: Dict[PanelKey, Dict[str, NDArray[np.float64]]]
 
 
-def cells(scale: ExperimentScale) -> List[SweepKey]:
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[SweepKey, int], Job]:
     """The three schemes at both focus rates, in both scenarios."""
-    return [(scheme, rate, mobile) for mobile in (True, False)
-            for rate in (scale.low_rate, scale.high_rate)
-            for scheme in SCHEMES]
+    return cell_jobs(scale, [(scheme, rate, mobile)
+                             for mobile in (True, False)
+                             for rate in (scale.low_rate, scale.high_rate)
+                             for scheme in SCHEMES], seed)
 
 
-def from_grid(scale: ExperimentScale, grid: SweepResult) -> Fig5Result:
-    """The four panels read off a grid holding :func:`cells`."""
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[SweepKey, int], Any]) -> Fig5Result:
+    """The four panels from the replications of :func:`jobs`."""
+    cells = aggregate_cells(results)
     rates = (scale.low_rate, scale.high_rate)
-    panels = {(rate, mobile): {scheme: _curve(grid.get(scheme, rate, mobile))
+    panels = {(rate, mobile): {scheme: _curve(cells[(scheme, rate, mobile)])
                                for scheme in SCHEMES}
               for mobile in (True, False) for rate in rates}
     return Fig5Result(scale.name, rates, panels)
-
-
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> Fig5Result:
-    """Run the four panels of Figure 5."""
-    return from_grid(scale, run_cells(scale, cells(scale), seed=seed,
-                                      progress=progress, workers=workers))
 
 
 def _curve(agg: AggregateMetrics) -> NDArray[np.float64]:
@@ -114,5 +112,5 @@ def format_result(result: Fig5Result, step: int = 10) -> str:
     return "\n\n".join(blocks)
 
 
-__all__ = ["Fig5Result", "cells", "from_grid", "run", "verdicts",
+__all__ = ["Fig5Result", "jobs", "fold", "verdicts",
            "format_result", "SCHEMES"]

@@ -9,14 +9,15 @@ much tighter; :func:`verdicts` states what must hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.experiments.runner import AggregateMetrics
+from repro.experiments.parallel import Job
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale
-from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.sweep import SweepKey, cell_jobs
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 from repro.metrics.stats import sample_variance
@@ -70,27 +71,23 @@ def _make_panel(scheme: str, rate: float, agg: AggregateMetrics) -> Fig9Panel:
     )
 
 
-def cells(scale: ExperimentScale) -> List[SweepKey]:
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[SweepKey, int], Job]:
     """The three schemes at both focus rates, mobile scenario."""
-    return [(scheme, rate, True)
-            for rate in (scale.low_rate, scale.high_rate)
-            for scheme in SCHEMES]
+    return cell_jobs(scale, [(scheme, rate, True)
+                             for rate in (scale.low_rate, scale.high_rate)
+                             for scheme in SCHEMES], seed)
 
 
-def from_grid(scale: ExperimentScale, grid: SweepResult) -> Fig9Result:
-    """The six panels read off a grid holding :func:`cells`."""
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[SweepKey, int], Any]) -> Fig9Result:
+    """The six panels (3 schemes x 2 rates) from :func:`jobs`' runs."""
+    cells = aggregate_cells(results)
     rates = (scale.low_rate, scale.high_rate)
     panels = {(scheme, rate): _make_panel(scheme, rate,
-                                          grid.get(scheme, rate, True))
+                                          cells[(scheme, rate, True)])
               for scheme in SCHEMES for rate in rates}
     return Fig9Result(scale.name, rates, panels)
-
-
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> Fig9Result:
-    """Run the six panels (3 schemes x 2 rates) of Figure 9 (mobile)."""
-    return from_grid(scale, run_cells(scale, cells(scale), seed=seed,
-                                      progress=progress, workers=workers))
 
 
 def verdicts(result: Fig9Result) -> List[Verdict]:
@@ -136,5 +133,5 @@ def format_result(result: Fig9Result) -> str:
     return table + "\n" + note
 
 
-__all__ = ["Fig9Panel", "Fig9Result", "cells", "from_grid", "run",
-           "verdicts", "format_result", "SCHEMES"]
+__all__ = ["Fig9Panel", "Fig9Result", "jobs", "fold", "verdicts",
+           "format_result", "SCHEMES"]

@@ -12,10 +12,11 @@ and the alive fraction at the run horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.constants import POWER_AWAKE_W
-from repro.experiments.parallel import run_grid
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import runs_by_cell
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.lifetime import lifetime_from_metrics
@@ -45,26 +46,35 @@ class LifetimeResult:
     summaries: Dict[str, LifetimeSummary]
 
 
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None,
-        overhearing_policy: str = "fixed") -> LifetimeResult:
-    """Run the lifetime comparison (static scenario, low rate).
+def _battery(scale: ExperimentScale) -> float:
+    """What an always-awake radio exhausts in 60% of the run."""
+    return 0.6 * POWER_AWAKE_W * scale.sim_time
+
+
+def jobs(scale: ExperimentScale, seed: int = 1,
+         overhearing_policy: str = "fixed") -> Dict[Tuple[str, int], Job]:
+    """The lifetime comparison (static scenario, low rate).
 
     With a non-fixed ``overhearing_policy`` the rcast column runs under
     that adaptive P_R policy — the energy-budget controller in
     particular reads the same finite battery this experiment installs.
     """
-    battery = 0.6 * POWER_AWAKE_W * scale.sim_time
-    configs = {
+    return replications({
         scheme: make_config(scale, scheme, scale.low_rate, mobile=False,
-                            seed=seed, battery_joules=battery,
+                            seed=seed, battery_joules=_battery(scale),
                             overhearing_policy=overhearing_policy)
         for scheme in SCHEMES
-    }
-    grid = run_grid(configs, scale.repetitions, workers=workers)
+    }, scale.repetitions)
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[str, int], Any]) -> LifetimeResult:
+    """Each scheme's runs projected into depletion times, then averaged."""
+    battery = _battery(scale)
+    runs = runs_by_cell(results)
     summaries: Dict[str, LifetimeSummary] = {}
     for scheme in SCHEMES:
-        reports = [lifetime_from_metrics(m, battery) for m in grid[scheme]]
+        reports = [lifetime_from_metrics(m, battery) for m in runs[scheme]]
         summaries[scheme] = LifetimeSummary(
             scheme=scheme,
             first_death=mean([r.first_death for r in reports]),
@@ -72,8 +82,6 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
             alive_at_end=mean([r.alive_fraction(scale.sim_time)
                                for r in reports]),
         )
-        if progress is not None:
-            progress(f"{scheme}: first death {summaries[scheme].first_death:.1f}s")
     return LifetimeResult(scale.name, scale.low_rate, battery, summaries)
 
 
@@ -104,5 +112,5 @@ def format_result(result: LifetimeResult) -> str:
     )
 
 
-__all__ = ["LifetimeResult", "LifetimeSummary", "run", "verdicts",
+__all__ = ["LifetimeResult", "LifetimeSummary", "jobs", "fold", "verdicts",
            "format_result", "SCHEMES"]

@@ -1,25 +1,26 @@
-"""Parallel execution of replication grids across worker processes.
+"""Jobs, and the one loop that runs them serially or across processes.
 
 The paper's evaluation is 10 repetitions per cell over a
 (scheme x rate x scenario) grid; every replication is independent by
 construction (deterministic derived seeds, independent named RNG streams
 per :mod:`repro.sim.rng`), which makes the whole campaign embarrassingly
-parallel.  This module shards (cell x repetition) work items across a
-process pool and reassembles results **in deterministic order** — results
-are keyed by ``(cell, rep)``, never by completion order, so the same seed
-produces bit-identical :class:`~repro.experiments.runner.AggregateMetrics`
-regardless of worker count.
+parallel.  Every simulation an experiment needs is a :data:`Job`: a
+module-level function of one
+:class:`~repro.network.SimulationConfig` and that config.  Results are
+keyed by the job's ``(cell, rep)`` key, never by completion order, so the
+same seed produces bit-identical results regardless of worker count.
 
 Layering:
 
-* :class:`ParallelRunner` — the pool itself: ``max_workers`` (default
-  ``os.cpu_count()``), ``max_workers=1`` falls back to the exact serial
-  path (no pool, submission-order execution);
-* :func:`run_grid` — run every cell of a ``{cell: config}`` mapping for
-  ``repetitions`` derived-seed replications, returning per-cell
-  rep-ordered :class:`~repro.metrics.collector.RunMetrics` lists;
-* :func:`parallel_map` — order-preserving process-pool map for study
-  modules whose unit of work is not a plain replication;
+* :func:`replications` — the jobs of a ``{cell: config}`` grid:
+  ``repetitions`` derived-seed :func:`~repro.network.run_simulation` runs
+  per cell;
+* :func:`run_jobs` — run each distinct ``(fn, config)`` once and return
+  every key's result; ``workers`` follows :func:`resolve_workers`, and
+  with one worker the jobs run in-process in submission order;
+* :func:`run_grid` — :func:`run_jobs` over :func:`replications`,
+  returning per-cell rep-ordered :class:`~repro.metrics.collector.RunMetrics`
+  lists;
 * :class:`ProgressEvent` / :class:`RunnerStats` — structured progress
   (per-cell start/finish, elapsed wall-clock, worker utilization).
 """
@@ -28,13 +29,15 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -52,6 +55,13 @@ from repro.experiments.scenarios import replication_seed
 #: Grid cell key.  Generic (rather than plain ``Hashable``) so callers keep
 #: their concrete key type — ``Mapping`` is invariant in its key parameter.
 CellT = TypeVar("CellT", bound=Hashable)
+#: A job's key: ``(cell, rep)``.  The cell groups jobs in the progress
+#: stream; ``rep`` numbers the jobs of one cell.
+KeyT = TypeVar("KeyT", bound=Tuple[Hashable, int])
+
+#: A unit of work: a module-level (picklable) function and the one config
+#: it is called with.
+Job = Tuple[Callable[[SimulationConfig], Any], SimulationConfig]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -72,27 +82,26 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def replication_config(config: SimulationConfig, rep: int) -> SimulationConfig:
-    """The exact config replication ``rep`` runs: base config + derived seed.
-
-    Both the serial path and the worker processes go through this
-    function, so the per-rep seeds are identical no matter where a
-    replication executes.
-    """
+    """The exact config replication ``rep`` runs: base config + derived seed."""
     return replace(config, seed=replication_seed(config.seed, rep))
 
 
-@dataclass(frozen=True)
-class WorkItem:
-    """One (cell, repetition) unit of a replication grid."""
+def replications(configs: Mapping[CellT, SimulationConfig],
+                 repetitions: int) -> Dict[Tuple[CellT, int], Job]:
+    """``repetitions`` derived-seed runs of every cell, keyed ``(cell, rep)``.
 
-    cell: Hashable
-    rep: int
-    config: SimulationConfig
+    Cell-major, repetitions ascending: the order :func:`run_jobs` submits
+    them in and the order a fold reads them back.
+    """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    return {(cell, rep): (run_simulation, replication_config(config, rep))
+            for cell, config in configs.items() for rep in range(repetitions)}
 
 
 @dataclass(frozen=True)
 class RunnerStats:
-    """Wall-clock accounting of one grid execution."""
+    """Wall-clock accounting of one job-table execution."""
 
     workers: int
     items: int
@@ -110,16 +119,17 @@ class RunnerStats:
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """Structured progress notification from a grid execution.
+    """Structured progress notification from a job-table execution.
 
     ``kind`` is one of:
 
-    * ``"cell-start"`` — the first replication of ``cell`` was dispatched
-      (serial mode: is about to run; pool mode: was submitted);
-    * ``"rep-finish"`` — one replication completed; ``manifest`` carries
-      its provenance (seed, config hash, wall time, events processed);
-    * ``"cell-finish"`` — the last replication of ``cell`` completed;
-    * ``"grid-finish"`` — every item completed; ``stats`` is populated.
+    * ``"cell-start"`` — the first job of ``cell`` was dispatched
+      (serial: is about to run; pooled: was submitted);
+    * ``"rep-finish"`` — one job completed; for a replication
+      ``manifest`` carries its provenance (seed, config hash, wall time,
+      events processed);
+    * ``"cell-finish"`` — the last job of ``cell`` completed;
+    * ``"grid-finish"`` — every job completed; ``stats`` is populated.
     """
 
     kind: str
@@ -134,174 +144,103 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
-def _run_work_item(
-    item: WorkItem,
-) -> Tuple[Hashable, int, RunMetrics, RunManifest]:
-    """Worker entry point: run one replication, report its manifest."""
+def _timed(fn: Callable[[SimulationConfig], Any],
+           config: SimulationConfig) -> Tuple[Any, float]:
+    """Worker entry point: one job's result and its wall time."""
     started = time.perf_counter()
-    config = replication_config(item.config, item.rep)
-    metrics = run_simulation(config)
-    manifest = RunManifest(
-        scheme=config.scheme,
-        seed=config.seed,
-        config_hash=config_hash(config),
-        wall_time=time.perf_counter() - started,
-        events_processed=metrics.events_processed,
-        cell=str(item.cell),
-        rep=item.rep,
-        fault_counts=metrics.fault_counts or None,
-    )
-    return item.cell, item.rep, metrics, manifest
+    value = fn(config)
+    return value, time.perf_counter() - started
 
 
-def _call_indexed(args: Tuple[Callable[[Any], Any], int, Any]) -> Tuple[int, Any]:
-    """Worker entry point for :func:`parallel_map` (preserves input index)."""
-    fn, index, item = args
-    return index, fn(item)
+def _completions(jobs: Sequence[Job], size: int,
+                 on_start: Callable[[int], None]
+                 ) -> Iterator[Tuple[int, Any, float]]:
+    """Yield ``(index, result, wall_time)`` for every job as it finishes.
 
-
-class ParallelRunner:
-    """Process-pool executor for replication grids.
-
-    ``max_workers=None`` uses every core (``os.cpu_count()``);
-    ``max_workers=1`` executes items serially in submission order with no
-    pool — the exact pre-parallel code path.  After each :meth:`run_grid`
-    the wall-clock/utilization accounting is available as ``last_stats``.
+    ``size`` 1 runs the jobs in-process in submission order; a larger
+    ``size`` runs them over a pool of that many processes.
+    ``on_start(index)`` is called as each job is dispatched.
     """
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 on_event: Optional[ProgressCallback] = None) -> None:
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
-        max_workers = int(max_workers)
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self.on_event = on_event
-        self.last_stats: Optional[RunnerStats] = None
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
-    def run_grid(self, configs: Mapping[CellT, SimulationConfig],
-                 repetitions: int) -> Dict[CellT, List[RunMetrics]]:
-        """Run ``repetitions`` derived-seed replications of every cell.
-
-        Returns ``{cell: [RunMetrics, ...]}`` with the inner list in
-        repetition order (index ``rep`` ran with seed
-        ``replication_seed(config.seed, rep)``), independent of the order
-        in which workers finished.
-        """
-        if repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        items = [
-            WorkItem(cell, rep, config)
-            for cell, config in configs.items()
-            for rep in range(repetitions)
-        ]
-        if self.max_workers == 1:
-            results = self._execute_serial(items)
-        else:
-            results = self._execute_pool(items)
-        return {
-            cell: [results[(cell, rep)] for rep in range(repetitions)]
-            for cell in configs
-        }
-
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-
-    def _execute_serial(
-        self, items: Sequence[WorkItem]
-    ) -> Dict[Tuple[Hashable, int], RunMetrics]:
-        started = time.perf_counter()
-        busy = 0.0
-        remaining = _per_cell_counts(items)
-        seen_cells: Set[Hashable] = set()
-        results: Dict[Tuple[Hashable, int], RunMetrics] = {}
-        for completed, item in enumerate(items):
-            if item.cell not in seen_cells:
-                seen_cells.add(item.cell)
-                self._emit("cell-start", item.cell, completed, len(items),
-                           started)
-            cell, rep, metrics, manifest = _run_work_item(item)
-            busy += manifest.wall_time
-            results[(cell, rep)] = metrics
-            remaining[cell] -= 1
-            self._emit("rep-finish", cell, completed + 1, len(items),
-                       started, manifest=manifest)
-            if remaining[cell] == 0:
-                self._emit("cell-finish", cell, completed + 1, len(items),
-                           started)
-        self._finish(started, busy, len(items))
-        return results
-
-    def _execute_pool(
-        self, items: Sequence[WorkItem]
-    ) -> Dict[Tuple[Hashable, int], RunMetrics]:
-        started = time.perf_counter()
-        busy = 0.0
-        remaining = _per_cell_counts(items)
-        results: Dict[Tuple[Hashable, int], RunMetrics] = {}
-        completed = 0
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            pending: Set[
-                "Future[Tuple[Hashable, int, RunMetrics, RunManifest]]"
-            ] = set()
-            seen_cells: Set[Hashable] = set()
-            for item in items:
-                if item.cell not in seen_cells:
-                    seen_cells.add(item.cell)
-                    self._emit("cell-start", item.cell, completed,
-                               len(items), started)
-                pending.add(pool.submit(_run_work_item, item))
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    cell, rep, metrics, manifest = future.result()
-                    busy += manifest.wall_time
-                    completed += 1
-                    results[(cell, rep)] = metrics
-                    remaining[cell] -= 1
-                    self._emit("rep-finish", cell, completed, len(items),
-                               started, manifest=manifest)
-                    if remaining[cell] == 0:
-                        self._emit("cell-finish", cell, completed,
-                                   len(items), started)
-        self._finish(started, busy, len(items))
-        return results
-
-    # ------------------------------------------------------------------
-    # Progress plumbing
-    # ------------------------------------------------------------------
-
-    def _emit(self, kind: str, cell: Hashable, completed: int, total: int,
-              started: float, stats: Optional[RunnerStats] = None,
-              manifest: Optional[RunManifest] = None) -> None:
-        if self.on_event is None:
-            return
-        self.on_event(ProgressEvent(
-            kind=kind, cell=cell, completed_items=completed,
-            total_items=total, elapsed=time.perf_counter() - started,
-            stats=stats, manifest=manifest,
-        ))
-
-    def _finish(self, started: float, busy: float, items: int) -> None:
-        self.last_stats = RunnerStats(
-            workers=self.max_workers, items=items,
-            elapsed=time.perf_counter() - started, busy=busy,
-        )
-        self._emit("grid-finish", None, items, items, started,
-                   stats=self.last_stats)
+    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    with pool if pool is not None else nullcontext():
+        futures: Dict["Future[Tuple[Any, float]]", int] = {}
+        for index, (fn, config) in enumerate(jobs):
+            on_start(index)
+            if pool is None:
+                yield (index, *_timed(fn, config))
+            else:
+                futures[pool.submit(_timed, fn, config)] = index
+        for future in as_completed(futures):
+            yield (futures[future], *future.result())
 
 
-def _per_cell_counts(items: Sequence[WorkItem]) -> Dict[Hashable, int]:
-    counts: Dict[Hashable, int] = {}
-    for item in items:
-        counts[item.cell] = counts.get(item.cell, 0) + 1
-    return counts
+def run_jobs(jobs: Mapping[KeyT, Job], workers: Optional[int] = None,
+             on_event: Optional[ProgressCallback] = None) -> Dict[KeyT, Any]:
+    """Run each distinct ``(fn, config)`` of ``jobs`` once; every key's result.
+
+    Keys whose jobs share a function and a config hash
+    (:func:`~repro.obs.manifest.config_hash`) share one run.  ``workers``
+    follows :func:`resolve_workers` (``None`` -> 1, ``0`` -> all cores),
+    and the pool is never larger than the number of distinct jobs: fork
+    starts every worker at the first submit, needed or not.  Results do
+    not depend on ``workers``.  ``on_event`` gets the
+    :class:`ProgressEvent` stream, each distinct job reported under its
+    first key.
+    """
+    keys_of: Dict[Tuple[Callable[..., Any], str], List[KeyT]] = {}
+    for key, (fn, config) in jobs.items():
+        keys_of.setdefault((fn, config_hash(config)), []).append(key)
+    digests = [digest for _, digest in keys_of]
+    groups = list(keys_of.values())
+    firsts = [keys[0] for keys in groups]
+    work = [jobs[key] for key in firsts]
+    total = len(work)
+    size = max(1, min(resolve_workers(workers), total))
+    remaining: Dict[Hashable, int] = {}
+    for cell, _ in firsts:
+        remaining[cell] = remaining.get(cell, 0) + 1
+    started = time.perf_counter()
+    busy = 0.0
+    completed = 0
+    seen: Set[Hashable] = set()
+
+    def emit(kind: str, cell: Hashable, stats: Optional[RunnerStats] = None,
+             manifest: Optional[RunManifest] = None) -> None:
+        if on_event is not None:
+            on_event(ProgressEvent(
+                kind=kind, cell=cell, completed_items=completed,
+                total_items=total, elapsed=time.perf_counter() - started,
+                stats=stats, manifest=manifest))
+
+    def on_start(index: int) -> None:
+        cell = firsts[index][0]
+        if cell not in seen:
+            seen.add(cell)
+            emit("cell-start", cell)
+
+    results: Dict[KeyT, Any] = {}
+    for index, value, wall_time in _completions(work, size, on_start):
+        busy += wall_time
+        completed += 1
+        for key in groups[index]:
+            results[key] = value
+        cell, rep = firsts[index]
+        manifest: Optional[RunManifest] = None
+        if isinstance(value, RunMetrics):
+            config = work[index][1]
+            manifest = RunManifest(
+                scheme=config.scheme, seed=config.seed,
+                config_hash=digests[index], wall_time=wall_time,
+                events_processed=value.events_processed, cell=str(cell),
+                rep=rep, fault_counts=value.fault_counts or None)
+        emit("rep-finish", cell, manifest=manifest)
+        remaining[cell] -= 1
+        if remaining[cell] == 0:
+            emit("cell-finish", cell)
+    emit("grid-finish", None, stats=RunnerStats(
+        workers=size, items=total, elapsed=time.perf_counter() - started,
+        busy=busy))
+    return {key: results[key] for key in jobs}
 
 
 def run_grid(
@@ -312,45 +251,22 @@ def run_grid(
 ) -> Dict[CellT, List[RunMetrics]]:
     """Run a ``{cell: config}`` grid, ``repetitions`` replications per cell.
 
-    ``workers`` follows :func:`resolve_workers` semantics (``None`` -> 1,
-    ``0`` -> all cores).  Output order is deterministic regardless of
-    worker count.
+    Returns ``{cell: [RunMetrics, ...]}`` with the inner list in
+    repetition order (index ``rep`` ran with seed
+    ``replication_seed(config.seed, rep)``), independent of worker count.
     """
-    runner = ParallelRunner(max_workers=resolve_workers(workers),
-                            on_event=on_event)
-    return runner.run_grid(configs, repetitions)
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    workers: Optional[int] = None,
-) -> List[Any]:
-    """Order-preserving map over ``items``, optionally across processes.
-
-    ``fn`` must be a module-level (picklable) callable.  ``workers=None``
-    or 1 runs serially in-process; results always come back in input order.
-    """
-    items = list(items)
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    results: List[Any] = [None] * len(items)
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
-        for index, value in pool.map(
-            _call_indexed, [(fn, i, item) for i, item in enumerate(items)]
-        ):
-            results[index] = value
-    return results
+    results = run_jobs(replications(configs, repetitions), workers, on_event)
+    return {cell: [results[(cell, rep)] for rep in range(repetitions)]
+            for cell in configs}
 
 
 __all__ = [
-    "ParallelRunner",
+    "Job",
     "ProgressEvent",
     "RunnerStats",
-    "WorkItem",
-    "parallel_map",
     "replication_config",
+    "replications",
     "resolve_workers",
     "run_grid",
+    "run_jobs",
 ]

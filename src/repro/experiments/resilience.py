@@ -25,10 +25,10 @@ not primary routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.faults.plan import FaultPlan, PacketLoss, RandomCrashes
 from repro.metrics.report import format_series
@@ -91,11 +91,9 @@ class ResilienceResult:
         return series[0] - series[-1]
 
 
-def run(scale: ExperimentScale, seed: int = 1,
-        progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None,
-        overhearing_policy: str = "fixed") -> ResilienceResult:
-    """Run both stress sweeps and fold replications into series.
+def jobs(scale: ExperimentScale, seed: int = 1,
+         overhearing_policy: str = "fixed") -> Dict[Tuple[Cell, int], Job]:
+    """Both stress sweeps, one shared fault-free baseline per scheme.
 
     ``overhearing_policy`` applies the selected adaptive P_R policy to
     the rcast column, asking how each policy degrades under faults.
@@ -120,13 +118,13 @@ def run(scale: ExperimentScale, seed: int = 1,
                 configs[("loss", scheme, rate)] = cfg(
                     scheme, _loss_plan(rate))
 
-    if progress is not None:
-        progress(f"resilience: {len(configs)} cells x "
-                 f"{scale.repetitions} reps")
-    grid = run_grid(configs, scale.repetitions, workers=workers)
-    folded: Dict[Cell, AggregateMetrics] = {
-        cell: aggregate(runs) for cell, runs in grid.items()
-    }
+    return replications(configs, scale.repetitions)
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[Cell, int], Any]) -> ResilienceResult:
+    """Replications folded into per-axis series over the stress levels."""
+    folded: Dict[Cell, AggregateMetrics] = aggregate_cells(results)
 
     def series(axis: str, metric: str, scheme: str) -> List[float]:
         fn = METRICS[metric]
@@ -182,6 +180,7 @@ __all__ = [
     "LOSS_RATES",
     "ResilienceResult",
     "SCHEMES",
+    "fold",
     "format_result",
-    "run",
+    "jobs",
 ]

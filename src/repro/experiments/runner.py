@@ -1,12 +1,14 @@
 """Replication aggregation.
 
 The paper repeats every scenario ten times;
-:func:`~repro.experiments.parallel.run_grid` runs the replications with
-deterministically derived seeds, serially or across a process pool, and
-reassembles them in repetition order.  :func:`aggregate` folds the per-run
+:func:`~repro.experiments.parallel.replications` lays the replications
+out as ``(cell, rep)``-keyed jobs with deterministically derived seeds,
+and :func:`~repro.experiments.parallel.run_jobs` returns their results
+under the same keys, serially or across a process pool.
+:func:`aggregate` folds the per-run
 :class:`~repro.metrics.collector.RunMetrics` into means with 95%
 confidence half-widths, so the aggregate is bit-identical for any worker
-count.
+count; :func:`aggregate_cells` does so for every cell of a result table.
 """
 
 from __future__ import annotations
@@ -14,13 +16,18 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.metrics.collector import RunMetrics
 from repro.metrics.stats import confidence_interval_95, mean
+
+
+CellT = TypeVar("CellT", bound=Hashable)
+V = TypeVar("V")
 
 
 class NonFiniteReplicationWarning(RuntimeWarning):
@@ -151,8 +158,33 @@ def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
     )
 
 
+def runs_by_cell(
+    results: Mapping[Tuple[CellT, int], V],
+) -> Dict[CellT, List[V]]:
+    """Group ``(cell, rep)``-keyed results per cell, in key order.
+
+    Cells come out in first-seen order and each cell's results in the
+    order of their keys: repetition order for tables laid out by
+    :func:`~repro.experiments.parallel.replications`.
+    """
+    grouped: Dict[CellT, List[V]] = {}
+    for (cell, _), value in results.items():
+        grouped.setdefault(cell, []).append(value)
+    return grouped
+
+
+def aggregate_cells(
+    results: Mapping[Tuple[CellT, int], RunMetrics],
+) -> Dict[CellT, AggregateMetrics]:
+    """One :func:`aggregate` per cell of a ``(cell, rep)``-keyed table."""
+    return {cell: aggregate(runs)
+            for cell, runs in runs_by_cell(results).items()}
+
+
 __all__ = [
     "AggregateMetrics",
     "NonFiniteReplicationWarning",
     "aggregate",
+    "aggregate_cells",
+    "runs_by_cell",
 ]

@@ -15,10 +15,10 @@ choice encodes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
@@ -40,8 +40,8 @@ class SensitivityResult:
     by_fraction: Dict[float, AggregateMetrics]
 
 
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> SensitivityResult:
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[Hashable, int], Job]:
     """Sweep PSM timing for Rcast (static scenario, low rate)."""
     configs = {}
     for beacon in BEACON_INTERVALS:
@@ -54,17 +54,18 @@ def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str]
             scale, "rcast", scale.low_rate, mobile=False, seed=seed,
             beacon_interval=0.25, atim_window=0.25 * fraction,
         )
-    runs = run_grid(configs, scale.repetitions, workers=workers)
-    by_beacon: Dict[float, AggregateMetrics] = {}
-    for beacon in BEACON_INTERVALS:
-        by_beacon[beacon] = aggregate(runs[("beacon", beacon)])
-        if progress is not None:
-            progress(f"beacon={beacon}s: {by_beacon[beacon].describe()}")
-    by_fraction: Dict[float, AggregateMetrics] = {}
-    for fraction in ATIM_FRACTIONS:
-        by_fraction[fraction] = aggregate(runs[("fraction", fraction)])
-        if progress is not None:
-            progress(f"atim={fraction:.0%}: {by_fraction[fraction].describe()}")
+    return replications(configs, scale.repetitions)
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[Hashable, int], Any]) -> SensitivityResult:
+    """Both sweeps, each point aggregated over its replications."""
+    cells = aggregate_cells(results)
+    by_beacon: Dict[float, AggregateMetrics] = {
+        beacon: cells[("beacon", beacon)] for beacon in BEACON_INTERVALS}
+    by_fraction: Dict[float, AggregateMetrics] = {
+        fraction: cells[("fraction", fraction)]
+        for fraction in ATIM_FRACTIONS}
     return SensitivityResult(scale.name, scale.low_rate, by_beacon,
                              by_fraction)
 
@@ -108,5 +109,5 @@ def format_result(result: SensitivityResult) -> str:
     return beacon_table + "\n\n" + fraction_table
 
 
-__all__ = ["SensitivityResult", "run", "verdicts", "format_result",
+__all__ = ["SensitivityResult", "jobs", "fold", "verdicts", "format_result",
            "BEACON_INTERVALS", "ATIM_FRACTIONS"]

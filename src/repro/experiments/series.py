@@ -17,12 +17,13 @@ predicates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.export import result_to_jsonable
-from repro.experiments.runner import AggregateMetrics
+from repro.experiments.parallel import Job
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale
-from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.sweep import SweepKey, cell_jobs
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_series, ratio_improvement
 from repro.metrics.stats import mean
@@ -174,36 +175,31 @@ FIGURES: Dict[str, Figure] = {
 }
 
 
-def cells(scale: ExperimentScale) -> List[SweepKey]:
-    """The three schemes over the scale's rate axis, both scenarios."""
-    return [(scheme, rate, mobile) for mobile in (True, False)
-            for rate in scale.rates for scheme in SCHEMES]
-
-
-def from_grid(figure: str, scale: ExperimentScale,
-              grid: SweepResult) -> SeriesResult:
-    """One figure's series read off a grid holding :func:`cells`."""
-    rates = tuple(scale.rates)
-    data = {mobile: {panel.key: {
-        scheme: [panel.value(grid.get(scheme, rate, mobile))
-                 for rate in rates] for scheme in SCHEMES}
-        for panel in FIGURES[figure].panels} for mobile in (True, False)}
-    return SeriesResult(figure, scale.name, rates, data)
-
-
-def run(figure: str, scale: ExperimentScale, seed: int = 1,
-        progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None,
-        overhearing_policy: str = "fixed") -> SeriesResult:
-    """Run one figure's rate sweep.
+def jobs(scale: ExperimentScale, seed: int = 1,
+         overhearing_policy: str = "fixed"
+         ) -> Dict[Tuple[SweepKey, int], Job]:
+    """The three schemes over the scale's rate axis, both scenarios.
 
     ``overhearing_policy`` selects the receiver-side P_R policy
     (:mod:`repro.core.adaptive`); only the rcast column reacts — the
     other schemes never advertise RANDOMIZED levels.
     """
-    grid = run_cells(scale, cells(scale), seed=seed, progress=progress,
-                     workers=workers, overhearing_policy=overhearing_policy)
-    return from_grid(figure, scale, grid)
+    return cell_jobs(scale, [(scheme, rate, mobile)
+                             for mobile in (True, False)
+                             for rate in scale.rates for scheme in SCHEMES],
+                     seed, overhearing_policy=overhearing_policy)
+
+
+def fold(figure: str, scale: ExperimentScale,
+         results: Mapping[Tuple[SweepKey, int], Any]) -> SeriesResult:
+    """One figure's series from the replications of :func:`jobs`."""
+    cells = aggregate_cells(results)
+    rates = tuple(scale.rates)
+    data = {mobile: {panel.key: {
+        scheme: [panel.value(cells[(scheme, rate, mobile)])
+                 for rate in rates] for scheme in SCHEMES}
+        for panel in FIGURES[figure].panels} for mobile in (True, False)}
+    return SeriesResult(figure, scale.name, rates, data)
 
 
 def verdicts(result: SeriesResult) -> List[Verdict]:
@@ -244,5 +240,5 @@ def to_json(result: SeriesResult) -> Any:
         key: {mobile: data[key] for mobile, data in result.data.items()}})
 
 
-__all__ = ["FIGURES", "Figure", "Panel", "SeriesResult", "SCHEMES", "cells",
-           "from_grid", "run", "verdicts", "format_result", "to_json"]
+__all__ = ["FIGURES", "Figure", "Panel", "SeriesResult", "SCHEMES", "jobs",
+           "fold", "verdicts", "format_result", "to_json"]

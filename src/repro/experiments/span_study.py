@@ -6,19 +6,25 @@ AM-node situation when the network is relatively sparse".  This experiment
 measures exactly that: the same node count spread over wider arenas
 (sparser networks), comparing SPAN's coordinator backbone against Rcast
 and ODPM on energy and the fraction of always-on nodes.
+
+Energy and delivery are means over the scale's replications.  The
+backbone size is not: it is one run of SPAN per density on the raw base
+seed, a network none of the replications simulates (the replications run
+on seeds derived from it).  So the backbone row and the energy rows
+describe different draws of the same scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
-from repro.experiments.parallel import parallel_map, run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate, runs_by_cell
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
-from repro.network import build_network
+from repro.network import SimulationConfig, build_network
 
 SCHEMES = ("span", "odpm", "rcast")
 
@@ -38,40 +44,42 @@ class SpanStudyResult:
     num_nodes: int
 
 
-def _measure_backbone(args: Tuple[ExperimentScale, float, int]) -> float:
+def _measure_backbone(config: SimulationConfig) -> float:
     """Run one SPAN network and report its final coordinator count."""
-    scale, factor, seed = args
-    config = make_config(
-        scale, "span", scale.low_rate, mobile=False, seed=seed,
-        arena_w=scale.arena_w * factor,
-    )
     network = build_network(config)
     network.run()
     return float(network.span_election.backbone_size)
 
 
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> SpanStudyResult:
-    """Run the density sweep (static scenario, low rate)."""
-    configs = {
-        (scheme, factor): make_config(
-            scale, scheme, scale.low_rate, mobile=False, seed=seed,
-            arena_w=scale.arena_w * factor,
-        )
-        for factor in DENSITY_FACTORS for scheme in SCHEMES
-    }
-    grid = run_grid(configs, scale.repetitions, workers=workers)
-    cells: Dict[Tuple[str, float], AggregateMetrics] = {}
-    for key in configs:
-        cells[key] = aggregate(grid[key])
-        if progress is not None:
-            progress(f"x{key[1]} {key[0]}: {cells[key].describe()}")
-    sizes = parallel_map(
-        _measure_backbone,
-        [(scale, factor, seed) for factor in DENSITY_FACTORS],
-        workers=workers,
-    )
-    backbone = dict(zip(DENSITY_FACTORS, sizes))
+def _config(scale: ExperimentScale, scheme: str, factor: float,
+            seed: int) -> SimulationConfig:
+    return make_config(scale, scheme, scale.low_rate, mobile=False,
+                       seed=seed, arena_w=scale.arena_w * factor)
+
+
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[Hashable, int], Job]:
+    """The density sweep (static scenario, low rate): every scheme's
+    replications, plus one backbone count per density on the raw
+    ``seed``."""
+    table: Dict[Tuple[Hashable, int], Job] = dict(replications(
+        {(scheme, factor): _config(scale, scheme, factor, seed)
+         for factor in DENSITY_FACTORS for scheme in SCHEMES},
+        scale.repetitions))
+    for factor in DENSITY_FACTORS:
+        table[(("backbone", factor), 0)] = (
+            _measure_backbone, _config(scale, "span", factor, seed))
+    return table
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[Hashable, int], Any]) -> SpanStudyResult:
+    """Aggregates per (scheme, density) and the backbone per density."""
+    runs = runs_by_cell(results)
+    backbone = {factor: runs.pop(("backbone", factor))[0]
+                for factor in DENSITY_FACTORS}
+    cells: Dict[Tuple[str, float], AggregateMetrics] = {
+        key: aggregate(cell_runs) for key, cell_runs in runs.items()}
     return SpanStudyResult(scale.name, scale.low_rate, cells, backbone,
                            scale.num_nodes)
 
@@ -114,5 +122,5 @@ def format_result(result: SpanStudyResult) -> str:
     )
 
 
-__all__ = ["SpanStudyResult", "run", "verdicts", "format_result", "SCHEMES",
-           "DENSITY_FACTORS"]
+__all__ = ["SpanStudyResult", "jobs", "fold", "verdicts", "format_result",
+           "SCHEMES", "DENSITY_FACTORS"]

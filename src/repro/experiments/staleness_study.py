@@ -10,30 +10,32 @@ the run.
 Expected shape: unconditional overhearing (``psm``) holds the most cached
 paths and the highest stale fraction; Rcast holds a moderate set with a
 lower stale fraction; no-overhearing holds the fewest.
+
+Each scheme's audit, and the PDR reported next to it, is one run on the
+raw base seed, whatever the scale's repetition count: a network none of
+the other experiments' replications simulates (those run on seeds
+derived from it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.analysis.staleness import StalenessReport, audit_staleness
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Job
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
-from repro.network import build_network
+from repro.network import SimulationConfig, build_network
 
 SCHEMES = ("psm", "rcast", "psm-nooh")
 
 
 def _audit_scheme(
-    args: Tuple[ExperimentScale, str, int]
+    config: SimulationConfig,
 ) -> Tuple[StalenessReport, float]:
     """Run one scheme's network and audit its caches (worker entry point)."""
-    scale, scheme, seed = args
-    config = make_config(scale, scheme, scale.low_rate, mobile=True,
-                         seed=seed)
     network = build_network(config)
     metrics = network.run()
     return audit_staleness(network), metrics.pdr
@@ -49,22 +51,22 @@ class StalenessStudyResult:
     pdr: Dict[str, float]
 
 
-def run(scale: ExperimentScale, seed: int = 1,
-        progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> StalenessStudyResult:
-    """Run the overhearing spectrum and audit caches (mobile, low rate)."""
-    audits = parallel_map(
-        _audit_scheme,
-        [(scale, scheme, seed) for scheme in SCHEMES],
-        workers=workers,
-    )
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[str, int], Job]:
+    """One audited run per scheme on the raw ``seed`` (mobile, low rate)."""
+    return {(scheme, 0): (_audit_scheme,
+                          make_config(scale, scheme, scale.low_rate,
+                                      mobile=True, seed=seed))
+            for scheme in SCHEMES}
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[str, int], Any]) -> StalenessStudyResult:
+    """The audits and PDRs per scheme."""
     reports: Dict[str, StalenessReport] = {}
     pdr: Dict[str, float] = {}
-    for scheme, (report, scheme_pdr) in zip(SCHEMES, audits):
-        reports[scheme] = report
-        pdr[scheme] = scheme_pdr
-        if progress is not None:
-            progress(f"{scheme}: {reports[scheme].describe()}")
+    for scheme in SCHEMES:
+        reports[scheme], pdr[scheme] = results[(scheme, 0)]
     return StalenessStudyResult(scale.name, scale.low_rate, reports, pdr)
 
 
@@ -108,5 +110,5 @@ def format_result(result: StalenessStudyResult) -> str:
     )
 
 
-__all__ = ["StalenessStudyResult", "run", "verdicts", "format_result",
-           "SCHEMES"]
+__all__ = ["StalenessStudyResult", "jobs", "fold", "verdicts",
+           "format_result", "SCHEMES"]

@@ -1,10 +1,10 @@
 """Parameter sweeps: (scheme x rate x scenario) grids.
 
-The paper's Table 1 and Figures 5-9 all read cells of one grid;
+The paper's Table 1 and Figures 5-9 all read cells of one grid; each
+declares its cells' replications with :func:`cell_jobs`.
 :func:`run_cells` simulates a set of cells once and returns a
-:class:`SweepResult` the experiments slice their numbers out of, and
-:func:`sweep` runs a full product of axes (the ``rcast-repro sweep``
-command's grid).
+:class:`SweepResult`, and :func:`sweep` runs a full product of axes (the
+``rcast-repro sweep`` command's grid).
 
 With ``workers > 1`` the sweep shards every (cell x repetition) work item
 across a process pool (:mod:`repro.experiments.parallel`) — not just the
@@ -21,12 +21,15 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.experiments.parallel import (
+    Job,
     ProgressCallback,
     ProgressEvent,
+    replications,
     run_grid,
 )
 from repro.experiments.runner import AggregateMetrics, aggregate
 from repro.experiments.scenarios import ExperimentScale, make_config
+from repro.network import SimulationConfig
 from repro.obs.manifest import RunManifest
 
 #: Result key: (scheme, rate, mobile?).
@@ -56,6 +59,21 @@ class SweepResult:
         return [metric(self.cells[(scheme, r, mobile)]) for r in self.rates]
 
 
+def _configs(scale: ExperimentScale, keys: Iterable[SweepKey], seed: int,
+             overrides: Dict[str, Any]) -> Dict[SweepKey, SimulationConfig]:
+    return {(scheme, rate, mobile): make_config(scale, scheme, rate, mobile,
+                                                seed=seed, **overrides)
+            for scheme, rate, mobile in keys}
+
+
+def cell_jobs(scale: ExperimentScale, keys: Iterable[SweepKey],
+              seed: int = 1, **config_overrides: Any
+              ) -> Dict[Tuple[SweepKey, int], Job]:
+    """The scale's replications of each ``(scheme, rate, mobile)`` cell."""
+    return replications(_configs(scale, keys, seed, config_overrides),
+                        scale.repetitions)
+
+
 def run_cells(
     scale: ExperimentScale,
     keys: Iterable[SweepKey],
@@ -83,11 +101,7 @@ def run_cells(
         rates=tuple(dict.fromkeys(key[1] for key in cells)),
         scenarios=tuple(dict.fromkeys(key[2] for key in cells)),
     )
-    configs = {
-        (scheme, rate, mobile): make_config(scale, scheme, rate, mobile,
-                                            seed=seed, **config_overrides)
-        for scheme, rate, mobile in cells
-    }
+    configs = _configs(scale, cells, seed, config_overrides)
     manifests: List[RunManifest] = []
 
     def _collect(event: ProgressEvent) -> None:
@@ -131,4 +145,4 @@ def sweep(
     return run_cells(scale, keys, **kwargs)
 
 
-__all__ = ["SweepKey", "SweepResult", "run_cells", "sweep"]
+__all__ = ["SweepKey", "SweepResult", "cell_jobs", "run_cells", "sweep"]

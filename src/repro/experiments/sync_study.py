@@ -17,10 +17,10 @@ and delay for delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import AggregateMetrics, aggregate
+from repro.experiments.parallel import Job, replications
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale, make_config
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
@@ -41,20 +41,20 @@ class SyncStudyResult:
     cells: Dict[float, AggregateMetrics]
 
 
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> SyncStudyResult:
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[float, int], Job]:
     """Sweep residual clock error for Rcast (static, low rate)."""
-    configs = {
+    return replications({
         jitter: make_config(scale, "rcast", scale.low_rate, mobile=False,
                             seed=seed, clock_jitter=jitter)
         for jitter in JITTERS
-    }
-    runs = run_grid(configs, scale.repetitions, workers=workers)
-    cells: Dict[float, AggregateMetrics] = {}
-    for jitter in JITTERS:
-        cells[jitter] = aggregate(runs[jitter])
-        if progress is not None:
-            progress(f"jitter={jitter * 1e3:.0f}ms: {cells[jitter].describe()}")
+    }, scale.repetitions)
+
+
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[float, int], Any]) -> SyncStudyResult:
+    """Each jitter bound aggregated over its replications."""
+    cells: Dict[float, AggregateMetrics] = aggregate_cells(results)
     return SyncStudyResult(scale.name, scale.low_rate, cells)
 
 
@@ -98,4 +98,5 @@ def format_result(result: SyncStudyResult) -> str:
     )
 
 
-__all__ = ["SyncStudyResult", "run", "verdicts", "format_result", "JITTERS"]
+__all__ = ["SyncStudyResult", "jobs", "fold", "verdicts", "format_result",
+           "JITTERS"]

@@ -10,12 +10,13 @@ expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.experiments.export import result_to_jsonable
-from repro.experiments.runner import AggregateMetrics
+from repro.experiments.parallel import Job
+from repro.experiments.runner import AggregateMetrics, aggregate_cells
 from repro.experiments.scenarios import ExperimentScale
-from repro.experiments.sweep import SweepKey, SweepResult, run_cells
+from repro.experiments.sweep import SweepKey, cell_jobs
 from repro.experiments.verdict import Verdict, check
 from repro.metrics.report import format_table
 
@@ -48,23 +49,20 @@ class Table1Result:
     rows: Dict[str, AggregateMetrics]
 
 
-def cells(scale: ExperimentScale) -> List[SweepKey]:
+def jobs(scale: ExperimentScale,
+         seed: int = 1) -> Dict[Tuple[SweepKey, int], Job]:
     """Every scheme at the scale's low rate, mobile scenario."""
-    return [(scheme, scale.low_rate, True) for scheme in SCHEMES]
+    return cell_jobs(scale, [(scheme, scale.low_rate, True)
+                             for scheme in SCHEMES], seed)
 
 
-def from_grid(scale: ExperimentScale, grid: SweepResult) -> Table1Result:
-    """Table 1 read off a grid holding :func:`cells`."""
-    rows = {scheme: grid.get(scheme, rate, mobile)
-            for scheme, rate, mobile in cells(scale)}
+def fold(scale: ExperimentScale,
+         results: Mapping[Tuple[SweepKey, int], Any]) -> Table1Result:
+    """Table 1 from the replications of :func:`jobs`."""
+    cells = aggregate_cells(results)
+    rows = {scheme: cells[(scheme, scale.low_rate, True)]
+            for scheme in SCHEMES}
     return Table1Result(scale.name, scale.low_rate, True, rows)
-
-
-def run(scale: ExperimentScale, seed: int = 1, progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None) -> Table1Result:
-    """Run all schemes at the scale's low rate, mobile scenario."""
-    return from_grid(scale, run_cells(scale, cells(scale), seed=seed,
-                                      progress=progress, workers=workers))
 
 
 def verdicts(result: Table1Result) -> List[Verdict]:
@@ -124,5 +122,5 @@ def format_result(result: Table1Result) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["Table1Result", "cells", "from_grid", "run", "verdicts",
+__all__ = ["Table1Result", "jobs", "fold", "verdicts",
            "to_json", "format_result", "SCHEMES", "BEHAVIOUR"]

@@ -34,7 +34,7 @@ from typing import IO, TYPE_CHECKING, Any, Dict, Optional, Union
 from repro.constants import LIVE_RENDER_INTERVAL_S
 
 if TYPE_CHECKING:
-    from repro.experiments.parallel import ProgressEvent
+    from repro.experiments.parallel import ProgressEvent, RunnerStats
     from repro.network import Network
 
 PathLike = Union[str, Path]
@@ -113,6 +113,12 @@ class _StatusLine:
         if self._is_tty and self._last_width:
             self._stream.write("\n")
             self._stream.flush()
+
+
+def format_grid_summary(stats: "RunnerStats") -> str:
+    """``N runs in X s on W workers (utilization U%)``: one finished table."""
+    return (f"{stats.items} runs in {stats.elapsed:.1f}s on {stats.workers} "
+            f"workers (utilization {stats.utilization * 100:.0f}%)")
 
 
 def _format_faults(fault_counts: Dict[str, int]) -> str:
@@ -205,12 +211,9 @@ class LiveSweepMonitor:
         eta = ((elapsed / completed) * (total - completed)
                if completed else float("inf"))
         if event.kind == "grid-finish" and event.stats is not None:
-            stats = event.stats
             line = (
-                f"[{completed}/{total}] done in {elapsed:.1f}s  "
-                f"{ev_per_sec:,.0f} ev/s  {stats.workers} workers "
-                f"(utilization {stats.utilization * 100:.0f}%)"
-                f"{_format_faults(self._faults)}"
+                f"[{completed}/{total}] {format_grid_summary(event.stats)}  "
+                f"{ev_per_sec:,.0f} ev/s{_format_faults(self._faults)}"
             )
             self._status.update(line, force=True)
             self._status.finish()
@@ -242,4 +245,5 @@ __all__ = [
     "LiveRunMonitor",
     "LiveSweepMonitor",
     "TelemetryWriter",
+    "format_grid_summary",
 ]

@@ -1,4 +1,5 @@
-"""Tests for the verdict table: one grid, named predicates, the record."""
+"""Tests for the evaluation table: one job table, named predicates, the
+record."""
 
 import dataclasses
 import json
@@ -10,12 +11,12 @@ from repro.experiments.evaluation import (
     EXPERIMENTS,
     JUDGED,
     RECORDED_SCALES,
-    evaluate,
-    paper_cells,
-    paper_grid,
+    job_table,
+    run_experiments,
 )
 from repro.experiments.scenarios import BENCH_SCALE, SMOKE_SCALE
 from repro.experiments.verdict import check, format_verdicts
+from repro.obs.manifest import config_hash
 
 ROOT = Path(__file__).resolve().parents[2]
 RECORD = json.loads((ROOT / "benchmarks" / "verdicts.json").read_text())
@@ -25,9 +26,12 @@ SUMMARY_ROWS = {"Table 1": "table1", "Fig. 5": "fig5", "Fig. 6": "fig6",
                 "Fig. 7": "fig7", "Fig. 8": "fig8", "Fig. 9": "fig9"}
 
 
-def _paper_experiments():
-    return {name: exp for name, exp in EXPERIMENTS.items()
-            if exp.cells is not None}
+def _distinct(table):
+    return {(fn, config_hash(config)) for fn, config in table.values()}
+
+
+def _declared(names, scale):
+    return sum(len(job_table([name], scale)) for name in names)
 
 
 @pytest.mark.parametrize("scale,distinct,standalone", [
@@ -35,24 +39,46 @@ def _paper_experiments():
     (BENCH_SCALE, 26, 95),
 ])
 def test_paper_grid_simulates_each_cell_once(scale, distinct, standalone):
-    assert set(_paper_experiments()) == set(SUMMARY_ROWS.values())
-    assert len(paper_cells(scale)) == distinct
-    assert sum(len(exp.cells(scale))
-               for exp in _paper_experiments().values()) == standalone
+    """Table 1 and Figs. 5-9 read ``distinct`` cells of one grid, where
+    the six rows declare ``standalone`` (counting only, no simulation)."""
+    paper = list(SUMMARY_ROWS.values())
+    assert len(_distinct(job_table(paper, scale))) == (
+        distinct * scale.repetitions)
+    assert _declared(paper, scale) == standalone * scale.repetitions
+
+
+@pytest.mark.parametrize("scale,distinct,separate", [
+    (SMOKE_SCALE, 47, 56),
+    (BENCH_SCALE, 112, 130),
+])
+def test_judged_rows_share_one_job_table(scale, distinct, separate):
+    """Merging every judged row's jobs runs ``distinct`` simulations,
+    where one shared paper grid plus each other row run alone takes
+    ``separate`` (counting only, no simulation)."""
+    paper = list(SUMMARY_ROWS.values())
+    others = [name for name in JUDGED if name not in paper]
+    assert len(_distinct(job_table(JUDGED, scale))) == distinct
+    assert (len(_distinct(job_table(paper, scale)))
+            + _declared(others, scale)) == separate
 
 
 def test_shared_grid_matches_standalone_runs():
+    """Every row read off the merged job table equals the row run alone."""
     micro = dataclasses.replace(
         SMOKE_SCALE, num_nodes=12, sim_time=8.0, num_connections=2,
         repetitions=1, rates=(0.5, 1.0), low_rate=0.5, high_rate=1.0,
-        name="micro")
-    grid = paper_grid(micro)
-    assert len(grid.cells) == 14
-    for name, exp in _paper_experiments().items():
-        shared, verdicts = evaluate(name, micro, grid)
-        alone = exp.run(micro)
-        assert exp.format(shared) == exp.format(alone), name
-        assert verdicts == exp.verdicts(alone), name
+        # adaptive's node axis is the scale's own count only at smoke
+        name="smoke")
+    names = list(EXPERIMENTS)
+    table = job_table(names, micro)
+    assert len(_distinct(table)) < len(table)
+    shared = run_experiments(names, micro)
+    for name, exp in EXPERIMENTS.items():
+        alone = run_experiments([name], micro)[name]
+        assert exp.format(shared[name]) == exp.format(alone), name
+        assert exp.to_json(shared[name]) == exp.to_json(alone), name
+        if exp.verdicts is not None:
+            assert exp.verdicts(shared[name]) == exp.verdicts(alone), name
 
 
 @pytest.mark.parametrize("op,measured,bound,passed", [

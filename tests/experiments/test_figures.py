@@ -13,6 +13,7 @@ from repro.experiments import (
     series,
     table1,
 )
+from repro.experiments.evaluation import run_experiments
 from repro.experiments.scenarios import SMOKE_SCALE
 
 
@@ -26,8 +27,13 @@ def micro():
     )
 
 
+def _run(name, scale):
+    """One row of the evaluation table, run alone at seed 2."""
+    return run_experiments([name], scale, seed=2)[name]
+
+
 def test_fig5_structure(micro):
-    result = fig5.run(micro, seed=2)
+    result = _run("fig5", micro)
     assert set(result.panels) == {
         (0.5, True), (1.0, True), (0.5, False), (1.0, False),
     }
@@ -41,7 +47,7 @@ def test_fig5_structure(micro):
 
 
 def test_fig6_structure(micro):
-    result = series.run("fig6", micro, seed=2)
+    result = _run("fig6", micro)
     for mobile in (True, False):
         variance = result.data[mobile]["variance"]
         assert set(variance) == {"ieee80211", "odpm", "rcast"}
@@ -56,7 +62,7 @@ def test_fig6_structure(micro):
 
 
 def test_fig7_structure(micro):
-    result = series.run("fig7", micro, seed=2)
+    result = _run("fig7", micro)
     for mobile in (True, False):
         for metric in ("total_energy", "pdr", "energy_per_bit"):
             for scheme in ("ieee80211", "odpm", "rcast"):
@@ -68,7 +74,7 @@ def test_fig7_structure(micro):
 
 
 def test_fig8_structure(micro):
-    result = series.run("fig8", micro, seed=2)
+    result = _run("fig8", micro)
     for mobile in (True, False):
         for metric in ("avg_delay", "overhead"):
             assert set(result.data[mobile][metric]) == {
@@ -78,7 +84,7 @@ def test_fig8_structure(micro):
 
 
 def test_fig9_structure(micro):
-    result = fig9.run(micro, seed=2)
+    result = _run("fig9", micro)
     assert len(result.panels) == 6  # 3 schemes x 2 rates
     panel = result.panels[("rcast", 1.0)]
     assert panel.roles.shape == (16,)
@@ -91,7 +97,7 @@ def test_fig9_structure(micro):
 
 
 def test_table1_structure(micro):
-    result = table1.run(micro, seed=2)
+    result = _run("table1", micro)
     assert set(result.rows) == set(table1.SCHEMES)
     verdicts = table1.verdicts(result)
     assert len(verdicts) == 8
@@ -101,7 +107,7 @@ def test_table1_structure(micro):
 
 
 def test_ablation_factors_structure(micro):
-    result = ablation.run_factors(micro, seed=2)
+    result = _run("ablation-factors", micro)
     assert "neighbors-only" in result.variants
     assert "sender+mobility+battery" in result.variants
     assert len(result.variants) == len(ablation.FACTOR_SETS)
@@ -109,19 +115,19 @@ def test_ablation_factors_structure(micro):
 
 
 def test_ablation_tap_structure(micro):
-    result = ablation.run_tap(micro, seed=2)
+    result = _run("ablation-tap", micro)
     assert set(result.variants) == {"tap-on", "tap-off"}
 
 
 def test_ablation_rreq_structure(micro):
-    result = ablation.run_rreq(micro, seed=2)
+    result = _run("ablation-rreq", micro)
     assert set(result.variants) == {"rreq-all", "rreq-randomized"}
 
 
 def test_aodv_study_structure(micro):
     from repro.experiments import aodv_study
 
-    result = aodv_study.run(micro, seed=2)
+    result = _run("aodv", micro)
     assert set(result.cells) == {
         ("dsr", "psm"), ("dsr", "rcast"),
         ("aodv", "psm"), ("aodv", "rcast"),
@@ -134,7 +140,7 @@ def test_aodv_study_structure(micro):
 def test_sensitivity_structure(micro):
     from repro.experiments import sensitivity
 
-    result = sensitivity.run(micro, seed=2)
+    result = _run("sensitivity", micro)
     assert set(result.by_beacon) == set(sensitivity.BEACON_INTERVALS)
     assert set(result.by_fraction) == set(sensitivity.ATIM_FRACTIONS)
     text = sensitivity.format_result(result)
@@ -144,7 +150,7 @@ def test_sensitivity_structure(micro):
 def test_staleness_study_structure(micro):
     from repro.experiments import staleness_study
 
-    result = staleness_study.run(micro, seed=2)
+    result = _run("staleness", micro)
     assert set(result.reports) == set(staleness_study.SCHEMES)
     for report in result.reports.values():
         assert report.total_entries >= report.stale_entries >= 0
@@ -154,7 +160,7 @@ def test_staleness_study_structure(micro):
 def test_sync_study_structure(micro):
     from repro.experiments import sync_study
 
-    result = sync_study.run(micro, seed=2)
+    result = _run("sync", micro)
     assert set(result.cells) == set(sync_study.JITTERS)
     assert "clock" in sync_study.format_result(result).lower()
 
@@ -162,7 +168,7 @@ def test_sync_study_structure(micro):
 def test_span_study_structure(micro):
     from repro.experiments import span_study
 
-    result = span_study.run(micro, seed=2)
+    result = _run("span", micro)
     for factor in span_study.DENSITY_FACTORS:
         assert factor in result.backbone
         for scheme in span_study.SCHEMES:
@@ -171,7 +177,7 @@ def test_span_study_structure(micro):
 
 
 def test_lifetime_structure(micro):
-    result = lifetime.run(micro, seed=2)
+    result = _run("lifetime", micro)
     assert set(result.summaries) == {"ieee80211", "odpm", "rcast"}
     for summary in result.summaries.values():
         assert summary.first_death > 0

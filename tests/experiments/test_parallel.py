@@ -1,16 +1,17 @@
 """Tests for the parallel execution engine (determinism above all)."""
 
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import parallel, runner
 from repro.experiments.parallel import (
-    ParallelRunner,
-    parallel_map,
     replication_config,
+    replications,
     resolve_workers,
     run_grid,
+    run_jobs,
 )
 from repro.experiments.scenarios import (
     SMOKE_SCALE,
@@ -37,11 +38,6 @@ def test_resolve_workers():
     assert resolve_workers(0) == (os.cpu_count() or 1)
     with pytest.raises(ValueError):
         resolve_workers(-1)
-
-
-def test_parallel_runner_rejects_bad_workers():
-    with pytest.raises(ValueError):
-        ParallelRunner(max_workers=0)
 
 
 def test_replication_config_derives_documented_seeds():
@@ -102,8 +98,7 @@ def test_progress_events_and_stats():
         for name, s in (("x", 1), ("y", 2))
     }
     events = []
-    pool = ParallelRunner(max_workers=2, on_event=events.append)
-    pool.run_grid(configs, 2)
+    run_grid(configs, 2, workers=2, on_event=events.append)
     kinds = [e.kind for e in events]
     assert kinds.count("cell-start") == 2
     assert kinds.count("rep-finish") == 4
@@ -112,7 +107,7 @@ def test_progress_events_and_stats():
     finish = events[-1]
     assert finish.completed_items == finish.total_items == 4
     stats = finish.stats
-    assert stats is not None and stats is pool.last_stats
+    assert stats is not None
     assert stats.items == 4 and stats.workers == 2
     assert stats.elapsed > 0 and stats.busy > 0
     assert stats.utilization >= 0.0
@@ -127,24 +122,106 @@ def test_progress_events_and_stats():
             assert event.manifest is None
     # Serial mode emits the same event structure.
     serial_events = []
-    ParallelRunner(max_workers=1,
-                   on_event=serial_events.append).run_grid(configs, 1)
+    run_grid(configs, 1, on_event=serial_events.append)
     assert [e.kind for e in serial_events] == [
         "cell-start", "rep-finish", "cell-finish",
         "cell-start", "rep-finish", "cell-finish",
         "grid-finish",
     ]
+    assert serial_events[-1].stats.workers == 1
 
 
-def _double(x):
-    return 2 * x
+def _seed_of(config):
+    return config.seed
 
 
-def test_parallel_map_preserves_order():
-    items = list(range(7))
-    assert parallel_map(_double, items) == [2 * i for i in items]
-    assert parallel_map(_double, items, workers=3) == [2 * i for i in items]
-    assert parallel_map(_double, [], workers=3) == []
+CALLS = []
+
+
+def _counted_seed_of(config):
+    CALLS.append(config.seed)
+    return config.seed
+
+
+def _seed_jobs(seeds, fn=_seed_of):
+    config = make_config(tiny_scale(), "rcast", 0.5, mobile=False)
+    return {(f"c{i}", 0): (fn, dataclasses.replace(config, seed=seed))
+            for i, seed in enumerate(seeds)}
+
+
+def test_run_jobs_preserves_key_order():
+    seeds = [7, 3, 9, 1, 5, 2, 8]
+    for workers in (None, 3):
+        results = run_jobs(_seed_jobs(seeds), workers=workers)
+        assert list(results) == [(f"c{i}", 0) for i in range(len(seeds))]
+        assert list(results.values()) == seeds
+    assert run_jobs({}, workers=3) == {}
+
+
+def test_run_jobs_runs_each_distinct_job_once():
+    CALLS.clear()
+    jobs = _seed_jobs([4, 6, 4, 6, 4], fn=_counted_seed_of)
+    events = []
+    results = run_jobs(jobs, on_event=events.append)
+    assert list(results.values()) == [4, 6, 4, 6, 4]
+    assert CALLS == [4, 6]
+    # Each distinct job is reported once, under its first key.
+    assert [e.cell for e in events if e.kind == "rep-finish"] == ["c0", "c1"]
+    assert events[-1].total_items == 2
+    # A different function of the same config is a different job.
+    jobs[("other", 0)] = (_seed_of, jobs[("c0", 0)][1])
+    CALLS.clear()
+    assert run_jobs(jobs)[("other", 0)] == 4
+    assert CALLS == [4, 6]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers,seeds,size", [
+    (8, [1, 2, 3, 1], 3),     # three distinct jobs: three processes
+    (2, [1, 2, 3], 2),
+    (4, [1], None),           # one job runs in-process: no pool at all
+    (4, [1, 1, 1], None),
+    (1, [1, 2, 3], None),
+    (None, [1, 2, 3], None),
+])
+def test_pool_is_no_larger_than_the_distinct_jobs(monkeypatch, workers,
+                                                  seeds, size):
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    events = []
+    results = run_jobs(_seed_jobs(seeds), workers=workers,
+                       on_event=events.append)
+    assert list(results.values()) == seeds
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+    assert events[-1].stats.workers == (size or 1)
+
+
+def test_replications_key_cells_by_repetition():
+    config = make_config(tiny_scale(), "rcast", 0.5, mobile=False, seed=3)
+    jobs = replications({"a": config, "b": config}, 2)
+    assert list(jobs) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+    assert jobs[("a", 1)][1] == replication_config(config, 1)
+    with pytest.raises(ValueError):
+        replications({"a": config}, 0)
 
 
 def test_aggregate_equality_is_ndarray_aware():
