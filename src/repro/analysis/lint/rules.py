@@ -200,13 +200,11 @@ class WallClock(Rule):
 
     id = "R002"
     name = "wall-clock"
-    # The CLI reports elapsed wall time to humans, the opt-in profiler
-    # (repro.obs.profiler) times callbacks around the fire interceptor, and
-    # the live progress monitors (repro.obs.live) rate-limit rendering and
-    # compute ev/s; none of these reads feeds back into simulated
-    # behaviour, so all three modules are allowlisted (and use
-    # perf_counter anyway).
-    allow = ("cli.py", "obs/profiler.py", "obs/live.py")
+    # The CLI reports elapsed wall time to humans and the live progress
+    # monitors (repro.obs.live) rate-limit rendering and compute ev/s;
+    # neither read feeds back into simulated behaviour, so both modules
+    # are allowlisted (and use perf_counter anyway).
+    allow = ("cli.py", "obs/live.py")
 
     def run(self, ctx: FileContext) -> Iterator[Finding]:
         for node, bound_name in ctx.imports.from_time_wallclock:
@@ -1110,13 +1108,10 @@ def _is_unordered_iterable(expr: ast.expr, set_names: Set[str],
 # R010 — event-typestate (project rule)
 # ----------------------------------------------------------------------
 
-#: The engine-internal modules that legitimately own the Event lifecycle.
+#: The engine-internal modules that legitimately own the Event lifecycle:
+#: they alone construct events and call ``event.fire()`` (the package's
+#: one fire interceptor, DSan, inlines the fire instead).
 _EVENT_OWNERS = ("sim/engine.py", "sim/events.py")
-
-#: Modules sanctioned to call ``event.fire()`` — the fire-interceptor
-#: contract (Simulator.set_fire_interceptor) requires the hook to fire the
-#: popped event exactly once.
-_FIRE_SEAMS = _EVENT_OWNERS + ("obs/profiler.py",)
 
 _ST_CONSTRUCTED = "constructed"
 _ST_SCHEDULED = "scheduled"
@@ -1157,7 +1152,7 @@ class EventTypestate(ProjectRule):
                     "monotonic sequence numbering; use sim.schedule / "
                     "sim.schedule_at",
                 )
-        if not any(_path_matches(rel, seam) for seam in _FIRE_SEAMS):
+        if not any(_path_matches(rel, seam) for seam in _EVENT_OWNERS):
             for node in ast.walk(ctx.tree):
                 if (
                     isinstance(node, ast.Call)

@@ -6,8 +6,9 @@ Subcommands:
   streams a structured JSONL trace (``--trace-categories`` filters it) and
   ``--json-out`` exports metrics + run manifest (+ ``--sample-interval``
   timeline);
-* ``profile``  — run one simulation under the event-loop profiler and
-  print per-callback event counts, wall-time shares, and events/sec;
+* ``profile``  — run one simulation under :mod:`cProfile` and print the
+  self time of each layer (``sim``, ``phy``, ``mac``, ``routing``, ...)
+  and of the ``--top`` functions;
 * ``table1``   — the scheme-behaviour comparison (Table 1);
 * ``fig5`` .. ``fig9`` — regenerate one figure of the paper;
 * ``ablation`` — the extension studies (factors / tap / rreq);
@@ -113,11 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the sanitizer JSON report to this file")
 
     profile_p = sub.add_parser(
-        "profile", help="profile the event loop of one simulation"
+        "profile", help="self time by layer of one simulation (cProfile)"
     )
     _add_sim_args(profile_p)
     profile_p.add_argument("--top", type=int, default=10,
-                           help="callback categories to show (default 10)")
+                           help="functions to show, by self time (default 10)")
     profile_p.add_argument("--json-out", dest="json_out", default=None,
                            help="write the profile report as JSON")
 
@@ -423,23 +424,23 @@ def _report_sanitizer(args: argparse.Namespace, config: SimulationConfig,
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    import cProfile
     import json as json_module
 
     from repro.network import build_network
-    from repro.obs.profiler import SimulationProfiler
+    from repro.obs.profiler import fold, format_profile
 
-    config = _config_from_args(args)
-    profiler = SimulationProfiler()
-    network = build_network(config)
-    profiler.install(network.sim)
-    metrics = network.run()
-    report = profiler.report()
+    network = build_network(_config_from_args(args))
+    profile = cProfile.Profile()
+    metrics = profile.runcall(network.run)
+    profile.create_stats()
+    report = fold(profile.stats, args.top)
     print(metrics.describe())
     print()
-    print(report.format(args.top))
+    print(format_profile(report))
     if args.json_out:
         Path(args.json_out).write_text(
-            json_module.dumps(report.to_dict(args.top), indent=2))
+            json_module.dumps(report, indent=2))
         print(f"wrote {args.json_out}")
     return 0
 

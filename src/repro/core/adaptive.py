@@ -103,10 +103,6 @@ class AdaptivePolicy:
         """Beacon-boundary update; returns trace fields or None."""
         raise NotImplementedError
 
-    def summary(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the policy state for RunMetrics."""
-        raise NotImplementedError
-
 
 class MeasuredDegreePolicy(AdaptivePolicy):
     """P_R = 1 / EWMA degree estimate measured from heard announcements.
@@ -178,15 +174,6 @@ class MeasuredDegreePolicy(AdaptivePolicy):
             "warm": self.warm,
         }
 
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "estimate": self._estimate,
-            "warm": self.warm,
-            "active_windows": self._active_windows,
-            "epochs": self._epochs,
-            "announcements_heard": self.announcements_heard,
-        }
-
 
 class EnergyBudgetPolicy(AdaptivePolicy):
     """P_R = multiplier / n, with an awake-fraction feedback controller.
@@ -247,9 +234,6 @@ class EnergyBudgetPolicy(AdaptivePolicy):
             "target": target,
             "multiplier": self.multiplier,
         }
-
-    def summary(self) -> Dict[str, Any]:
-        return {"multiplier": self.multiplier, "epochs": self._epochs}
 
 
 #: Bandit arm labels, in arm-index order: three multiples of 1/n plus
@@ -332,15 +316,6 @@ class EpsilonGreedyBanditPolicy(AdaptivePolicy):
             "level": BANDIT_ARM_LABELS[self.arm],
             "explore": explored,
             "reward": reward,
-        }
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "arm": self.arm,
-            "arm_counts": list(self.arm_counts),
-            "explore_counts": list(self.explore_counts),
-            "values": list(self.values),
-            "pulls": list(self.pulls),
         }
 
 

@@ -2,10 +2,10 @@
 
 Runs the ``rcast`` scheme under each receiver-side overhearing policy
 (:data:`POLICIES`) on the static scenario at the scale's focus rate, at
-one or more node counts.  At non-smoke scales the default node axis is
-(100, 1000): the paper's population and a 10x build-out with the arena
-area scaled to hold the fig7 node density (the same convention as the
-large-scale benchmark).
+one or more node counts.  At a scale with the paper's 100 nodes the node
+axis is (100, 1000): the paper's population and a 10x build-out with the
+arena area scaled to hold the fig7 node density (the same convention as
+the large-scale benchmark); any other scale runs its own node count.
 
 Reported per (policy, node count) cell:
 
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import constants
 from repro.core.adaptive import BANDIT_ARM_LABELS
 from repro.experiments.parallel import Job, replications
 from repro.experiments.runner import AggregateMetrics, aggregate, runs_by_cell
@@ -38,10 +39,11 @@ Cell = Tuple[str, int]
 
 
 def default_node_counts(scale: ExperimentScale) -> Tuple[int, ...]:
-    """Node-count axis: (100, 1000) except at smoke scale."""
-    if scale.name == "smoke":
-        return (scale.num_nodes,)
-    return (100, 1000)
+    """Node-count axis: the scale's own population, plus a 10x build-out
+    when that is the paper's."""
+    if scale.num_nodes == constants.NUM_NODES:
+        return (scale.num_nodes, 10 * scale.num_nodes)
+    return (scale.num_nodes,)
 
 
 def _arena_for(scale: ExperimentScale, num_nodes: int) -> Tuple[float, float]:

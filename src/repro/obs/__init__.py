@@ -15,9 +15,9 @@ Modules
     awake fraction, MAC queue depth and engine queue gauges on a fixed
     virtual-time period.
 ``profiler``
-    Opt-in event-loop profiler: per-callback wall time and event counts,
-    events/sec, heap depth — the one legitimate wall-clock consumer in the
-    simulation path (see the rcast-lint allowlist).
+    Folds a :mod:`cProfile` table into self time per layer (the first
+    module component under ``repro``), charging code outside the package
+    to its callers' layers (``rcast-repro profile``).
 ``manifest``
     Per-replication run manifests (seed, config hash, wall time, events
     processed) surfaced through progress events and ``--json-out``.
@@ -28,8 +28,8 @@ Modules
     per-run distribution summaries come from here.
 ``live``
     In-place live progress lines for single runs and sweeps, plus the
-    ``--telemetry-out`` JSONL feed; with :mod:`profiler`, the other
-    sanctioned wall-clock consumer (rcast-lint R002 allowlist).
+    ``--telemetry-out`` JSONL feed; it reads the wall clock to rate-limit
+    rendering (rcast-lint R002 allowlist).
 ``spans``
     Post-hoc flight recorder: correlates ``dsr``/``dcf``/``chan`` trace
     records by packet uid into end-to-end flights with per-layer
@@ -39,7 +39,6 @@ Modules
 from repro.obs.live import LiveRunMonitor, LiveSweepMonitor, TelemetryWriter
 from repro.obs.manifest import RunManifest, config_hash
 from repro.obs.metrics import TimelineRecorder, TimelineSample
-from repro.obs.profiler import CallbackStats, ProfileReport, SimulationProfiler
 from repro.obs.sinks import FilteredSink, JsonlSink
 from repro.obs.spans import PacketFlight, SpanHop, assemble_flights
 from repro.obs.stream import (
@@ -50,16 +49,13 @@ from repro.obs.stream import (
 )
 
 __all__ = [
-    "CallbackStats",
     "FilteredSink",
     "JsonlSink",
     "LiveRunMonitor",
     "LiveSweepMonitor",
     "PacketFlight",
-    "ProfileReport",
     "ReservoirSampler",
     "RunManifest",
-    "SimulationProfiler",
     "SpanHop",
     "StreamStats",
     "StreamingHistogram",

@@ -1,204 +1,144 @@
-"""Opt-in event-loop profiler for the discrete-event kernel.
+"""Self time by layer, folded from a :mod:`cProfile` table.
 
-:class:`SimulationProfiler` installs itself as the engine's fire
-interceptor (see :meth:`repro.sim.engine.Simulator.set_fire_interceptor`)
-and attributes wall-clock time and event counts to callback categories —
-the callback's qualified name, with ``functools.partial`` wrappers
-unwrapped.  One ``perf_counter`` pair per event keeps overhead to tens of
-nanoseconds.
+``rcast-repro profile`` runs one simulation under
+:class:`cProfile.Profile`; :func:`fold` turns the :mod:`pstats` table
+into the seconds each layer of the package spent in its own code.  A
+function's layer is the first component of its module under ``repro``
+(``sim``, ``mobility``, ``phy``, ``mac``, ``core``, ``routing``,
+``network``, ...).  Self time of code outside the package (builtins,
+``heapq``, numpy) is charged to its callers' layers, split by the self
+time the callers table records for each caller; a caller that is itself
+outside the package passes its part on to its own callers, split by
+cumulative time.  Every second of cProfile's total lands in exactly one
+layer, so the layer totals add up to it.  Time that no package caller
+explains (the profiler's own ``disable`` call) goes to ``other``.
 
-Determinism caveat: the profiler reads the wall clock, so its *report* is
-not reproducible across runs — but it never influences event order,
-virtual time, or any RNG stream, so profiling a run cannot change its
-results.  This module is the one sanctioned wall-clock consumer inside the
-simulation path and is allowlisted as such in rcast-lint's R002 rule
-(``repro.analysis.lint.rules.WallClock``); everything else must go through
-virtual time.
+cProfile measures wall time, so a profile differs from run to run, but it
+never touches event order, virtual time or any RNG stream: a profiled
+run's metrics equal an unprofiled run's.
 """
 
 from __future__ import annotations
 
-import functools
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import math
+import os
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+#: A :mod:`pstats` function key: ``(filename, first line, name)``.
+Func = Tuple[str, int, str]
+
+#: The ``repro`` package directory, with a trailing separator.
+_PACKAGE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "")
+
+#: Layer of the time no function of the package called for.
+OTHER = "other"
+
+#: Callers-table columns: self and cumulative time of the calls a caller
+#: made (each row is ``(nc, cc, tt, ct)``).
+_SELF, _CUMULATIVE = 2, 3
 
 
-def callback_name(callback: object) -> str:
-    """Human-readable category for an event callback.
+def _package_path(filename: str) -> Optional[str]:
+    """``filename`` relative to the ``repro`` package; None outside it
+    (builtins are named ``~``)."""
+    path = os.path.abspath(filename)
+    if not (path.startswith(_PACKAGE) and path.endswith(".py")):
+        return None
+    return path[len(_PACKAGE):].replace(os.sep, "/")
 
-    ``functools.partial`` layers are unwrapped so MAC completion handlers
-    bound with ``partial(self._on_queue_done, entry)`` all aggregate under
-    the method name.
-    """
-    while isinstance(callback, functools.partial):
-        callback = callback.func
-    name = getattr(callback, "__qualname__", None)
-    if isinstance(name, str):
+
+def layer_of(filename: str) -> Optional[str]:
+    """Layer of the code in ``filename``; None outside the package."""
+    rel = _package_path(filename)
+    return None if rel is None else rel.split("/")[0].removesuffix(".py")
+
+
+def _name(func: Func) -> str:
+    """``file:line(name)``, the file relative to the package inside it;
+    a builtin's own name."""
+    filename, line, name = func
+    if filename == "~":
         return name
-    return type(callback).__name__
+    return f"{_package_path(filename) or filename}:{line}({name})"
 
 
-@dataclass
-class CallbackStats:
-    """Accumulated cost of one callback category."""
+def fold(stats: Mapping[Func, Tuple[Any, ...]], top: int) -> Dict[str, Any]:
+    """Self time per layer and the ``top`` functions by self time.
 
-    name: str
-    count: int = 0
-    total_time: float = 0.0
-
-    @property
-    def mean_time(self) -> float:
-        """Average seconds per event (0 when never fired)."""
-        return self.total_time / self.count if self.count else 0.0
-
-
-@dataclass
-class ProfileReport:
-    """Summary of one profiled run."""
-
-    events: int
-    wall_time: float
-    max_heap_depth: int
-    pending_events: int
-    cancelled_events: int
-    callbacks: List[CallbackStats] = field(default_factory=list)
-
-    @property
-    def events_per_sec(self) -> float:
-        """Fired events per wall-clock second (0 when nothing measured)."""
-        return self.events / self.wall_time if self.wall_time > 0 else 0.0
-
-    def top(self, n: int = 10) -> List[CallbackStats]:
-        """The ``n`` most expensive categories by total wall time."""
-        ranked = sorted(self.callbacks,
-                        key=lambda s: (-s.total_time, -s.count, s.name))
-        return ranked[:n]
-
-    def to_dict(self, top_n: Optional[int] = None) -> Dict[str, object]:
-        """JSON-safe dict (optionally truncated to the top ``top_n``)."""
-        rows = self.top(top_n) if top_n is not None else self.top(
-            len(self.callbacks))
-        return {
-            "events": self.events,
-            "wall_time": self.wall_time,
-            "events_per_sec": self.events_per_sec,
-            "max_heap_depth": self.max_heap_depth,
-            "pending_events": self.pending_events,
-            "cancelled_events": self.cancelled_events,
-            "callbacks": [
-                {
-                    "name": s.name,
-                    "count": s.count,
-                    "total_time": s.total_time,
-                    "mean_time": s.mean_time,
-                    "share": (s.total_time / self.wall_time
-                              if self.wall_time > 0 else 0.0),
-                }
-                for s in rows
-            ],
-        }
-
-    def format(self, top_n: int = 10) -> str:
-        """Render a fixed-width text report."""
-        lines = [
-            f"events fired     : {self.events}",
-            f"wall time        : {self.wall_time:.3f} s",
-            f"events/sec       : {self.events_per_sec:,.0f}",
-            f"max heap depth   : {self.max_heap_depth}",
-            f"pending at end   : {self.pending_events}",
-            f"cancelled events : {self.cancelled_events}",
-            "",
-            f"{'callback':<44} {'count':>9} {'total ms':>10} "
-            f"{'mean us':>9} {'share':>7}",
-        ]
-        for stats in self.top(top_n):
-            share = (stats.total_time / self.wall_time * 100.0
-                     if self.wall_time > 0 else 0.0)
-            lines.append(
-                f"{stats.name:<44} {stats.count:>9} "
-                f"{stats.total_time * 1e3:>10.3f} "
-                f"{stats.mean_time * 1e6:>9.2f} {share:>6.1f}%"
-            )
-        return "\n".join(lines)
-
-
-class SimulationProfiler:
-    """Per-callback wall-time and event-count attribution.
-
-    Usage::
-
-        profiler = SimulationProfiler()
-        profiler.install(network.sim)
-        metrics = network.run()
-        print(profiler.report().format())
+    ``stats`` is a :mod:`pstats` table (``cProfile.Profile.stats`` after
+    ``create_stats()``, or ``pstats.Stats.stats``): each function maps
+    to ``(cc, nc, tt, ct, callers)``, and ``callers`` maps each caller to
+    the ``(nc, cc, tt, ct)`` of the calls it made.
     """
+    mixes: Dict[Func, Dict[str, float]] = {}
 
-    def __init__(self) -> None:
-        self._sim: Optional[Simulator] = None
-        self._stats: Dict[str, CallbackStats] = {}
-        self._events = 0
-        self._wall_time = 0.0
-        self._max_heap_depth = 0
+    def split(func: Func, column: int,
+              active: FrozenSet[Func]) -> Dict[str, float]:
+        """Shares of ``func``'s time per layer, through its callers
+        (weighted by ``column``; callers in ``active`` close a cycle)."""
+        active = active | {func}
+        weights = [(caller, row[column])
+                   for caller, row in sorted(stats[func][4].items())
+                   if caller not in active and row[column] > 0]
+        total = math.fsum(weight for _, weight in weights)
+        if not total > 0:
+            return {OTHER: 1.0}
+        shares: Dict[str, float] = {}
+        for caller, weight in weights:
+            for layer, share in mix(caller, active).items():
+                shares[layer] = shares.get(layer, 0.0) + share * weight / total
+        return shares
 
-    @property
-    def installed(self) -> bool:
-        """True while attached to a simulator."""
-        return self._sim is not None
+    def mix(func: Func, active: FrozenSet[Func]) -> Dict[str, float]:
+        """Shares of ``func``'s cumulative time per layer."""
+        layer = layer_of(func[0])
+        if layer is not None:
+            return {layer: 1.0}
+        if func not in mixes:
+            mixes[func] = split(func, _CUMULATIVE, active)
+        return mixes[func]
 
-    def install(self, sim: Simulator) -> None:
-        """Attach to ``sim``'s event loop."""
-        if self._sim is not None:
-            raise RuntimeError("profiler already installed")
-        self._sim = sim
-        sim.set_fire_interceptor(self._fire)
-
-    def uninstall(self) -> None:
-        """Detach from the simulator (idempotent)."""
-        if self._sim is not None:
-            self._sim.set_fire_interceptor(None)
-            self._sim = None
-
-    def _fire(self, event: Event) -> None:
-        """Fire interceptor: time one event and attribute it."""
-        sim = self._sim
-        assert sim is not None
-        depth = sim.heap_depth
-        if depth > self._max_heap_depth:
-            self._max_heap_depth = depth
-        start = time.perf_counter()
-        try:
-            event.fire()
-        finally:
-            elapsed = time.perf_counter() - start
-            self._events += 1
-            self._wall_time += elapsed
-            name = callback_name(event.callback)
-            stats = self._stats.get(name)
-            if stats is None:
-                stats = self._stats[name] = CallbackStats(name)
-            stats.count += 1
-            stats.total_time += elapsed
-
-    def report(self) -> ProfileReport:
-        """Snapshot the accumulated profile."""
-        sim = self._sim
-        return ProfileReport(
-            events=self._events,
-            wall_time=self._wall_time,
-            max_heap_depth=self._max_heap_depth,
-            pending_events=sim.pending_events if sim is not None else 0,
-            cancelled_events=sim.cancelled_events if sim is not None else 0,
-            callbacks=list(self._stats.values()),
-        )
+    charged: Dict[str, float] = {}
+    rows: List[Tuple[float, Func, int, str]] = []
+    for func, (_, calls, self_s, _, _) in sorted(stats.items()):
+        layer = layer_of(func[0])
+        shares = ({layer: 1.0} if layer is not None
+                  else split(func, _SELF, frozenset()))
+        for name, share in shares.items():
+            charged[name] = charged.get(name, 0.0) + self_s * share
+        rows.append((self_s, func, calls, max(shares, key=shares.__getitem__)))
+    profiled_s = math.fsum(row[0] for row in rows)
+    rows.sort(key=lambda row: -row[0])
+    return {
+        "profiled_s": profiled_s,
+        "layers": [
+            {"layer": layer, "self_s": self_s,
+             "share": self_s / profiled_s if profiled_s > 0 else 0.0}
+            for layer, self_s in sorted(charged.items(),
+                                        key=lambda kv: (-kv[1], kv[0]))
+        ],
+        "functions": [
+            {"name": _name(func), "layer": layer, "calls": calls,
+             "self_s": self_s}
+            for self_s, func, calls, layer in rows[:top]
+        ],
+    }
 
 
-__all__ = [
-    "CallbackStats",
-    "ProfileReport",
-    "SimulationProfiler",
-    "callback_name",
-]
+def format_profile(report: Mapping[str, Any]) -> str:
+    """Render :func:`fold`'s report as two fixed-width tables."""
+    lines = [f"profiled time: {report['profiled_s']:.3f} s (cProfile)", "",
+             f"{'layer':<12} {'self s':>9} {'share':>7}"]
+    for row in report["layers"]:
+        lines.append(f"{row['layer']:<12} {row['self_s']:>9.4f} "
+                     f"{row['share'] * 100:>6.1f}%")
+    lines += ["", f"{'function':<56} {'layer':<10} {'calls':>10} "
+                  f"{'self s':>9}"]
+    for row in report["functions"]:
+        lines.append(f"{row['name']:<56} {row['layer']:<10} "
+                     f"{row['calls']:>10,} {row['self_s']:>9.4f}")
+    return "\n".join(lines)
+
+
+__all__ = ["OTHER", "fold", "format_profile", "layer_of"]

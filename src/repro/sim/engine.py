@@ -71,13 +71,8 @@ class Simulator:
 
     @property
     def cancelled_events(self) -> int:
-        """Total events cancelled before firing (profiler diagnostics)."""
+        """Total events cancelled before firing (diagnostics)."""
         return self._cancelled_total
-
-    @property
-    def heap_depth(self) -> int:
-        """Raw heap length, cancelled entries included (profiler gauge)."""
-        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -89,8 +84,8 @@ class Simulator:
         """Install ``hook`` to dispatch events instead of ``event.fire()``.
 
         The hook receives each popped live event and MUST call
-        ``event.fire()`` exactly once (the profiler wraps the call with
-        wall-clock timing).  Pass ``None`` to restore direct dispatch.
+        ``event.fire()`` exactly once (the sanitizer and perfbench's layer
+        tracer wrap the call).  Pass ``None`` to restore direct dispatch.
         """
         self._fire_hook = hook
 

@@ -1080,14 +1080,14 @@ class TestR010:
         assert rule_ids(diags) == ["R010"]
         assert "fire-interceptor" in diags[0].message
 
-    def test_fire_inside_profiler_seam_is_allowed(self):
+    def test_fire_inside_engine_seam_is_allowed(self):
         diags = lint(
             """\
             def intercept(event):
                 event.fire()
             """,
             rules=["R010"],
-            rel="obs/profiler.py",
+            rel="sim/engine.py",
         )
         assert diags == []
 

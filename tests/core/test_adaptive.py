@@ -97,12 +97,11 @@ class TestMeasuredDegree:
     def test_silent_window_leaves_estimate_untouched(self):
         policy = MeasuredDegreePolicy()
         close_window(policy, [1, 2, 3])
-        before = policy.summary()
+        estimate, windows = policy.estimate, policy._active_windows
         fields = close_window(policy)          # nothing heard
-        after = policy.summary()
         assert fields["heard"] == 0
-        assert after["estimate"] == before["estimate"]
-        assert after["active_windows"] == before["active_windows"]
+        assert policy.estimate == estimate
+        assert policy._active_windows == windows
 
     def test_mid_window_epoch_returns_no_trace(self):
         policy = MeasuredDegreePolicy()

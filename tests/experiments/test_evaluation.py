@@ -67,8 +67,9 @@ def test_shared_grid_matches_standalone_runs():
     micro = dataclasses.replace(
         SMOKE_SCALE, num_nodes=12, sim_time=8.0, num_connections=2,
         repetitions=1, rates=(0.5, 1.0), low_rate=0.5, high_rate=1.0,
-        # adaptive's node axis is the scale's own count only at smoke
-        name="smoke")
+        name="micro")
+    adaptive = job_table(["adaptive"], micro).values()
+    assert {config.num_nodes for _, config in adaptive} == {12}
     names = list(EXPERIMENTS)
     table = job_table(names, micro)
     assert len(_distinct(table)) < len(table)

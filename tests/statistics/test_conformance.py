@@ -125,12 +125,12 @@ class TestDegreeEstimatorError:
         _, _, network = conformance_run("degree", mobility)
         checked = 0
         for node in network.nodes:
-            summary = node.rcast.adaptive.summary()
-            if not summary["warm"]:
+            policy = node.rcast.adaptive
+            if not policy.warm:
                 continue
             true_degree = network.positions.neighbor_count(node.node_id)
-            assert summary["estimate"] <= true_degree + self.SLACK[mobility], (
-                f"node {node.node_id}: estimate {summary['estimate']:.2f} "
+            assert policy.estimate <= true_degree + self.SLACK[mobility], (
+                f"node {node.node_id}: estimate {policy.estimate:.2f} "
                 f"exceeds oracle degree {true_degree} + slack")
             checked += 1
         assert checked >= 20  # nearly all of the 30 nodes warmed up

@@ -270,15 +270,39 @@ def test_profile_command(tmp_path, capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "events fired" in out
-    assert "events/sec" in out
-    assert "callback" in out
+    assert "profiled time" in out
+    assert "layer" in out and "function" in out
     data = json.loads(json_path.read_text())
-    assert data["events"] > 0
-    assert len(data["callbacks"]) <= 5
-    for row in data["callbacks"]:
-        assert set(row) == {"name", "count", "total_time", "mean_time",
-                            "share"}
+    assert set(data) == {"profiled_s", "layers", "functions"}
+    assert len(data["functions"]) == 5
+    for row in data["layers"]:
+        assert set(row) == {"layer", "self_s", "share"}
+    for row in data["functions"]:
+        assert set(row) == {"name", "layer", "calls", "self_s"}
+
+
+def test_profile_charges_the_always_on_fanout_to_mac(tmp_path):
+    import json
+
+    from repro.mac.base import _AlwaysOnFanout
+
+    json_path = tmp_path / "p.json"
+    top = 500
+    assert main([
+        "profile", "--scheme", "ieee80211", "--nodes", "10",
+        "--sim-time", "5", "--connections", "2", "--static", "--seed", "3",
+        "--top", str(top), "--json-out", str(json_path),
+    ]) == 0
+    data = json.loads(json_path.read_text())
+    layers = {row["layer"]: row["self_s"] for row in data["layers"]}
+    assert sum(layers.values()) == pytest.approx(data["profiled_s"],
+                                                 rel=1e-9)
+    assert {"sim", "phy", "mac", "routing"} <= set(layers)
+    assert len(data["functions"]) <= top
+    fanout = _AlwaysOnFanout.deliver.__code__
+    name = f"mac/base.py:{fanout.co_firstlineno}({fanout.co_name})"
+    assert {row["name"]: row["layer"]
+            for row in data["functions"]}[name] == "mac"
 
 
 def test_sweep_json_out_carries_replication_manifests(tmp_path, monkeypatch):

@@ -247,6 +247,35 @@ def test_aodv_end_to_end_delivery():
     assert metrics.pdr > 0.7
 
 
+@pytest.mark.parametrize("scheme, joules", [
+    # always on: 1.15 W x 1125 s
+    ("ieee80211", 1293.75),
+    # awake for the 0.05 s ATIM window of every 0.25 s beacon interval:
+    # 1.15 W x 225 s + 0.045 W x 900 s
+    ("psm", 299.25),
+    ("psm-nooh", 299.25),
+    ("odpm", 299.25),
+    ("rcast", 299.25),
+])
+def test_idle_run_meets_the_papers_closed_form_energy(scheme, joules):
+    """With no traffic every node spends exactly the paper's anchor."""
+    metrics = build_network(small(scheme, num_nodes=3, num_connections=0,
+                                  sim_time=1125.0)).run()
+    assert metrics.node_energy.tolist() == pytest.approx([joules] * 3,
+                                                         rel=1e-9)
+
+
+@pytest.mark.parametrize("routing", ["dsr", "aodv"])
+def test_interface_queue_overflow_is_a_terminal_state(routing):
+    """A one-frame interface queue under a saturating rate drops at the
+    queue, and every sent packet still ends in exactly one state."""
+    metrics = build_network(small("psm", routing=routing, queue_capacity=1,
+                                  num_connections=3, packet_rate=20.0)).run()
+    assert metrics.drop_reasons["ifq_overflow"] > 0
+    assert metrics.data_sent == (metrics.data_delivered
+                                 + sum(metrics.drop_reasons.values()))
+
+
 #: Peak-heap ceiling for the smoke workload below: 3 MiB x 1.5.  The run
 #: peaks near 1.07 MB; peak heap on a deterministic workload is
 #: machine-stable, so a breach means an unbounded buffer crept back into

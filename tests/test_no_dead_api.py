@@ -34,7 +34,6 @@ ALLOWED = {
     "decode_frame_control": "Fig. 4 ATIM codec: the header-bit claim, "
                             "executable",
     "overhearing_level": "Fig. 4 ATIM codec: FrameControl's overhearing bits",
-    "uninstall": "SimulationProfiler: leaves with the profiler it belongs to",
     "received_power": "derives the 250 m / 550 m disks from ns-2's "
                       "thresholds",
     "range_for_threshold": "derives the 250 m / 550 m disks from ns-2's "
