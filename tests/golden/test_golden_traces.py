@@ -41,13 +41,17 @@ SCHEMES = ("ieee80211", "psm", "odpm", "rcast")
 #: * ``rcast-edge`` locks the branches the paper's defaults never take:
 #:   clock jitter whose 0-100 ms offsets straddle the 50 ms ATIM window
 #:   (deferred and missed announcements), the composed P_R of all three
-#:   decision factors, randomized RREQ reception and opportunistic taps.
+#:   decision factors, randomized RREQ reception and opportunistic taps;
+#: * ``aodv`` locks the AODV agent (footnote 1's contrast case) under
+#:   Rcast: hop-by-hop forwarding, expanding-ring discovery, route
+#:   timeouts and RERR broadcasts.
 VARIANTS: Dict[str, Dict[str, Any]] = {
     "rcast-degree": dict(scheme="rcast", overhearing_policy="degree"),
     "span": dict(scheme="span"),
     "rcast-edge": dict(scheme="rcast", clock_jitter=0.1,
                        rcast_factors=("sender", "mobility", "battery"),
                        rreq_randomized=True, opportunistic_tap=True),
+    "aodv": dict(scheme="rcast", routing="aodv"),
 }
 
 #: Corpus entries: the four schemes under fixed 1/n overhearing, then the
