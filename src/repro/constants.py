@@ -58,9 +58,6 @@ MAC_BACKOFF_GROWTH = 2.0
 #: Fixed per-frame MAC/PHY overhead in bytes (headers, preamble equivalent).
 MAC_HEADER_BYTES = 34
 
-#: MAC ACK frame size in bytes.
-ACK_BYTES = 14
-
 #: Per-interval announcement budget: at most this many distinct destinations
 #: are advertised in one ATIM window (a window fits a handful of ATIMs).
 PSM_MAX_ANNOUNCEMENTS = 8
@@ -68,9 +65,6 @@ PSM_MAX_ANNOUNCEMENTS = 8
 #: Seconds a power-mode belief (from a neighbor's PwrMgt bit) stays usable
 #: for ODPM's immediate-send bypass.
 PSM_MODE_BELIEF_TTL_S = 2.0
-
-#: Short inter-frame space, seconds.
-SIFS_S = 10e-6
 
 #: DCF inter-frame space, seconds.
 DIFS_S = 50e-6
@@ -141,6 +135,14 @@ ADAPTIVE_ENERGY_M_MAX = 8.0
 ADAPTIVE_BANDIT_EPSILON = 0.1
 ADAPTIVE_BANDIT_COST_WEIGHT = 2.0
 
+# --- Routing (both agents) ---------------------------------------------------
+
+#: Maximum data packets buffered per node awaiting a route.
+SEND_BUFFER_CAPACITY = 64
+
+#: Seconds a packet may wait in the send buffer before being dropped.
+SEND_BUFFER_TIMEOUT_S = 30.0
+
 # --- DSR ---------------------------------------------------------------------
 
 #: Maximum passively learned (secondary-segment) paths per node's route cache.
@@ -171,12 +173,6 @@ DSR_NONPROP_TTL = 1
 #: Network-wide RREQ TTL.
 DSR_NETWORK_TTL = 16
 
-#: Maximum data packets buffered per node awaiting a route.
-DSR_SEND_BUFFER_CAPACITY = 64
-
-#: Seconds a packet may wait in the send buffer before being dropped.
-DSR_SEND_BUFFER_TIMEOUT_S = 30.0
-
 #: RREPs the target sends per discovery (one per arriving RREQ copy), offering
 #: alternative routes; the paper leans on this behaviour.
 DSR_MAX_REPLIES_PER_REQUEST = 3
@@ -198,23 +194,15 @@ AODV_TTL_INCREMENT = 2
 #: TTL at which the search becomes network-wide.
 AODV_TTL_THRESHOLD = 7
 
-#: Network-wide RREQ TTL.
+#: Network-wide RREQ TTL.  A discovery gives up when its flood at this TTL
+#: times out.
 AODV_NETWORK_TTL = 16
-
-#: Network-wide discovery retries before buffered packets are dropped.
-AODV_MAX_DISCOVERY_RETRIES = 3
 
 #: Base wait per discovery ring, scaled by its TTL (PSM RTT-aware), seconds.
 AODV_RING_WAIT_PER_TTL_S = 0.6
 
 #: Cap on any single discovery wait, seconds.
 AODV_MAX_RING_WAIT_S = 4.0
-
-#: Maximum data packets buffered per node awaiting a route.
-AODV_SEND_BUFFER_CAPACITY = 64
-
-#: Seconds a packet may wait in the send buffer before being dropped.
-AODV_SEND_BUFFER_TIMEOUT_S = 30.0
 
 # --- Scenario defaults (paper Section 4.1) -----------------------------------
 

@@ -39,18 +39,15 @@ batched model preserves per-node observable order because:
   grids) gets a private splinter group, reproducing the per-node chain
   it would have run.
 
-The ATIM-end decision is vectorized: per-member wake *reasons* are kept
-as small int bitmasks (see :mod:`repro.mac.psm`), gathered into a numpy
-reasons/mode table per batch, and the sleep/awake partition is a single
-vector compare.  Per-node *effects* (trace emission, radio sleep, DCF
-submission) are then applied in member order so traces stay identical.
+At the ATIM-window end every member first folds its wake *reasons* into
+a small int bitmask (see :mod:`repro.mac.psm`); then, in member order, a
+member with a nonzero mask stays awake and submits its announced frames
+and the others sleep.  Single-member groups take the same loop.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.sim.events import PRIORITY_KERNEL, Event
@@ -152,24 +149,14 @@ class _EpochGroup:
 
     def _fire_atim_end(self, interval_start: float) -> None:
         now = self.sim.now
-        active = [mac for mac in self.members
-                  if mac._epoch_active_from <= interval_start]
-        if len(active) == 1:
-            active[0]._atim_end_body(now)
-            return
-        if not active:
-            return
-        # Vectorized sleep/awake decision: fold each member's reasons,
-        # power mode and pending-tx state into one bitmask row of a
-        # numpy table, decide the whole group with a single vector
-        # compare, then apply per-node effects in member order (the
-        # folds are pure reads, so fold/apply separation is safe).
-        folds = [mac._atim_fold(now) for mac in active]
-        table = np.fromiter((mask for mask, _ in folds),
-                            dtype=np.int64, count=len(folds))
-        awake = (table != 0).tolist()
-        for mac, (mask, announced), stays_awake in zip(active, folds, awake):
-            if stays_awake:
+        # Fold each member's reasons, power mode and pending-tx state into
+        # its wake bitmask first, then stay awake or sleep per member in
+        # member order (the folds are pure reads, so fold/apply
+        # separation is safe).
+        folds = [(mac, mac._atim_fold(now)) for mac in self.members
+                 if mac._epoch_active_from <= interval_start]
+        for mac, (mask, announced) in folds:
+            if mask:
                 mac._atim_apply(now, mask, announced)
             else:
                 mac._atim_sleep(now)

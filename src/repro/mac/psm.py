@@ -339,13 +339,6 @@ class PsmMac(MacBase):
             self.dcf.submit(entry.frame, partial(self._on_queue_done, entry),
                             deadline=deadline)
 
-    def _atim_end_body(self, now: float) -> None:
-        mask, announced = self._atim_fold(now)
-        if mask:
-            self._atim_apply(now, mask, announced)
-        else:
-            self._atim_sleep(now)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------

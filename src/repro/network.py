@@ -25,7 +25,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.core.adaptive import (
@@ -59,6 +59,7 @@ from repro.node import Node
 from repro.phy.channel import Channel, reset_tx_ids
 from repro.phy.energy import EnergyMeter
 from repro.phy.radio import Radio
+from repro.routing.agent import RoutingAgent
 from repro.routing.dsr.protocol import DsrProtocol
 from repro.routing.packets import reset_uid_counter
 from repro.sim.engine import Simulator
@@ -70,7 +71,6 @@ from repro.traffic.pairs import choose_connections
 if TYPE_CHECKING:
     from repro.analysis.sanitizer import SanitizerReport
     from repro.mac.span import SpanElection
-    from repro.routing.aodv.protocol import AodvProtocol
 
 #: All supported scheme keys.
 SCHEMES = ("ieee80211", "psm", "psm-nooh", "odpm", "rcast", "span")
@@ -483,15 +483,14 @@ def build_network(config: SimulationConfig,
         mac, rcast = _build_mac(config, sim, i, channel, radios[i],
                                 positions, rngs, trace,
                                 span_election=span_election, epochs=epochs)
-        agent: Union[DsrProtocol, "AodvProtocol"]
+        agent: RoutingAgent[Any]
         if config.routing == "aodv":
             from repro.routing.aodv.protocol import AodvProtocol
 
-            agent = AodvProtocol(sim, i, mac, metrics=metrics,
-                                 rng=rngs.stream(f"aodv:{i}"), trace=trace)
+            agent = AodvProtocol(sim, i, mac, metrics, trace=trace)
         else:
-            agent = DsrProtocol(sim, i, mac, metrics=metrics,
-                                rng=rngs.stream(f"dsr:{i}"), trace=trace)
+            agent = DsrProtocol(sim, i, mac, metrics, rngs.stream(f"dsr:{i}"),
+                                trace=trace)
         nodes.append(Node(i, radios[i], mac, agent, rcast))
 
     _attach_traffic(config, sim, rngs, nodes)

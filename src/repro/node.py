@@ -3,29 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.core.rcast import RcastManager
 from repro.mac.base import MacBase
 from repro.phy.radio import Radio
+from repro.routing.agent import RoutingAgent
 
 
 @dataclass
 class Node:
     """One mobile node: radio + MAC + routing agent + traffic sources.
 
-    ``dsr`` holds the node's routing agent — a
-    :class:`~repro.routing.dsr.protocol.DsrProtocol` in the paper's
+    ``dsr`` holds the node's :class:`~repro.routing.agent.RoutingAgent`:
+    a :class:`~repro.routing.dsr.protocol.DsrProtocol` in the paper's
     configuration, or an
     :class:`~repro.routing.aodv.protocol.AodvProtocol` when the scenario
-    selects the AODV baseline (both expose the same ``send_data`` /
-    ``delivery_callback`` surface).
+    selects the AODV baseline.  The attribute keeps the paper's protocol
+    name whichever agent it holds.
     """
 
     node_id: int
     radio: Radio
     mac: MacBase
-    dsr: object
+    dsr: RoutingAgent[Any]
     rcast: Optional[RcastManager] = None
     sources: List[object] = field(default_factory=list)
 

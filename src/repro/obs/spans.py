@@ -43,7 +43,7 @@ from typing import (
     Union,
 )
 
-from repro.constants import DSR_SEND_BUFFER_TIMEOUT_S, POWER_AWAKE_W
+from repro.constants import POWER_AWAKE_W, SEND_BUFFER_TIMEOUT_S
 from repro.sim.trace import TraceRecord
 
 PathLike = Union[str, Path]
@@ -306,7 +306,7 @@ def _discovery_time(rreqs: Optional[List[Tuple[float, int]]],
     """
     if not rreqs:
         return None
-    window = min(_RREP_WINDOW_S, DSR_SEND_BUFFER_TIMEOUT_S)
+    window = min(_RREP_WINDOW_S, SEND_BUFFER_TIMEOUT_S)
     last_index = None
     for index, (time, _) in enumerate(rreqs):
         if first_tx - window <= time <= first_tx:
@@ -317,7 +317,7 @@ def _discovery_time(rreqs: Optional[List[Tuple[float, int]]],
     start_time, start_attempt = rreqs[last_index]
     for index in range(last_index - 1, -1, -1):
         time, attempt = rreqs[index]
-        if attempt >= start_attempt or first_tx - time > DSR_SEND_BUFFER_TIMEOUT_S:
+        if attempt >= start_attempt or first_tx - time > SEND_BUFFER_TIMEOUT_S:
             break
         start_time, start_attempt = time, attempt
     return start_time

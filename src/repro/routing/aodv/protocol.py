@@ -11,54 +11,30 @@ level implies) but never feed the routing table.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Set, Tuple
 
 from repro.constants import (
     AODV_ACTIVE_ROUTE_TIMEOUT_S,
-    AODV_MAX_DISCOVERY_RETRIES,
     AODV_MAX_RING_WAIT_S,
     AODV_NETWORK_TTL,
     AODV_RING_WAIT_PER_TTL_S,
-    AODV_SEND_BUFFER_CAPACITY,
-    AODV_SEND_BUFFER_TIMEOUT_S,
     AODV_TTL_INCREMENT,
-    AODV_TTL_START,
     AODV_TTL_THRESHOLD,
 )
 from repro.mac.frames import BROADCAST
+from repro.routing.agent import Discovery, RoutingAgent
 from repro.routing.aodv.packets import AodvData, AodvRerr, AodvRrep, AodvRreq
-from repro.routing.aodv.table import RoutingTable
+from repro.routing.aodv.table import AodvRoute, RoutingTable
 from repro.routing.packets import next_uid
 from repro.sim.trace import NULL_TRACE, TraceSink
 
 if TYPE_CHECKING:
     from repro.mac.base import MacBase
     from repro.metrics.collector import MetricsCollector
-    from repro.routing.aodv.table import AodvRoute
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 
-@dataclass
-class _BufferedSend:
-    uid: int
-    dst: int
-    payload_bytes: int
-    created_at: float
-    expires_at: float
-
-
-@dataclass
-class _Discovery:
-    target: int
-    attempts: int = 0
-    ttl: int = 0
-    timer: Optional["Event"] = None
-
-
-class AodvProtocol:
+class AodvProtocol(RoutingAgent[AodvRoute]):
     """AODV routing agent bound to one node's MAC."""
 
     def __init__(
@@ -66,88 +42,41 @@ class AodvProtocol:
         sim: "Simulator",
         node_id: int,
         mac: "MacBase",
-        metrics: "Optional[MetricsCollector]" = None,
-        rng: Optional[random.Random] = None,
+        metrics: "MetricsCollector",
         trace: TraceSink = NULL_TRACE,
     ) -> None:
-        self.sim = sim
-        self.node_id = node_id
-        self.mac = mac
-        self.metrics = metrics
-        self.trace = trace
+        super().__init__(sim, node_id, mac, metrics, trace)
         self.table = RoutingTable(node_id, AODV_ACTIVE_ROUTE_TIMEOUT_S)
         self._seq = 0
         self._rreq_ids = itertools.count()
         self._seen_rreqs: Set[Tuple[int, int]] = set()
-        self._send_buffer: List[_BufferedSend] = []
-        self._discoveries: Dict[int, _Discovery] = {}
-        #: set while the node is crashed (fault injection)
-        self.down = False
-        self.delivery_callback: Optional[Callable[[AodvData], None]] = None
-        mac.set_upper(
-            on_receive=self._on_receive,
-            on_promiscuous=self._on_promiscuous,
-            on_link_failure=self._on_link_failure,
-            on_dropped=self._on_ifq_drop,
-        )
-        # Statistics
-        self.data_originated = 0
-        self.data_forwarded = 0
-        self.rreq_sent = 0
-        self.rrep_sent = 0
-        self.rerr_sent = 0
-
-    # ------------------------------------------------------------------
-    # Application interface
-    # ------------------------------------------------------------------
-
-    def send_data(self, dst: int, payload_bytes: int, app_seq: int = 0) -> int:
-        """Send application data to ``dst``; returns the packet uid.
-
-        Returns ``-1`` without originating anything while the node is down
-        (fault injection): a crashed node's application is dead too.
-        """
-        if self.down:
-            return -1
-        now = self.sim.now
-        uid = next_uid()
-        if self.metrics is not None:
-            self.metrics.data_originated(uid, self.node_id, dst, now,
-                                         payload_bytes)
-        if dst == self.node_id:
-            if self.metrics is not None:
-                self.metrics.data_delivered(uid, now)
-            return uid
-        route = self.table.lookup(dst, now)
-        if route is not None:
-            self._forward_data(AodvData(self.node_id, dst, uid, now,
-                                        payload_bytes), route)
-            self.data_originated += 1
-        else:
-            self._buffer(_BufferedSend(uid, dst, payload_bytes, now,
-                                       now + AODV_SEND_BUFFER_TIMEOUT_S))
-            self._start_discovery(dst)
-        return uid
 
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
 
-    def _forward_data(self, packet: AodvData, route: "AodvRoute") -> None:
+    def _route_to(self, dst: int, now: float) -> Optional[AodvRoute]:
+        return self.table.lookup(dst, now)
+
+    def _originate(self, uid: int, dst: int, route: AodvRoute,
+                   payload_bytes: int, app_seq: int,
+                   created_at: float) -> None:
+        self._forward_data(
+            AodvData(self.node_id, dst, uid, created_at, payload_bytes), route)
+
+    def _forward_data(self, packet: AodvData, route: AodvRoute) -> None:
         self.table.refresh(packet.dst, self.sim.now)
-        if self.metrics is not None:
-            self.metrics.transmission("data")
-            if packet.src != self.node_id:
-                self.metrics.roles.record_route(
-                    (packet.src, self.node_id, packet.dst)
-                )
+        self.metrics.transmission("data")
+        if packet.src != self.node_id:
+            self.metrics.roles.record_route(
+                (packet.src, self.node_id, packet.dst)
+            )
         self.mac.send(packet, route.next_hop)
 
     def _handle_data(self, packet: AodvData, prev_hop: int) -> None:
         now = self.sim.now
         if packet.dst == self.node_id:
-            if self.metrics is not None:
-                self.metrics.data_delivered(packet.uid, now)
+            self.metrics.data_delivered(packet.uid, now)
             if self.delivery_callback is not None:
                 self.delivery_callback(packet)
             # Data arriving keeps the reverse route to its source alive.
@@ -156,8 +85,7 @@ class AodvProtocol:
         route = self.table.lookup(packet.dst, now)
         if route is None:
             # No route at a relay: drop and report, per AODV.
-            if self.metrics is not None:
-                self.metrics.data_dropped(packet.uid, "no_route_at_relay")
+            self.metrics.data_dropped(packet.uid, "no_route_at_relay")
             self._broadcast_rerr([(packet.dst,
                                    self.table.last_known_seq(packet.dst))])
             return
@@ -168,14 +96,7 @@ class AodvProtocol:
     # Route discovery
     # ------------------------------------------------------------------
 
-    def _start_discovery(self, target: int) -> None:
-        if target in self._discoveries:
-            return
-        state = _Discovery(target, ttl=AODV_TTL_START)
-        self._discoveries[target] = state
-        self._send_rreq(state)
-
-    def _send_rreq(self, state: _Discovery) -> None:
+    def _send_rreq(self, state: Discovery) -> None:
         state.attempts += 1
         self._seq += 1
         rreq = AodvRreq(
@@ -186,41 +107,27 @@ class AodvProtocol:
             hop_count=0, ttl=state.ttl,
         )
         self.rreq_sent += 1
-        if self.metrics is not None:
-            self.metrics.transmission("rreq")
+        self.metrics.transmission("rreq")
         self.mac.send(rreq, BROADCAST)
         wait = min(AODV_RING_WAIT_PER_TTL_S * max(state.ttl, 1),
                    AODV_MAX_RING_WAIT_S)
         state.timer = self.sim.schedule(wait, self._discovery_timeout, state)
 
-    def _discovery_timeout(self, state: _Discovery) -> None:
+    def _discovery_timeout(self, state: Discovery) -> None:
         if state.target not in self._discoveries:
             return
         if self.table.lookup(state.target, self.sim.now) is not None:
             self._complete_discovery(state.target)
             return
-        if state.ttl < AODV_NETWORK_TTL:
-            # Expanding ring: widen and retry without consuming a retry.
-            state.ttl = (AODV_NETWORK_TTL if state.ttl >= AODV_TTL_THRESHOLD
-                         else min(state.ttl + AODV_TTL_INCREMENT,
-                                  AODV_NETWORK_TTL))
-            self._send_rreq(state)
+        if state.ttl >= AODV_NETWORK_TTL:
+            # The network-wide flood went unanswered.
+            self._give_up(state)
             return
-        if state.attempts >= AODV_MAX_DISCOVERY_RETRIES + 1:
-            del self._discoveries[state.target]
-            state.timer = None
-            self._drop_buffered(state.target, "no_route")
-            return
+        # Expanding ring: widen and retry.
+        state.ttl = (AODV_NETWORK_TTL if state.ttl >= AODV_TTL_THRESHOLD
+                     else min(state.ttl + AODV_TTL_INCREMENT,
+                              AODV_NETWORK_TTL))
         self._send_rreq(state)
-
-    def _complete_discovery(self, target: int) -> None:
-        state = self._discoveries.pop(target, None)
-        if state is not None and state.timer is not None:
-            state.timer.cancel()
-            # The timer's args hold the state: drop the back reference so
-            # the pair is freed by refcount, not the cyclic collector.
-            state.timer = None
-        self._drain_buffer()
 
     def _handle_rreq(self, rreq: AodvRreq, prev_hop: int) -> None:
         if rreq.src == self.node_id:
@@ -245,8 +152,7 @@ class AodvProtocol:
                             dst_seq=route.dst_seq, hop_count=route.hop_count)
             return
         if rreq.ttl > 1:
-            if self.metrics is not None:
-                self.metrics.transmission("rreq")
+            self.metrics.transmission("rreq")
             self.mac.send(rreq.rebroadcast(), BROADCAST)
 
     def _send_rrep(self, origin: int, route_dst: int, dst_seq: int,
@@ -260,8 +166,7 @@ class AodvProtocol:
             dst_seq=dst_seq, hop_count=hop_count,
         )
         self.rrep_sent += 1
-        if self.metrics is not None:
-            self.metrics.transmission("rrep")
+        self.metrics.transmission("rrep")
         self.mac.send(rrep, back.next_hop)
 
     def _handle_rrep(self, rrep: AodvRrep, prev_hop: int) -> None:
@@ -276,8 +181,7 @@ class AodvProtocol:
         if back is None:
             return
         forwarded = rrep.forwarded()
-        if self.metrics is not None:
-            self.metrics.transmission("rrep")
+        self.metrics.transmission("rrep")
         self.mac.send(forwarded, back.next_hop)
 
     # ------------------------------------------------------------------
@@ -286,20 +190,15 @@ class AodvProtocol:
 
     def _on_link_failure(self, packet: Any, next_hop: int) -> None:
         broken = self.table.invalidate_via(next_hop)
-        if self.metrics is not None:
-            self.metrics.link_break()
+        self.metrics.link_break()
         if broken:
             self._broadcast_rerr([(r.dst, r.dst_seq) for r in broken])
-        if getattr(packet, "kind", None) == "data":
+        if packet.kind == "data":
             if packet.src == self.node_id:
                 # Re-buffer and rediscover at the source.
-                self._buffer(_BufferedSend(
-                    packet.uid, packet.dst, packet.payload_bytes,
-                    packet.created_at,
-                    self.sim.now + AODV_SEND_BUFFER_TIMEOUT_S,
-                ))
-                self._start_discovery(packet.dst)
-            elif self.metrics is not None:
+                self._await_route(packet.uid, packet.dst,
+                                  packet.payload_bytes, 0, packet.created_at)
+            else:
                 self.metrics.data_dropped(packet.uid, "link_break")
 
     def _broadcast_rerr(self, unreachable: List[Tuple[int, int]]) -> None:
@@ -307,8 +206,7 @@ class AodvProtocol:
                         created_at=self.sim.now,
                         unreachable=tuple(unreachable))
         self.rerr_sent += 1
-        if self.metrics is not None:
-            self.metrics.transmission("rerr")
+        self.metrics.transmission("rerr")
         self.mac.send(rerr, BROADCAST)
 
     def _handle_rerr(self, rerr: AodvRerr, prev_hop: int) -> None:
@@ -342,75 +240,11 @@ class AodvProtocol:
         # AODV does not learn from overheard traffic (the paper's point).
         if self.down:
             return
-        if self.metrics is not None:
-            self.metrics.overheard(self.node_id)
-
-    def _on_ifq_drop(self, packet: Any) -> None:
-        if getattr(packet, "kind", None) == "data" and self.metrics is not None:
-            self.metrics.data_dropped(packet.uid, "ifq_overflow")
+        self.metrics.overheard(self.node_id)
 
     # ------------------------------------------------------------------
-    # Send buffer
+    # Fault injection: cold recovery
     # ------------------------------------------------------------------
-
-    def _buffer(self, entry: _BufferedSend) -> None:
-        self._sweep_buffer()
-        if len(self._send_buffer) >= AODV_SEND_BUFFER_CAPACITY:
-            victim = self._send_buffer.pop(0)
-            if self.metrics is not None:
-                self.metrics.data_dropped(victim.uid, "buffer_overflow")
-        self._send_buffer.append(entry)
-
-    def _sweep_buffer(self) -> None:
-        now = self.sim.now
-        expired = [e for e in self._send_buffer if e.expires_at <= now]
-        if expired:
-            self._send_buffer = [e for e in self._send_buffer
-                                 if e.expires_at > now]
-            if self.metrics is not None:
-                for entry in expired:
-                    self.metrics.data_dropped(entry.uid, "buffer_timeout")
-
-    def _drain_buffer(self) -> None:
-        self._sweep_buffer()
-        now = self.sim.now
-        remaining: List[_BufferedSend] = []
-        for entry in self._send_buffer:
-            route = self.table.lookup(entry.dst, now)
-            if route is None:
-                remaining.append(entry)
-            else:
-                self.data_originated += 1
-                self._forward_data(
-                    AodvData(self.node_id, entry.dst, entry.uid,
-                             entry.created_at, entry.payload_bytes),
-                    route,
-                )
-        self._send_buffer = remaining
-
-    def _drop_buffered(self, target: int, reason: str) -> None:
-        dropped = [e for e in self._send_buffer if e.dst == target]
-        self._send_buffer = [e for e in self._send_buffer if e.dst != target]
-        if self.metrics is not None:
-            for entry in dropped:
-                self.metrics.data_dropped(entry.uid, reason)
-
-    # ------------------------------------------------------------------
-    # Fault injection: crash / cold recovery
-    # ------------------------------------------------------------------
-
-    def halt(self) -> None:
-        """Node crash: kill discoveries and drop the send buffer."""
-        self.down = True
-        for state in self._discoveries.values():
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-        self._discoveries.clear()
-        if self.metrics is not None:
-            for entry in self._send_buffer:
-                self.metrics.data_dropped(entry.uid, "node_down")
-        self._send_buffer.clear()
 
     def reset_cold(self) -> None:
         """Recover from a crash with an empty routing table.

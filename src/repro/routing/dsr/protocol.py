@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 from repro.constants import (
     DSR_DISCOVERY_MAX_BACKOFF_S,
@@ -45,10 +44,9 @@ from repro.constants import (
     DSR_NETWORK_TTL,
     DSR_NONPROP_TIMEOUT_S,
     DSR_NONPROP_TTL,
-    DSR_SEND_BUFFER_CAPACITY,
-    DSR_SEND_BUFFER_TIMEOUT_S,
 )
 from repro.mac.frames import BROADCAST
+from repro.routing.agent import Discovery, RoutingAgent
 from repro.routing.dsr.cache import RouteCache
 from repro.routing.packets import (
     DataPacket,
@@ -58,38 +56,15 @@ from repro.routing.packets import (
     RouteRequest,
     next_uid,
 )
-from repro.sim.rng import derived_stream
 from repro.sim.trace import NULL_TRACE, TraceSink
 
 if TYPE_CHECKING:
     from repro.mac.base import MacBase
     from repro.metrics.collector import MetricsCollector
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 
-@dataclass
-class BufferedSend:
-    """An application packet waiting in the send buffer for a route."""
-
-    uid: int
-    dst: int
-    payload_bytes: int
-    app_seq: int
-    created_at: float
-    expires_at: float
-
-
-@dataclass
-class Discovery:
-    """State of an in-progress route discovery for one target."""
-
-    target: int
-    attempts: int = 0
-    timer: Optional["Event"] = None
-
-
-class DsrProtocol:
+class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
     """DSR routing agent bound to one node's MAC."""
 
     def __init__(
@@ -97,28 +72,14 @@ class DsrProtocol:
         sim: "Simulator",
         node_id: int,
         mac: "MacBase",
-        metrics: "Optional[MetricsCollector]" = None,
-        rng: Optional[random.Random] = None,
+        metrics: "MetricsCollector",
+        rng: random.Random,
         trace: TraceSink = NULL_TRACE,
     ) -> None:
-        self.sim = sim
-        self.node_id = node_id
-        self.mac = mac
-        # No injected stream: derive a node-scoped one from root seed 0.
-        # Never the global `random` module — cache-reply jitter draws must
-        # be seed-stable and isolated from every other subsystem's stream.
-        # The "dsr:<id>" name matches build_network's injected stream but
-        # hangs off fixed root seed 0, so standalone-constructed protocols
-        # (unit tests) are seed-stable without colliding with any registry:
-        # a registry-backed run always passes `rng` and skips this branch.
-        self._rng = (rng if rng is not None
-                     else derived_stream(0, f"dsr:{node_id}"))  # rcast-lint: disable=R007 -- fallback mirrors injected name under a distinct root
-
-        self.metrics = metrics
-        self.trace = trace
+        super().__init__(sim, node_id, mac, metrics, trace)
+        #: the node's ``dsr:<id>`` stream: cache-reply jitter draws
+        self._rng = rng
         self.cache = RouteCache(node_id)
-        self._send_buffer: List[BufferedSend] = []
-        self._discoveries: Dict[int, Discovery] = {}
         self._seen_rreqs: Set[Tuple[int, int]] = set()
         self._replies_sent: Dict[Tuple[int, int], int] = {}
         #: discoveries already answered (by us or, to our knowledge, by
@@ -126,76 +87,29 @@ class DsrProtocol:
         #: suppression, without which dense networks drown in RREPs.
         self._answered: Set[Tuple[int, int]] = set()
         self._request_ids = itertools.count()
-        #: set while the node is crashed (fault injection); a down agent
-        #: originates nothing and ignores anything still in flight to it
-        self.down = False
-        self.delivery_callback: Optional[Callable[[DataPacket], None]] = None
-        mac.set_upper(
-            on_receive=self._on_receive,
-            on_promiscuous=self._on_promiscuous,
-            on_link_failure=self._on_link_failure,
-            on_dropped=self._on_ifq_drop,
-        )
-        # Statistics
-        self.data_originated = 0
-        self.data_forwarded = 0
         self.data_salvaged = 0
-        self.rreq_sent = 0
-        self.rrep_sent = 0
-        self.rerr_sent = 0
-
-    # ------------------------------------------------------------------
-    # Application interface
-    # ------------------------------------------------------------------
-
-    def send_data(self, dst: int, payload_bytes: int, app_seq: int = 0) -> int:
-        """Send application data to ``dst``; returns the packet uid.
-
-        Returns ``-1`` without originating anything while the node is down
-        (its application is dead too — the packet is never offered, so it
-        does not count against delivery ratio).
-        """
-        if self.down:
-            return -1
-        now = self.sim.now
-        uid = next_uid()
-        if self.metrics is not None:
-            self.metrics.data_originated(uid, self.node_id, dst, now, payload_bytes)
-        if dst == self.node_id:
-            if self.metrics is not None:
-                self.metrics.data_delivered(uid, now)
-            return uid
-        route = self.cache.route_to(dst, now)
-        if route is not None:
-            self._originate(uid, route, payload_bytes, app_seq, now)
-        else:
-            self._buffer_send(BufferedSend(
-                uid, dst, payload_bytes, app_seq, now,
-                now + DSR_SEND_BUFFER_TIMEOUT_S,
-            ))
-            self._start_discovery(dst)
-        return uid
 
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
 
-    def _originate(self, uid: int, route: Tuple[int, ...], payload_bytes: int,
-                   app_seq: int, created_at: float) -> None:
+    def _route_to(self, dst: int, now: float) -> Optional[Tuple[int, ...]]:
+        return self.cache.route_to(dst, now)
+
+    def _originate(self, uid: int, dst: int, route: Tuple[int, ...],
+                   payload_bytes: int, app_seq: int,
+                   created_at: float) -> None:
         packet = DataPacket(
-            src=self.node_id, dst=route[-1], uid=uid, created_at=created_at,
+            src=self.node_id, dst=dst, uid=uid, created_at=created_at,
             trip_route=route, trip_index=0,
             payload_bytes=payload_bytes, app_seq=app_seq,
         )
-        self.data_originated += 1
-        if self.metrics is not None:
-            self.metrics.route_used(route)
+        self.metrics.route_used(route)
         self._transmit(packet)
 
     def _transmit(self, packet: PacketBase) -> None:
         """Hand a unicast packet to the MAC toward its next hop."""
-        if self.metrics is not None:
-            self.metrics.transmission(packet.kind)
+        self.metrics.transmission(packet.kind)
         if self.trace.enabled:
             self.trace.emit(self.sim.now, "dsr", self.node_id, "tx",
                             kind=packet.kind, uid=packet.uid,
@@ -203,8 +117,7 @@ class DsrProtocol:
         self.mac.send(packet, packet.next_hop)
 
     def _broadcast(self, rreq: RouteRequest) -> None:
-        if self.metrics is not None:
-            self.metrics.transmission(rreq.kind)
+        self.metrics.transmission(rreq.kind)
         self.mac.send(rreq, BROADCAST)
 
     # ------------------------------------------------------------------
@@ -237,8 +150,7 @@ class DsrProtocol:
             return
         if idx == len(packet.trip_route) - 1:
             # Final destination.
-            if self.metrics is not None:
-                self.metrics.data_delivered(packet.uid, self.sim.now)
+            self.metrics.data_delivered(packet.uid, self.sim.now)
             if self.delivery_callback is not None:
                 self.delivery_callback(packet)
             return
@@ -249,13 +161,6 @@ class DsrProtocol:
     # ------------------------------------------------------------------
     # Route discovery
     # ------------------------------------------------------------------
-
-    def _start_discovery(self, target: int) -> None:
-        if target in self._discoveries:
-            return
-        state = Discovery(target)
-        self._discoveries[target] = state
-        self._send_rreq(state)
 
     def _send_rreq(self, state: Discovery) -> None:
         state.attempts += 1
@@ -288,24 +193,13 @@ class DsrProtocol:
             self._complete_discovery(state.target)
             return
         if state.attempts >= DSR_DISCOVERY_MAX_RETRIES:
-            del self._discoveries[state.target]
-            state.timer = None
             if self.trace.enabled:
                 self.trace.emit(self.sim.now, "dsr", self.node_id,
                                 "discovery_failed", target=state.target,
                                 attempts=state.attempts)
-            self._drop_buffered(state.target, "no_route")
+            self._give_up(state)
             return
         self._send_rreq(state)
-
-    def _complete_discovery(self, target: int) -> None:
-        state = self._discoveries.pop(target, None)
-        if state is not None and state.timer is not None:
-            state.timer.cancel()
-            # The timer's args hold the state: drop the back reference so
-            # the pair is freed by refcount, not the cyclic collector.
-            state.timer = None
-        self._drain_send_buffer()
 
     def _handle_rreq(self, rreq: RouteRequest) -> None:
         if rreq.src == self.node_id or self.node_id in rreq.route_record:
@@ -383,18 +277,12 @@ class DsrProtocol:
         if idx == len(rrep.trip_route) - 1:
             # Originator: the discovery is complete.
             self._complete_discovery(rrep.path[-1])
-            self._drain_send_buffer()
             return
         self._transmit(rrep.advance())
 
     # ------------------------------------------------------------------
     # Route maintenance
     # ------------------------------------------------------------------
-
-    def _on_ifq_drop(self, packet: PacketBase) -> None:
-        """The MAC's queue overflowed: a congestion drop, not a link break."""
-        if packet.kind == "data" and self.metrics is not None:
-            self.metrics.data_dropped(packet.uid, "ifq_overflow")
 
     def _on_link_failure(self, packet: PacketBase, next_hop: int) -> None:
         self.cache.remove_link(self.node_id, next_hop)
@@ -406,32 +294,24 @@ class DsrProtocol:
         broken = (self.node_id, next_hop)
         if self.node_id == packet.src:
             # Source-local failure: re-buffer and rediscover.
-            if self.metrics is not None:
-                self.metrics.link_break()
-            self._buffer_send(BufferedSend(
-                packet.uid, packet.dst, packet.payload_bytes, packet.app_seq,
-                packet.created_at,
-                self.sim.now + DSR_SEND_BUFFER_TIMEOUT_S,
-            ))
-            self._start_discovery(packet.dst)
-            return
-        if self.metrics is not None:
             self.metrics.link_break()
+            self._await_route(packet.uid, packet.dst, packet.payload_bytes,
+                              packet.app_seq, packet.created_at)
+            return
+        self.metrics.link_break()
         self._send_rerr(packet, broken)
         if packet.salvage_count < DSR_MAX_SALVAGE_COUNT:
             alt = self.cache.route_to(packet.dst, self.sim.now)
             if alt is not None:
                 self.data_salvaged += 1
-                if self.metrics is not None:
-                    self.metrics.route_used(alt)
+                self.metrics.route_used(alt)
                 if self.trace.enabled:
                     self.trace.emit(self.sim.now, "dsr", self.node_id,
                                     "salvage", uid=packet.uid,
                                     dst=packet.dst, hops=len(alt) - 1)
                 self._transmit(packet.salvaged(alt))
                 return
-        if self.metrics is not None:
-            self.metrics.data_dropped(packet.uid, "link_break")
+        self.metrics.data_dropped(packet.uid, "link_break")
 
     def _send_rerr(self, packet: DataPacket, broken: Tuple[int, int]) -> None:
         my_idx = packet.trip_route.index(self.node_id)
@@ -467,8 +347,7 @@ class DsrProtocol:
         if self.down:
             return
         me = self.node_id
-        if self.metrics is not None:
-            self.metrics.overheard(me)
+        self.metrics.overheard(me)
         kind = packet.kind
         if kind == "rerr":
             # Unconditional invalidation: purge the broken link immediately.
@@ -537,69 +416,8 @@ class DsrProtocol:
         self._learn_along(path, path.index(self.node_id), source="rrep")
 
     # ------------------------------------------------------------------
-    # Send buffer
+    # Fault injection: cold recovery
     # ------------------------------------------------------------------
-
-    def _buffer_send(self, entry: BufferedSend) -> None:
-        self._sweep_buffer()
-        if len(self._send_buffer) >= DSR_SEND_BUFFER_CAPACITY:
-            victim = self._send_buffer.pop(0)
-            if self.metrics is not None:
-                self.metrics.data_dropped(victim.uid, "buffer_overflow")
-        self._send_buffer.append(entry)
-
-    def _sweep_buffer(self) -> None:
-        now = self.sim.now
-        expired = [e for e in self._send_buffer if e.expires_at <= now]
-        if not expired:
-            return
-        self._send_buffer = [e for e in self._send_buffer if e.expires_at > now]
-        if self.metrics is not None:
-            for entry in expired:
-                self.metrics.data_dropped(entry.uid, "buffer_timeout")
-
-    def _drain_send_buffer(self) -> None:
-        self._sweep_buffer()
-        now = self.sim.now
-        remaining: List[BufferedSend] = []
-        for entry in self._send_buffer:
-            route = self.cache.route_to(entry.dst, now)
-            if route is None:
-                remaining.append(entry)
-            else:
-                self._originate(entry.uid, route, entry.payload_bytes,
-                                entry.app_seq, entry.created_at)
-        self._send_buffer = remaining
-
-    def _drop_buffered(self, target: int, reason: str) -> None:
-        dropped = [e for e in self._send_buffer if e.dst == target]
-        self._send_buffer = [e for e in self._send_buffer if e.dst != target]
-        if self.metrics is not None:
-            for entry in dropped:
-                self.metrics.data_dropped(entry.uid, reason)
-
-    # ------------------------------------------------------------------
-    # Fault injection: crash / cold recovery
-    # ------------------------------------------------------------------
-
-    def halt(self) -> None:
-        """Node crash: kill discoveries and drop the send buffer.
-
-        Buffered application packets were already counted as originated, so
-        they must be accounted as dropped (``node_down``) — silently
-        forgetting them would leave their uids dangling in the delivery
-        bookkeeping forever.
-        """
-        self.down = True
-        for state in self._discoveries.values():
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-        self._discoveries.clear()
-        if self.metrics is not None:
-            for entry in self._send_buffer:
-                self.metrics.data_dropped(entry.uid, "node_down")
-        self._send_buffer.clear()
 
     def reset_cold(self) -> None:
         """Recover from a crash with no retained routing state.
@@ -615,4 +433,4 @@ class DsrProtocol:
         self.down = False
 
 
-__all__ = ["DsrProtocol", "BufferedSend", "Discovery"]
+__all__ = ["DsrProtocol"]

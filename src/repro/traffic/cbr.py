@@ -8,21 +8,21 @@ over the first inter-packet interval so sources do not fire in lockstep.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.traffic.base import RoutingAgent
+from repro.routing.agent import RoutingAgent
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
 
 
 class CbrSource:
-    """Fixed-rate application source feeding one DSR agent."""
+    """Fixed-rate application source feeding one routing agent."""
 
     def __init__(
         self,
         sim: "Simulator",
-        dsr: RoutingAgent,
+        dsr: RoutingAgent[Any],
         dst: int,
         rate_pps: float,
         packet_bytes: int,
@@ -48,7 +48,7 @@ class CbrSource:
 
     @property
     def src(self) -> int:
-        """Source node id (the DSR agent's node)."""
+        """Source node id (the routing agent's node)."""
         return self.dsr.node_id
 
     def start(self) -> None:

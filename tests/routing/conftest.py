@@ -1,8 +1,8 @@
-"""Routing test harness: line networks of AlwaysOnMac + DSR agents."""
+"""Routing test harness: static networks of AlwaysOnMac + routing agents."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
 import pytest
 
@@ -13,17 +13,24 @@ from repro.mobility.manager import PositionService
 from repro.mobility.static import StaticPlacement
 from repro.phy.channel import Channel
 from repro.phy.radio import Radio
+from repro.routing.agent import RoutingAgent
+from repro.routing.aodv.protocol import AodvProtocol
 from repro.routing.dsr.protocol import DsrProtocol
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 
-class DsrRig:
-    """A static network of always-on nodes running DSR."""
+class Rig:
+    """A static network of always-on nodes running one routing protocol.
+
+    ``agents`` maps node id to its agent; subclasses build the agent.
+    """
+
+    seed = 0
 
     def __init__(self, positions, tx_range=150.0, cs_range=300.0):
         self.sim = Simulator()
-        self.rngs = RngRegistry(77)
+        self.rngs = RngRegistry(self.seed)
         arena = Arena(max(x for x, _ in positions) + 100.0,
                       max(y for _, y in positions) + 100.0)
         model = StaticPlacement(list(positions), arena)
@@ -34,30 +41,57 @@ class DsrRig:
                                bitrate=2e6)
         self.metrics = MetricsCollector(len(positions))
         self.macs: Dict[int, AlwaysOnMac] = {}
-        self.dsr: Dict[int, DsrProtocol] = {}
+        self.agents: Dict[int, RoutingAgent[Any]] = {}
         self.delivered: List[object] = []
         for i in range(len(positions)):
             mac = AlwaysOnMac(self.sim, i, self.channel, self.radios[i],
                               self.positions, self.rngs.stream(f"mac:{i}"))
-            agent = DsrProtocol(
-                self.sim, i, mac,
-                metrics=self.metrics, rng=self.rngs.stream(f"dsr:{i}"),
-            )
+            agent = self.agent(i, mac)
             agent.delivery_callback = self.delivered.append
             mac.start()
             self.macs[i] = mac
-            self.dsr[i] = agent
+            self.agents[i] = agent
+
+    def agent(self, node_id, mac) -> RoutingAgent[Any]:
+        raise NotImplementedError
 
     def run(self, until: float) -> None:
         self.sim.run(until=until)
 
 
-def line_rig(n=5, spacing=100.0, **kwargs) -> DsrRig:
-    """n always-on DSR nodes in a line; adjacent-only connectivity."""
+class DsrRig(Rig):
+    """A static network of always-on nodes running DSR."""
+
+    seed = 77
+
+    def agent(self, node_id, mac) -> DsrProtocol:
+        return DsrProtocol(self.sim, node_id, mac, self.metrics,
+                           self.rngs.stream(f"dsr:{node_id}"))
+
+    @property
+    def dsr(self) -> Dict[int, RoutingAgent[Any]]:
+        return self.agents
+
+
+class AodvRig(Rig):
+    """A static network of always-on nodes running AODV."""
+
+    seed = 55
+
+    def agent(self, node_id, mac) -> AodvProtocol:
+        return AodvProtocol(self.sim, node_id, mac, self.metrics)
+
+    @property
+    def aodv(self) -> Dict[int, RoutingAgent[Any]]:
+        return self.agents
+
+
+def line_rig(n=5, spacing=100.0, rig=DsrRig, **kwargs) -> Rig:
+    """n always-on nodes in a line; adjacent-only connectivity."""
     positions = [(10.0 + i * spacing, 50.0) for i in range(n)]
-    return DsrRig(positions, **kwargs)
+    return rig(positions, **kwargs)
 
 
 @pytest.fixture
-def rig5() -> DsrRig:
+def rig5() -> Rig:
     return line_rig(5)

@@ -2,52 +2,12 @@
 
 import pytest
 
-from repro.mac.base import AlwaysOnMac
-from repro.metrics.collector import MetricsCollector
-from repro.mobility.base import Arena
-from repro.mobility.manager import PositionService
-from repro.mobility.static import StaticPlacement
-from repro.phy.channel import Channel
-from repro.phy.radio import Radio
-from repro.routing.aodv.protocol import AodvProtocol
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-
-
-class AodvRig:
-    """Static network of always-on nodes running AODV."""
-
-    def __init__(self, positions, tx_range=150.0, cs_range=300.0):
-        self.sim = Simulator()
-        rngs = RngRegistry(55)
-        arena = Arena(max(x for x, _ in positions) + 100.0,
-                      max(y for _, y in positions) + 100.0)
-        model = StaticPlacement(list(positions), arena)
-        self.positions = PositionService(self.sim, model, tx_range=tx_range,
-                                         cs_range=cs_range)
-        self.radios = {i: Radio(self.sim, i) for i in range(len(positions))}
-        self.channel = Channel(self.sim, self.positions, self.radios,
-                               bitrate=2e6)
-        self.metrics = MetricsCollector(len(positions))
-        self.aodv = {}
-        self.delivered = []
-        for i in range(len(positions)):
-            mac = AlwaysOnMac(self.sim, i, self.channel, self.radios[i],
-                              self.positions, rngs.stream(f"mac:{i}"))
-            agent = AodvProtocol(
-                self.sim, i, mac,
-                metrics=self.metrics, rng=rngs.stream(f"aodv:{i}"),
-            )
-            agent.delivery_callback = self.delivered.append
-            mac.start()
-            self.aodv[i] = agent
-
-    def run(self, until):
-        self.sim.run(until=until)
+from tests.routing.conftest import AodvRig
+from tests.routing.conftest import line_rig as _line_rig
 
 
 def line_rig(n=5, spacing=100.0, **kwargs):
-    return AodvRig([(10.0 + i * spacing, 50.0) for i in range(n)], **kwargs)
+    return _line_rig(n, spacing, rig=AodvRig, **kwargs)
 
 
 def test_multihop_delivery():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.routing.packets import DataPacket, RouteReply, next_uid
 
-from tests.routing.conftest import DsrRig, line_rig
+from tests.routing.conftest import AodvRig, DsrRig, line_rig
 
 
 def test_multihop_delivery_end_to_end(rig5):
@@ -16,9 +16,11 @@ def test_multihop_delivery_end_to_end(rig5):
     assert packet.trip_route == (0, 1, 2, 3, 4)
 
 
-def test_delivery_to_self_is_immediate(rig5):
-    uid = rig5.dsr[0].send_data(0, 100)
-    metrics = rig5.metrics.finalize("x", 0.0, [0.0] * 5, [0.0] * 5)
+@pytest.mark.parametrize("rig_class", [DsrRig, AodvRig], ids=["dsr", "aodv"])
+def test_delivery_to_self_is_immediate(rig_class):
+    rig = line_rig(5, rig=rig_class)
+    uid = rig.agents[0].send_data(0, 100)
+    metrics = rig.metrics.finalize("x", 0.0, [0.0] * 5, [0.0] * 5)
     assert metrics.data_delivered == 1
 
 
@@ -206,12 +208,13 @@ def test_duplicate_rreqs_not_rebroadcast(rig5):
     assert rig5.metrics.transmissions["rreq"] <= 6
 
 
-def test_buffer_overflow_drops_oldest():
+@pytest.mark.parametrize("rig_class", [DsrRig, AodvRig], ids=["dsr", "aodv"])
+def test_buffer_overflow_drops_oldest(rig_class):
     # The send buffer holds 64 packets: two of 66 overflow, the rest are
-    # dropped when the discovery gives up at 58.1 s.
-    rig = DsrRig([(0.0, 50.0), (800.0, 50.0)])
+    # dropped when the discovery gives up (DSR at 58.1 s, AODV at 13.4 s).
+    rig = rig_class([(0.0, 50.0), (800.0, 50.0)])
     for _ in range(66):
-        rig.dsr[0].send_data(1, 100)
+        rig.agents[0].send_data(1, 100)
     rig.run(until=60.0)
     metrics = rig.metrics.finalize("x", 60.0, [0.0] * 2, [0.0] * 2)
     assert metrics.drop_reasons.get("buffer_overflow", 0) == 2

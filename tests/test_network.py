@@ -276,6 +276,54 @@ def test_interface_queue_overflow_is_a_terminal_state(routing):
                                  + sum(metrics.drop_reasons.values()))
 
 
+def _crash_config(routing, positions, width, crashes, **overrides):
+    """A static network with one CBR flow at 1 pkt/s and a crash plan."""
+    params = dict(
+        routing=routing, num_nodes=len(positions), mobility="static",
+        positions=positions, arena_w=width, arena_h=100.0, num_connections=1,
+        packet_rate=1.0,
+        faults={"version": 1, "events": [
+            {"kind": "node-crash", "node": node, "at": at, "recover_at": up}
+            for node, at, up in crashes]},
+    )
+    params.update(overrides)
+    return SimulationConfig(**params)
+
+
+@pytest.mark.parametrize("routing", ["dsr", "aodv"])
+def test_crash_drops_the_send_buffer_and_recovery_sends_again(routing):
+    """Both ends of an out-of-range pair crash with packets waiting for a
+    route: the four buffered packets are dropped as ``node_down``, and
+    after the restart the source buffers the next three again."""
+    config = _crash_config(routing, ((10.0, 50.0), (1500.0, 50.0)), 2000.0,
+                           [(0, 5.0, 8.0), (1, 5.0, 8.0)],
+                           seed=3, sim_time=20.0)
+    metrics = build_network(config).run()
+    assert metrics.fault_counts == {"crashes": 2, "recoveries": 2}
+    assert metrics.data_sent == 7
+    assert metrics.data_delivered == 0
+    assert metrics.drop_reasons == {"node_down": 4, "in_flight": 3}
+
+
+@pytest.mark.parametrize("scheme", ["ieee80211", "rcast"])
+@pytest.mark.parametrize("routing", ["dsr", "aodv"])
+def test_relay_crash_and_cold_restart_deliver_everything(routing, scheme):
+    """The only relay of a 3-node line is down from 10 s to 15 s; the
+    source rediscovers through the restarted relay and every packet
+    arrives."""
+    config = _crash_config(routing,
+                           ((10.0, 50.0), (210.0, 50.0), (410.0, 50.0)),
+                           500.0, [(1, 10.0, 15.0)],
+                           scheme=scheme, seed=2, sim_time=40.0)
+    network = build_network(config)
+    assert [(s.src, s.dst) for n in network.nodes for s in n.sources] \
+        == [(0, 2)]
+    metrics = network.run()
+    assert metrics.fault_counts == {"crashes": 1, "recoveries": 1}
+    assert metrics.link_breaks >= 1
+    assert metrics.data_sent == metrics.data_delivered == 29
+
+
 #: Peak-heap ceiling for the smoke workload below: 3 MiB x 1.5.  The run
 #: peaks near 1.07 MB; peak heap on a deterministic workload is
 #: machine-stable, so a breach means an unbounded buffer crept back into

@@ -10,6 +10,10 @@ family (a base method and its subclass overrides) nothing calls is caught
 too.  ``__init__.py`` re-exports and ``__all__`` entries do not count.
 Dunders and ``ast.NodeVisitor`` ``visit_*`` methods are called by the
 runtime and are skipped.
+
+The same holds for the module-level names of ``repro/constants.py``: each
+must be mentioned in the scanned trees outside ``constants.py`` itself,
+so a constant nothing reads (or one a rename left behind) is caught.
 """
 
 import ast
@@ -20,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+CONSTANTS = SRC / "constants.py"
 SCANNED = ("src", "perfbench", "benchmarks", "examples")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -53,17 +58,26 @@ def _uncounted_lines(tree, is_init):
 
 @cache
 def scan():
-    """``(mentions, definitions)`` over the scanned trees.
+    """``(mentions, definitions, constants)`` over the scanned trees.
 
-    ``mentions`` counts each identifier-shaped word; ``definitions`` lists
-    ``(path, line, name)`` of every ``def``/``class`` under ``src/repro``.
+    ``mentions`` counts each identifier-shaped word outside
+    ``constants.py``; ``definitions`` lists ``(path, line, name)`` of every
+    ``def``/``class`` under ``src/repro``; ``constants`` lists the names
+    ``constants.py`` assigns at module level.
     """
     mentions = Counter()
     definitions = []
+    constants = []
     for root in SCANNED:
         for path in sorted((ROOT / root).rglob("*.py")):
             text = path.read_text()
             tree = ast.parse(text, filename=str(path))
+            if path == CONSTANTS:
+                constants = [target.id for node in tree.body
+                             if isinstance(node, ast.Assign)
+                             for target in node.targets
+                             if isinstance(target, ast.Name)]
+                continue
             skip = set(_uncounted_lines(tree, path.name == "__init__.py"))
             for lineno, line in enumerate(text.splitlines(), 1):
                 if lineno not in skip:
@@ -73,7 +87,7 @@ def scan():
                     (path, node.lineno, node.name) for node in ast.walk(tree)
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                          ast.ClassDef)))
-    return mentions, definitions
+    return mentions, definitions, constants
 
 
 def _skipped(name):
@@ -88,7 +102,7 @@ def _uses(mentions, definitions):
 
 
 def test_every_definition_is_used_outside_tests():
-    mentions, definitions = scan()
+    mentions, definitions, _ = scan()
     uses = _uses(mentions, definitions)
     unused = [
         f"{path.relative_to(ROOT)}:{lineno} {name}"
@@ -102,6 +116,16 @@ def test_every_definition_is_used_outside_tests():
 
 def test_allowlist_holds_only_unused_definitions():
     """A stale entry would silently exempt whatever reuses the name."""
-    uses = _uses(*scan())
+    mentions, definitions, _ = scan()
+    uses = _uses(mentions, definitions)
     stale = sorted(name for name in ALLOWED if uses.get(name, 1) > 0)
     assert not stale
+
+
+def test_every_constant_is_read_outside_constants_py():
+    mentions, _, constants = scan()
+    assert constants
+    unread = [name for name in constants
+              if mentions[name] == 0 and not _skipped(name)]
+    assert not unread, ("constants nothing outside constants.py and tests/ "
+                        "reads (delete them):\n" + "\n".join(unread))
