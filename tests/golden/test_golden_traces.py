@@ -44,7 +44,10 @@ SCHEMES = ("ieee80211", "psm", "odpm", "rcast")
 #:   decision factors, randomized RREQ reception and opportunistic taps;
 #: * ``aodv`` locks the AODV agent (footnote 1's contrast case) under
 #:   Rcast: hop-by-hop forwarding, expanding-ring discovery, route
-#:   timeouts and RERR broadcasts.
+#:   timeouts and RERR broadcasts;
+#: * ``aodv-mobile`` locks AODV route maintenance: faster nodes and more
+#:   flows break links, so the link-failure, RERR and route-table
+#:   invalidation paths run.
 VARIANTS: Dict[str, Dict[str, Any]] = {
     "rcast-degree": dict(scheme="rcast", overhearing_policy="degree"),
     "span": dict(scheme="span"),
@@ -52,6 +55,8 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
                        rcast_factors=("sender", "mobility", "battery"),
                        rreq_randomized=True, opportunistic_tap=True),
     "aodv": dict(scheme="rcast", routing="aodv"),
+    "aodv-mobile": dict(scheme="ieee80211", routing="aodv", max_speed=10.0,
+                        num_connections=8, packet_rate=2.0, sim_time=30.0),
 }
 
 #: Corpus entries: the four schemes under fixed 1/n overhearing, then the
@@ -67,8 +72,7 @@ def golden_config(entry: str) -> SimulationConfig:
     enough that all corpus entries replay in a few seconds.  A variant
     entry is the same scenario with its overrides applied.
     """
-    overrides = VARIANTS.get(entry, dict(scheme=entry))
-    return SimulationConfig(
+    scenario: Dict[str, Any] = dict(
         seed=7,
         sim_time=15.0,
         num_nodes=24,
@@ -79,8 +83,9 @@ def golden_config(entry: str) -> SimulationConfig:
         max_speed=2.0,
         pause_time=0.0,
         packet_rate=0.4,
-        **overrides,
     )
+    scenario.update(VARIANTS.get(entry, dict(scheme=entry)))
+    return SimulationConfig(**scenario)
 
 
 def regenerate(entry: str) -> Tuple[bytes, str, RunMetrics]:
