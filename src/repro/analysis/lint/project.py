@@ -248,10 +248,6 @@ class ProjectIndex:
     # Queries
     # ------------------------------------------------------------------
 
-    def definitions(self, simple_name: str) -> List[FunctionInfo]:
-        """All project definitions of ``simple_name``."""
-        return self.functions.get(simple_name, [])
-
     def callers_of(self, simple_name: str) -> List[CallSite]:
         """All project call sites whose callee matches ``simple_name``."""
         return self.call_sites.get(simple_name, [])
@@ -412,16 +408,15 @@ def iter_stream_derivations(
 ) -> Iterator[Tuple[ast.Call, str]]:
     """Yield ``(call, static key)`` for every stream derivation in a module.
 
-    Covers ``<registry>.stream(name)`` / ``.numpy_stream(name)``,
-    ``derive_seed(seed, name)`` and ``derived_stream(seed, name)``.
+    Covers ``<registry>.stream(name)``, ``derive_seed(seed, name)`` and
+    ``derived_stream(seed, name)``.
     """
     for node in ast.walk(module.ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name_expr: Optional[ast.expr] = None
-        if isinstance(func, ast.Attribute) and func.attr in (
-                "stream", "numpy_stream"):
+        if isinstance(func, ast.Attribute) and func.attr == "stream":
             if node.args:
                 name_expr = node.args[0]
         elif _callee_simple_name(func) in ("derive_seed", "derived_stream"):

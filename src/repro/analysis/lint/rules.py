@@ -169,8 +169,8 @@ class RngDiscipline(Rule):
         for node in ctx.imports.from_numpy_random_imports:
             yield (
                 node.lineno, node.col_offset,
-                "import from `numpy.random`; use "
-                "RngRegistry.numpy_stream(name) instead",
+                "import from `numpy.random`; draw from a named "
+                "RngRegistry stream (repro.sim.rng) instead",
             )
         for call in ast.walk(ctx.tree):
             if not isinstance(call, ast.Call):
@@ -889,8 +889,7 @@ def _derivation_key(value: ast.expr) -> Optional[str]:
         return None
     func = value.func
     name_expr: Optional[ast.expr] = None
-    if isinstance(func, ast.Attribute) and func.attr in ("stream",
-                                                         "numpy_stream"):
+    if isinstance(func, ast.Attribute) and func.attr == "stream":
         if value.args:
             name_expr = value.args[0]
     elif isinstance(func, ast.Name) and func.id in ("derived_stream",):

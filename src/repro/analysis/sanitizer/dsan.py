@@ -25,7 +25,6 @@ from repro.analysis.sanitizer.ledger import (
     LEDGER_HASH_SEED,
     StreamLedger,
     mix_hash,
-    numpy_state_digest,
 )
 
 if TYPE_CHECKING:
@@ -33,7 +32,7 @@ if TYPE_CHECKING:
     from repro.sim.events import Event
 
 #: Version of the sanitizer JSON report schema.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Events between canary samples.  The canaries walk live container state,
 #: so sampling every pop would dominate the run; every 4096th event keeps
@@ -69,7 +68,6 @@ class SanitizerReport:
     canary_digest: str = ""
     global_random_moved: bool = False
     streams: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    numpy_streams: Dict[str, str] = field(default_factory=dict)
     findings: List[SanitizerFinding] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
@@ -85,7 +83,6 @@ class SanitizerReport:
             "global_random_moved": self.global_random_moved,
             "streams": {name: dict(entry)
                         for name, entry in sorted(self.streams.items())},
-            "numpy_streams": dict(sorted(self.numpy_streams.items())),
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -121,13 +118,6 @@ def diff_reports(first: SanitizerReport,
         elif a["digest"] != b["digest"]:
             diffs.append(f"stream {name!r}: equal draw count but value "
                          f"digests differ ({a['digest']} vs {b['digest']})")
-    np_names = sorted(set(first.numpy_streams) | set(second.numpy_streams))
-    for name in np_names:
-        a_np = first.numpy_streams.get(name)
-        b_np = second.numpy_streams.get(name)
-        if a_np != b_np:
-            diffs.append(f"numpy stream {name!r}: end states differ "
-                         f"({a_np} vs {b_np})")
     if first.canary_digest != second.canary_digest:
         diffs.append("canary order-signature digests differ "
                      f"({first.canary_digest} vs {second.canary_digest})")
@@ -196,10 +186,6 @@ class DeterminismSanitizer:
             ),
             streams={ledger.name: ledger.to_dict()
                      for ledger in self._ledgers},
-            numpy_streams={
-                name: numpy_state_digest(gen)
-                for name, gen in network.rngs.numpy_streams().items()
-            },
             findings=list(self._findings),
         )
         if report.global_random_moved:

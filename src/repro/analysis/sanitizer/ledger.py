@@ -20,8 +20,6 @@ across two processes — which is exactly what ``--sanitize-compare`` does.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from typing import Dict, Optional
 
@@ -105,31 +103,8 @@ class StreamLedger:
         return {"draws": self.draws, "digest": f"{self.digest:016x}"}
 
 
-def numpy_state_digest(generator: object) -> str:
-    """Stable digest of a numpy generator's bit-generator state.
-
-    Numpy ``Generator`` objects are C extensions without instance dicts,
-    so their draws cannot be intercepted the way scalar streams are.  The
-    bit-generator *state* advances with every draw, though — hashing it at
-    finalize time yields a value that diverges iff the two runs consumed
-    the stream differently.
-    """
-    state = generator.bit_generator.state  # type: ignore[attr-defined]
-    payload = json.dumps(state, sort_keys=True, default=_jsonify_state)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _jsonify_state(value: object) -> object:
-    """JSON fallback for numpy scalar/array state members."""
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return str(value)
-
-
 __all__ = [
     "LEDGER_HASH_SEED",
     "StreamLedger",
     "mix_hash",
-    "numpy_state_digest",
 ]

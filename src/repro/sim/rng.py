@@ -10,9 +10,8 @@ deterministically from a single scenario seed, so
   between schemes honest: the mobility trace and traffic pattern seen by
   ``rcast`` and ``odpm`` under the same seed are *the same*.
 
-Streams are :class:`random.Random` instances (cheap scalar draws dominate in
-the protocol layers); a parallel numpy generator is available per stream for
-vectorized work.
+Streams are :class:`random.Random` instances: cheap scalar draws dominate
+in the protocol layers.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from __future__ import annotations
 import hashlib
 import random
 from typing import Dict
-
-import numpy as np
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -40,7 +37,6 @@ class RngRegistry:
     def __init__(self, seed: int) -> None:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
-        self._numpy_streams: Dict[str, np.random.Generator] = {}
 
     @property
     def seed(self) -> int:
@@ -55,18 +51,6 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """Return the numpy generator for ``name``, creating it on first use.
-
-        The numpy stream for a name is independent of the scalar stream of
-        the same name (distinct derivation label).
-        """
-        rng = self._numpy_streams.get(name)
-        if rng is None:
-            rng = np.random.default_rng(derive_seed(self._seed, name + ":numpy"))
-            self._numpy_streams[name] = rng
-        return rng
-
     def streams(self) -> Dict[str, random.Random]:
         """Snapshot of every scalar stream derived so far (name -> RNG).
 
@@ -75,10 +59,6 @@ class RngRegistry:
         objects.
         """
         return dict(self._streams)
-
-    def numpy_streams(self) -> Dict[str, np.random.Generator]:
-        """Snapshot of every numpy stream derived so far (name -> gen)."""
-        return dict(self._numpy_streams)
 
 
 def derived_stream(root_seed: int, name: str) -> random.Random:

@@ -189,7 +189,7 @@ class TestSanitizedRun:
     def test_report_json_schema(self):
         _net, _metrics, report = run_sanitized()
         payload = json.loads(report.to_json())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["scheme"] == "rcast"
         assert payload["seed"] == SMALL["seed"]
         entry = payload["streams"]["mobility"]
@@ -287,7 +287,7 @@ class TestCli:
         out_path = tmp_path / "dsan.json"
         assert main(RUN_ARGS + ["--sanitize-out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["findings"] == []
 
     def test_sanitize_compare_out_writes_both_runs(self, tmp_path):

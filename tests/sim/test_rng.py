@@ -48,18 +48,3 @@ def test_derive_seed_is_stable_and_distinct():
 def test_derive_seed_fits_63_bits():
     for name in ("a", "b", "c", "long-stream-name:42"):
         assert 0 <= derive_seed(123456789, name) < 2**63
-
-
-def test_numpy_stream_independent_of_scalar_stream():
-    reg = RngRegistry(42)
-    scalar_first = reg.stream("x").random()
-    np_value = float(reg.numpy_stream("x").random())
-    reg2 = RngRegistry(42)
-    np_value2 = float(reg2.numpy_stream("x").random())
-    assert np_value == np_value2  # unaffected by the scalar draw
-    assert np_value != scalar_first
-
-
-def test_numpy_stream_cached():
-    reg = RngRegistry(42)
-    assert reg.numpy_stream("y") is reg.numpy_stream("y")
