@@ -205,15 +205,9 @@ class SuppressionIndex:
                                  file_wide=file_wide, start=start, end=end)
             )
 
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """True when ``rule`` is disabled on ``line`` (or file-wide)."""
-        return any(
-            entry.covers(line) and entry.disables(rule)
-            for entry in self.entries
-        )
-
     def consume(self, rule: str, line: int) -> bool:
-        """Like :meth:`is_suppressed`, but records which entries fired.
+        """True when ``rule`` is disabled on ``line`` (or file-wide);
+        records which entries fired.
 
         The runner routes every finding through here; entries that never
         fire are later reported as ``R000 unused-suppression``.

@@ -131,7 +131,6 @@ class MeasuredDegreePolicy(AdaptivePolicy):
         self._active_windows = 0
         self._epochs = 0
         self._window_senders: Set[int] = set()
-        self.announcements_heard = 0
 
     @property
     def estimate(self) -> Optional[float]:
@@ -151,7 +150,6 @@ class MeasuredDegreePolicy(AdaptivePolicy):
         return 1.0 / ADAPTIVE_DEGREE_COLD_DEGREE
 
     def on_announcement_heard(self, sender: int) -> None:
-        self.announcements_heard += 1
         self._window_senders.add(sender)
 
     def on_epoch(self, now: float) -> Optional[Dict[str, Any]]:

@@ -288,7 +288,7 @@ class FaultInjector:
         if deplete:
             meter = radio.meter
             # Close the battery book: whatever the meter says was consumed
-            # *is* the whole battery, so ``depleted()`` reports True and
+            # *is* the whole battery, so ``remaining_fraction()`` is 0 and
             # lifetime metrics see a genuine exhaustion (a dead battery
             # still leaks at sleep power, hence max with a tiny floor).
             meter.battery_joules = max(meter.energy_joules(now), 1e-12)

@@ -15,13 +15,12 @@ from repro.mac.base import AlwaysOnMac, MacBase
 from repro.mac.dcf import DcfTransmitter
 from repro.mac.frames import BROADCAST, Announcement, Frame, FrameKind
 from repro.mac.odpm import OdpmPowerManager
-from repro.mac.power import AlwaysAm, AlwaysPs, PowerManager, PowerMode
+from repro.mac.power import AlwaysPs, PowerManager, PowerMode
 from repro.mac.psm import PsmMac
 from repro.mac.queue import TxQueue
 
 __all__ = [
     "AlwaysOnMac",
-    "AlwaysAm",
     "AlwaysPs",
     "Announcement",
     "BROADCAST",

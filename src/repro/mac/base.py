@@ -61,10 +61,6 @@ class MacBase:
         #: set while the node is crashed (fault injection); halted MACs
         #: neither transmit nor absorb ATIM announcements
         self._halted = False
-        # Statistics
-        self.unicasts_sent = 0
-        self.unicasts_failed = 0
-        self.broadcasts_sent = 0
 
     # ------------------------------------------------------------------
 
@@ -152,17 +148,12 @@ class AlwaysOnMac(MacBase):
     def send(self, packet: Any, dst: int) -> None:
         """Transmit immediately under DCF contention."""
         frame = Frame(self.node_id, dst, packet, FrameKind.DATA)
-        if dst == BROADCAST:
-            self.broadcasts_sent += 1
-        else:
-            self.unicasts_sent += 1
         self.dcf.submit(frame, self._on_dcf_done)
 
     def _on_dcf_done(self, frame: Frame, outcome: TxOutcome, delivered: Set[int]) -> None:
         if outcome is TxOutcome.DELIVERED:
             self._on_sent(frame.packet, frame.dst)
         elif outcome is TxOutcome.FAILED:
-            self.unicasts_failed += 1
             self._on_link_failure(frame.packet, frame.dst)
         # DEFERRED cannot happen here (no deadlines without PSM).
 

@@ -119,11 +119,6 @@ class DcfTransmitter:
         self._is_busy = channel.is_busy
         self._attempt_cb = self._attempt
         self._idle_cb = self._on_medium_idle
-        # Statistics
-        self.busy_deferrals = 0
-        self.idle_waits = 0
-        self.retries = 0
-        self.failures = 0
 
     # ------------------------------------------------------------------
 
@@ -201,8 +196,6 @@ class DcfTransmitter:
         assert sub is not None, "_finish with no submission in flight"
         self._current = None
         self._attempt_event = None
-        if outcome is TxOutcome.FAILED:
-            self.failures += 1
         sub.on_done(sub.frame, outcome, delivered)
         self._next()
 
@@ -228,7 +221,6 @@ class DcfTransmitter:
             self._finish(TxOutcome.DEFERRED, set())
             return
         if self._is_busy(self.node_id):
-            self.busy_deferrals += 1
             t_next = now + self._backoff(sub.attempts)
             if deadline is not None and t_next + sub.airtime >= deadline:
                 # The next poll can no longer fit the frame before the
@@ -241,7 +233,6 @@ class DcfTransmitter:
                     t_next, self._attempt_cb)
                 return
             sub.next_attempt = t_next
-            self.idle_waits += 1
             self._waiting_idle = True
             self.channel.wait_for_idle(self.node_id, self._idle_cb)
             return
@@ -259,8 +250,8 @@ class DcfTransmitter:
         While the transmitter was registered with ``wait_for_idle`` its
         carrier sense stayed busy (the channel wakes waiters at the first
         transmission end that quiets their medium), so every poll the old
-        model would have run before ``now`` would have sensed busy: count
-        it, draw its backoff from the same rng stream, and move on.  The
+        model would have run before ``now`` would have sensed busy: draw
+        its backoff from the same rng stream and move on.  The
         first poll time at or after ``now`` becomes a real attempt event
         again — it re-checks deadline, sleep and carrier sense exactly as
         a scheduled poll would have.
@@ -277,16 +268,13 @@ class DcfTransmitter:
         # uses the same growth level.
         backoff = self._backoff
         exponent = sub.attempts
-        deferrals = 0
         while t_next < now:
-            deferrals += 1
             t_next += backoff(exponent)
             if deadline is not None and t_next + airtime >= deadline:
                 # This draw's attempt cannot fit the window; stop replaying
                 # and let the real event defer (at the poll time, or now if
                 # the poll time is already behind the clock).
                 break
-        self.busy_deferrals += deferrals
         if t_next < now:
             t_next = now
         self._attempt_event = self.sim.schedule_at(t_next, self._attempt_cb)
@@ -326,7 +314,6 @@ class DcfTransmitter:
             self._finish(TxOutcome.DELIVERED, delivered)
             return
         sub.attempts += 1
-        self.retries += 1
         if sub.attempts >= MAC_RETRY_LIMIT:
             if self.trace.enabled:
                 self.trace.emit(self.sim.now, "dcf", self.node_id, "tx_fail",

@@ -34,8 +34,6 @@ class OdpmPowerManager(PowerManager):
         self.node_id = node_id
         self.trace = trace
         self._am_until = 0.0
-        #: number of PS->AM transitions (mode-switch overhead diagnostics)
-        self.switches_to_am = 0
 
     def mode(self, now: float) -> PowerMode:
         """AM while a keep-alive is armed, PS otherwise."""
@@ -53,11 +51,9 @@ class OdpmPowerManager(PowerManager):
         deadline = now + timeout
         if deadline > self._am_until:
             self._am_until = deadline
-        if was_ps:
-            self.switches_to_am += 1
-            if self.trace.enabled:
-                self.trace.emit(now, "odpm", self.node_id, "am_enter",
-                                cause=kind, until=self._am_until)
+        if was_ps and self.trace.enabled:
+            self.trace.emit(now, "odpm", self.node_id, "am_enter",
+                            cause=kind, until=self._am_until)
 
     def describe(self) -> str:
         """Label with the keep-alive timeouts."""

@@ -2,10 +2,9 @@
 
 A power manager answers one question for the PSM MAC at each decision point:
 *may this node sleep for the rest of the beacon interval?*  The unmodified
-PSM keeps every node permanently in PS mode (:class:`AlwaysPs`); the plain
-802.11 baseline is permanently active (:class:`AlwaysAm`); ODPM
-(:mod:`repro.mac.odpm`) switches between the two based on communication
-events.
+PSM keeps every node permanently in PS mode (:class:`AlwaysPs`); ODPM
+(:mod:`repro.mac.odpm`) switches between AM and PS based on communication
+events.  The plain 802.11 baseline needs no manager: its MAC never sleeps.
 
 Managers also receive the PSM MAC's communication-event *hints* ("a RREP
 went through me", "a data packet went through me"), which only ODPM uses.
@@ -50,12 +49,4 @@ class AlwaysPs(PowerManager):
         return PowerMode.PS
 
 
-class AlwaysAm(PowerManager):
-    """Permanently active: the plain-802.11 (no PSM) configuration."""
-
-    def mode(self, now: float) -> PowerMode:
-        """Always AM."""
-        return PowerMode.AM
-
-
-__all__ = ["PowerMode", "PowerManager", "AlwaysPs", "AlwaysAm"]
+__all__ = ["PowerMode", "PowerManager", "AlwaysPs"]

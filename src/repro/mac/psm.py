@@ -161,13 +161,8 @@ class PsmMac(MacBase):
         #: carry the epoch they were scheduled in and are dropped when it
         #: no longer matches (they predate the crash)
         self._epoch = 0
-        # Statistics
-        self.intervals_slept = 0
-        self.intervals_awake = 0
-        self.immediate_sends = 0
-        self.immediate_fallbacks = 0
-        self.announcements_made = 0
-        self.overhear_elections = 0
+        #: advertisements lost between this node's and a sender's
+        #: disjoint ATIM windows (clock jitter)
         self.missed_announcements = 0
         #: the channel's PSM group: receive and ATIM fan-outs, peer map
         self._fanout: _PsmFanout = join_fanout(_PsmFanout, self)
@@ -293,7 +288,6 @@ class PsmMac(MacBase):
                 packet_kind=best_kind,
                 sender_mode=mode,
             )
-            self.announcements_made += 1
             if self.trace.enabled:
                 assert best_level is not None
                 self.trace.emit(
@@ -320,7 +314,6 @@ class PsmMac(MacBase):
 
     def _atim_sleep(self, now: float) -> None:
         """No reason to stay awake: doze until the next boundary."""
-        self.intervals_slept += 1
         if self.trace.enabled:
             self.trace.emit(now, "psm", self.node_id, "sleep",
                             until=self.next_boundary)
@@ -329,7 +322,6 @@ class PsmMac(MacBase):
     def _atim_apply(self, now: float, mask: int,
                     announced: List[QueuedFrame]) -> None:
         """Stay awake: submit announced frames under DCF contention."""
-        self.intervals_awake += 1
         if self.trace.enabled:
             self.trace.emit(now, "psm", self.node_id, "awake",
                             reasons=_REASON_STRINGS[mask],
@@ -356,17 +348,11 @@ class PsmMac(MacBase):
         ):
             frame = Frame(self.node_id, dst, packet, FrameKind.DATA,
                           sender_mode=PowerMode.AM)
-            self.unicasts_sent += 1
-            self.immediate_sends += 1
             self.dcf.submit(frame, self._on_immediate_done)
             return
         self._enqueue(packet, dst)
 
     def _enqueue(self, packet: Any, dst: int) -> None:
-        if dst == BROADCAST:
-            self.broadcasts_sent += 1
-        else:
-            self.unicasts_sent += 1
         frame = Frame(self.node_id, dst, packet, FrameKind.DATA)
         self._queue.push(QueuedFrame(
             frame, self.sim.now,
@@ -392,7 +378,6 @@ class PsmMac(MacBase):
             return
         # Wrong belief (receiver asleep) or collisions: fall back to the
         # announced path — pay delay instead of declaring the link dead.
-        self.immediate_fallbacks += 1
         self._mode_beliefs.pop(frame.dst, None)
         fresh = Frame(self.node_id, frame.dst, frame.packet, FrameKind.DATA)
         self._queue.push(QueuedFrame(
@@ -407,7 +392,6 @@ class PsmMac(MacBase):
             self._on_sent(frame.packet, frame.dst)
         elif outcome is TxOutcome.FAILED:
             self._queue.remove(entry)
-            self.unicasts_failed += 1
             self._on_link_failure(frame.packet, frame.dst)
         # DEFERRED: entry stays queued and is re-announced next interval.
 
@@ -527,7 +511,6 @@ class _PsmFanout:
             elif peer.rcast.should_overhear(announcement):
                 peer._reasons |= _R_OVERHEAR
                 peer._overhear_senders.add(sender)
-                peer.overhear_elections += 1
 
 
 __all__ = ["PsmMac"]

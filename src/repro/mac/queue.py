@@ -32,7 +32,6 @@ class TxQueue:
     def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity
         self._queue: Deque[QueuedFrame] = deque()
-        self.dropped_overflow = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -48,7 +47,6 @@ class TxQueue:
         evicted = None
         if len(self._queue) >= self.capacity:
             evicted = self._queue.popleft()
-            self.dropped_overflow += 1
             if evicted.on_failure is not None:
                 evicted.on_failure(evicted.frame)
         self._queue.append(entry)

@@ -56,9 +56,6 @@ class SpanElection:
         self.coordinators: Set[int] = set()
         self._since: Dict[int, float] = {}
         self._started = False
-        # Statistics
-        self.elections = 0
-        self.withdrawals = 0
 
     # ------------------------------------------------------------------
 
@@ -135,11 +132,9 @@ class SpanElection:
         if node in self.coordinators:
             if self._can_withdraw(node):
                 self.coordinators.discard(node)
-                self.withdrawals += 1
         elif self._should_volunteer(node):
             self.coordinators.add(node)
             self._since[node] = self.sim.now
-            self.elections += 1
         self.sim.schedule(self._jitter(node) + SPAN_ELECTION_PERIOD_S * 0.5,
                           self._check, node)
 

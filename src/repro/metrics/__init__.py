@@ -18,7 +18,6 @@ from repro.metrics.role import RoleTracker
 from repro.metrics.stats import (
     confidence_interval_95,
     mean,
-    percentile,
     sample_variance,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "project_lifetime",
     "confidence_interval_95",
     "mean",
-    "percentile",
     "sample_variance",
 ]

@@ -25,11 +25,9 @@ class RoleTracker:
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
         self._counts = np.zeros(num_nodes, dtype=np.int64)
-        self.routes_recorded = 0
 
     def record_route(self, route: Sequence[int]) -> None:
         """Credit every intermediate node of ``route`` with one role unit."""
-        self.routes_recorded += 1
         for node in route[1:-1]:
             self._counts[node] += 1
 

@@ -29,24 +29,6 @@ def sample_variance(values: Sequence[float]) -> float:
     return sum((v - mu) ** 2 for v in values) / (n - 1)
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, q in [0, 100]; 0.0 for empty input."""
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
-        return float(ordered[lo])
-    frac = rank - lo
-    return float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
-
-
 #: Two-sided 95% critical values of Student's t distribution.  The paper's
 #: evaluation uses n = 10 repetitions (df = 9, t = 2.262); the normal
 #: z = 1.96 understates the half-width by ~13% at that sample size.
@@ -251,7 +233,6 @@ def chi_square_uniform_stat(counts: Sequence[int]) -> float:
 __all__ = [
     "mean",
     "sample_variance",
-    "percentile",
     "t_critical_95",
     "confidence_interval_95",
     "regularized_incomplete_beta",

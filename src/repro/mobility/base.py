@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,9 +19,6 @@ class Arena:
         """True when (x, y) lies inside the arena (with tolerance)."""
         return -tol <= x <= self.width + tol and -tol <= y <= self.height + tol
 
-    def clamp(self, x: float, y: float) -> Tuple[float, float]:
-        """Project (x, y) onto the arena."""
-        return (min(max(x, 0.0), self.width), min(max(y, 0.0), self.height))
 
 class MobilityModel:
     """Interface: positions of ``num_nodes`` nodes as a function of time.

@@ -80,7 +80,6 @@ class PositionService:
         self.tx_range = tx_range
         self.cs_range = cs_range if cs_range is not None else tx_range
         self.num_nodes = model.num_nodes
-        self._snapshot_time = -1.0
         #: first virtual time at which the current snapshot is stale
         self._valid_until = -1.0
         self._positions: NDArray[np.float64] = np.zeros((self.num_nodes, 2))
@@ -128,7 +127,6 @@ class PositionService:
         now = self._sim.now
         if not force and now < self._valid_until:
             return
-        self._snapshot_time = now
         self._valid_until = now + NEIGHBOR_REFRESH_S
         positions = self._model.positions_at(now)
         self._positions = positions

@@ -39,20 +39,6 @@ class StaticPlacement(MobilityModel):
         return cls(positions, arena)
 
     @classmethod
-    def grid(cls, rows: int, cols: int, spacing: float,
-             arena: Optional[Arena] = None) -> "StaticPlacement":
-        """A ``rows x cols`` grid with the given spacing."""
-        if arena is None:
-            arena = Arena(
-                spacing * max(cols - 1, 1) + 1.0,
-                spacing * max(rows - 1, 1) + 1.0,
-            )
-        positions = [
-            (c * spacing, r * spacing) for r in range(rows) for c in range(cols)
-        ]
-        return cls(positions, arena)
-
-    @classmethod
     def uniform_random(cls, num_nodes: int, arena: Arena,
                        rng: random.Random) -> "StaticPlacement":
         """Uniform random placement (the paper's static scenario start)."""

@@ -143,11 +143,9 @@ class LiveRunMonitor:
         self._status = _StatusLine(stream)
         self._telemetry = telemetry
         self._started = time.perf_counter()
-        self.ticks = 0
 
     def observe(self, network: "Network") -> None:
         """Render one progress update from the network's current state."""
-        self.ticks += 1
         now = network.sim.now
         wall = time.perf_counter() - self._started
         events = network.sim.processed_events

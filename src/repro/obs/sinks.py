@@ -46,7 +46,6 @@ class JsonlSink:
         self._rotate_bytes = rotate_bytes
         self._part_bytes = 0
         self._parts = 0
-        self._rotated: List[Path] = []
         self._handle: Optional[TextIO] = self._open(self._path)
         self._written = 0
 
@@ -70,11 +69,6 @@ class JsonlSink:
     def written(self) -> int:
         """Number of records written so far (across all parts)."""
         return self._written
-
-    @property
-    def rotated(self) -> List[Path]:
-        """Completed rotated parts, oldest first."""
-        return list(self._rotated)
 
     def emit(self, time: float, category: str, node: int, event: str,
              **fields: object) -> None:
@@ -101,7 +95,6 @@ class JsonlSink:
         base = self._path.name[:len(self._path.name) - len(suffix_str)]
         part = self._path.with_name(f"{base}.{self._parts:05d}{suffix_str}")
         self._path.rename(part)
-        self._rotated.append(part)
         self._handle = self._open(self._path)
         self._part_bytes = 0
 

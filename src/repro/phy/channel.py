@@ -188,9 +188,6 @@ class Channel:
         self.frames_delivered = 0
         self.frames_collided = 0
         self.frames_missed_asleep = 0
-        #: receptions a fault-plan impairment vetoed after classification
-        #: (each is in none of the three totals above)
-        self.frames_vetoed = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -507,7 +504,6 @@ class Channel:
                 drop = faults.drop_delivery
                 kept = [node for node in delivery_order
                         if not drop(sender, node, now)]
-                self.frames_vetoed += len(delivery_order) - len(kept)
                 delivery_order = kept
             delivered.update(delivery_order)
         self.frames_delivered += len(delivery_order)

@@ -156,9 +156,5 @@ class EnergyMeter:
         used = self.energy_joules(time)
         return max(0.0, 1.0 - used / self.battery_joules)
 
-    def depleted(self, time: Optional[float] = None) -> bool:
-        """True when a finite battery has been exhausted."""
-        return self.remaining_fraction(time) <= 0.0
-
 
 __all__ = ["EnergyMeter", "RadioState", "PAPER_POWER_TABLE"]

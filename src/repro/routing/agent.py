@@ -94,12 +94,6 @@ class RoutingAgent(ABC, Generic[Route]):
             on_link_failure=self._on_link_failure,
             on_dropped=self._on_ifq_drop,
         )
-        # Statistics
-        self.data_originated = 0
-        self.data_forwarded = 0
-        self.rreq_sent = 0
-        self.rrep_sent = 0
-        self.rerr_sent = 0
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -154,7 +148,6 @@ class RoutingAgent(ABC, Generic[Route]):
         if route is None:
             self._await_route(uid, dst, payload_bytes, app_seq, now)
         else:
-            self.data_originated += 1
             self._originate(uid, dst, route, payload_bytes, app_seq, now)
         return uid
 
@@ -227,7 +220,6 @@ class RoutingAgent(ABC, Generic[Route]):
             if route is None:
                 remaining.append(entry)
             else:
-                self.data_originated += 1
                 self._originate(entry.uid, entry.dst, route,
                                 entry.payload_bytes, entry.app_seq,
                                 entry.created_at)

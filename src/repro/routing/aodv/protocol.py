@@ -89,7 +89,6 @@ class AodvProtocol(RoutingAgent[AodvRoute]):
             self._broadcast_rerr([(packet.dst,
                                    self.table.last_known_seq(packet.dst))])
             return
-        self.data_forwarded += 1
         self._forward_data(packet.forwarded(), route)
 
     # ------------------------------------------------------------------
@@ -106,7 +105,6 @@ class AodvProtocol(RoutingAgent[AodvRoute]):
             dst_seq=self.table.last_known_seq(state.target),
             hop_count=0, ttl=state.ttl,
         )
-        self.rreq_sent += 1
         self.metrics.transmission("rreq")
         self.mac.send(rreq, BROADCAST)
         wait = min(AODV_RING_WAIT_PER_TTL_S * max(state.ttl, 1),
@@ -165,7 +163,6 @@ class AodvProtocol(RoutingAgent[AodvRoute]):
             created_at=self.sim.now, route_dst=route_dst,
             dst_seq=dst_seq, hop_count=hop_count,
         )
-        self.rrep_sent += 1
         self.metrics.transmission("rrep")
         self.mac.send(rrep, back.next_hop)
 
@@ -205,7 +202,6 @@ class AodvProtocol(RoutingAgent[AodvRoute]):
         rerr = AodvRerr(src=self.node_id, uid=next_uid(),
                         created_at=self.sim.now,
                         unreachable=tuple(unreachable))
-        self.rerr_sent += 1
         self.metrics.transmission("rerr")
         self.mac.send(rerr, BROADCAST)
 

@@ -36,11 +36,6 @@ class RoutingTable:
         self.owner = owner
         self.timeout = active_route_timeout
         self._routes: Dict[int, AodvRoute] = {}
-        # Statistics
-        self.updates = 0
-        self.rejections = 0
-        self.expiries = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return sum(1 for r in self._routes.values() if r.valid)
@@ -71,11 +66,9 @@ class RoutingTable:
             if (current.next_hop == next_hop
                     and current.hop_count == hop_count):
                 current.expires_at = max(current.expires_at, expires)
-            self.rejections += 1
             return False
         self._routes[dst] = AodvRoute(dst, next_hop, hop_count, dst_seq,
                                       expires, True)
-        self.updates += 1
         return True
 
     # ------------------------------------------------------------------
@@ -87,7 +80,6 @@ class RoutingTable:
             return None
         if route.expires_at <= now:
             route.valid = False
-            self.expiries += 1
             return None
         return route
 
@@ -112,7 +104,6 @@ class RoutingTable:
             if route.valid and route.next_hop == next_hop:
                 route.valid = False
                 route.dst_seq += 1  # per AODV, bump on invalidation
-                self.invalidations += 1
                 broken.append(route)
         return broken
 
@@ -124,7 +115,6 @@ class RoutingTable:
             return False
         route.valid = False
         route.dst_seq = max(route.dst_seq, dst_seq)
-        self.invalidations += 1
         return True
 
 

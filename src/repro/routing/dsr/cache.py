@@ -265,13 +265,6 @@ class RouteCache:
         self._secondary = _Segment(seqs)
         #: both segments in lookup order, primary first
         self._segments = (self._primary, self._secondary)
-        # Statistics
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.insertions = 0
-        self.promotions = 0
 
     # ------------------------------------------------------------------
 
@@ -357,10 +350,8 @@ class RouteCache:
             segment, bound = secondary, self.capacity
         if len(segment.entries) >= bound:
             segment.replace_lru(path, now, source)
-            self.evictions += 1
         else:
             segment.insert(CachedPath(path, now, now, source))
-        self.insertions += 1
         return True
 
     # ------------------------------------------------------------------
@@ -396,22 +387,18 @@ class RouteCache:
             if best_len == 2:
                 break
         if best is None:
-            self.misses += 1
             return None
         best.last_used = now
         best.uses += 1
-        self.hits += 1
         if best_segment is self._secondary:
             self._secondary.remove(best)
             if len(self._primary) >= self.primary_capacity:
                 self._primary.pop_lru()
-                self.evictions += 1
             self._primary.insert(best)
-            self.promotions += 1
         return best.path[:best_len]
 
     def has_route_to(self, dst: int) -> bool:
-        """True when a route to ``dst`` is cached (does not count hit/miss)."""
+        """True when a route to ``dst`` is cached (no recency update)."""
         # Cached paths are loop-free, so "dst appears past the owner" is
         # equivalent to "dst is a member and is not the owner" — no slice.
         return any(
@@ -448,7 +435,6 @@ class RouteCache:
                     replacements.append((cached, None))
             for cached, replacement in replacements:
                 segment.remove(cached)
-                self.invalidations += 1
                 if (replacement is not None
                         and replacement.path not in segment.entries):
                     segment.insert(replacement)
@@ -465,7 +451,6 @@ class RouteCache:
 
     def clear(self) -> None:
         """Drop every cached path."""
-        self.invalidations += len(self)
         self._primary.clear()
         self._secondary.clear()
 

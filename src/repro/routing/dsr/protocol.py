@@ -87,7 +87,6 @@ class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
         #: suppression, without which dense networks drown in RREPs.
         self._answered: Set[Tuple[int, int]] = set()
         self._request_ids = itertools.count()
-        self.data_salvaged = 0
 
     # ------------------------------------------------------------------
     # Data path
@@ -155,7 +154,6 @@ class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
                 self.delivery_callback(packet)
             return
         self._learn_along(packet.trip_route, idx)
-        self.data_forwarded += 1
         self._transmit(packet.advance())
 
     # ------------------------------------------------------------------
@@ -173,7 +171,6 @@ class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
             created_at=self.sim.now, request_id=next(self._request_ids),
             ttl=ttl, route_record=(self.node_id,),
         )
-        self.rreq_sent += 1
         if self.trace.enabled:
             self.trace.emit(self.sim.now, "dsr", self.node_id, "rreq",
                             target=state.target, attempt=state.attempts,
@@ -257,7 +254,6 @@ class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
             src=reply_from, dst=origin, uid=next_uid(), created_at=self.sim.now,
             trip_route=back, trip_index=0, path=path, request_key=request_key,
         )
-        self.rrep_sent += 1
         if self.trace.enabled:
             self.trace.emit(self.sim.now, "dsr", self.node_id, "rrep",
                             origin=origin, reply_from=reply_from,
@@ -303,7 +299,6 @@ class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
         if packet.salvage_count < DSR_MAX_SALVAGE_COUNT:
             alt = self.cache.route_to(packet.dst, self.sim.now)
             if alt is not None:
-                self.data_salvaged += 1
                 self.metrics.route_used(alt)
                 if self.trace.enabled:
                     self.trace.emit(self.sim.now, "dsr", self.node_id,
@@ -323,7 +318,6 @@ class DsrProtocol(RoutingAgent[Tuple[int, ...]]):
             created_at=self.sim.now, trip_route=back, trip_index=0,
             broken=broken,
         )
-        self.rerr_sent += 1
         if self.trace.enabled:
             self.trace.emit(self.sim.now, "dsr", self.node_id, "rerr",
                             broken_from=broken[0], broken_to=broken[1],

@@ -7,7 +7,7 @@ drains the heap until the horizon (or until the queue empties).
 
 Design notes
 ------------
-* The heap stores ``(sort_key, Event)`` tuples rather than bare events:
+* The heap stores ``(key, Event)`` tuples rather than bare events:
   every sift comparison then resolves on the ``(time, priority, seq)``
   key tuple entirely in C (``seq`` is unique, so the comparison never
   falls through to the Event object).  A drained run performs ~10 heap

@@ -87,10 +87,6 @@ class Event:
 
     # Heap ordering -----------------------------------------------------
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Heap ordering key: (time, priority, insertion sequence)."""
-        return self._key
-
     def __lt__(self, other: "Event") -> bool:
         return self._key < other._key
 

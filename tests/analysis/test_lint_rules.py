@@ -1650,8 +1650,8 @@ class TestInfrastructure:
             "x = 1  # rcast-lint: disable=R001,R003\n"
             "# rcast-lint: disable-file=R005\n"
         )
-        assert index.is_suppressed("R001", 1)
-        assert index.is_suppressed("R003", 1)
-        assert not index.is_suppressed("R004", 1)
-        assert index.is_suppressed("R005", 99)
+        assert index.consume("R001", 1)
+        assert index.consume("R003", 1)
+        assert not index.consume("R004", 1)
+        assert index.consume("R005", 99)
         assert index.file_wide == frozenset({"R005"})

@@ -4,25 +4,50 @@ import pytest
 
 from repro.mac.psm import PsmMac
 from repro.network import SimulationConfig, build_network
+from repro.obs.sinks import FilteredSink
+from repro.sim.trace import NULL_TRACE, TraceLog
 
 
-def make_network(scheme, **overrides):
+def make_network(scheme, trace=NULL_TRACE, **overrides):
     params = dict(
         scheme=scheme, num_nodes=30, arena_w=800.0, arena_h=300.0,
         mobility="static", num_connections=6, packet_rate=0.5,
         sim_time=30.0, seed=13,
     )
     params.update(overrides)
-    return build_network(SimulationConfig(**params))
+    return build_network(SimulationConfig(**params), trace)
+
+
+def run_traced(scheme, *categories):
+    """Run ``scheme``'s network keeping the records of ``categories``."""
+    log = TraceLog()
+    network = make_network(scheme, FilteredSink(log, categories))
+    metrics = network.run()
+    return network, metrics, log
+
+
+def count_immediate_sends(network):
+    """Count DCF submissions without a deadline from now on: a PSM MAC
+    gives every ATIM-path frame its window's end, and an immediate send
+    none."""
+    count = [0]
+    for node in network.nodes:
+        dcf = node.mac.dcf
+
+        def submit(frame, on_done, deadline=None, submit=dcf.submit):
+            count[0] += deadline is None
+            submit(frame, on_done, deadline=deadline)
+
+        dcf.submit = submit
+    return count
 
 
 def test_psm_nodes_actually_sleep():
-    network = make_network("rcast")
-    network.run()
-    slept = sum(n.mac.intervals_slept for n in network.nodes)
-    assert slept > 0
+    network, _, log = run_traced("rcast", "psm")
+    sleepers = {r.node for r in log if r.event == "sleep"}
+    assert sleepers
     for node in network.nodes:
-        assert node.radio.meter.sleep_time > 0 or node.mac.intervals_slept == 0
+        assert (node.radio.meter.sleep_time > 0) == (node.node_id in sleepers)
 
 
 def test_always_on_nodes_never_sleep():
@@ -61,9 +86,8 @@ def test_rcast_empirical_election_rate_tracks_neighbor_count():
 
 
 def test_odpm_actually_switches_modes():
-    network = make_network("odpm")
-    network.run()
-    switches = sum(n.mac.power.switches_to_am for n in network.nodes)
+    network, _, log = run_traced("odpm", "odpm")
+    switches = sum(1 for r in log if r.event == "am_enter")
     assert switches > 0
     # Someone was in AM at some point but PS nodes existed too.
     am_time = sum(n.radio.meter.awake_time for n in network.nodes)
@@ -72,16 +96,17 @@ def test_odpm_actually_switches_modes():
 
 def test_odpm_uses_immediate_transmissions():
     network = make_network("odpm")
+    immediate = count_immediate_sends(network)
     network.run()
-    immediate = sum(n.mac.immediate_sends for n in network.nodes)
-    assert immediate > 0
+    assert immediate[0] > 0
 
 
 def test_pure_psm_never_sends_immediately():
     for scheme in ("psm", "psm-nooh", "rcast"):
         network = make_network(scheme)
+        immediate = count_immediate_sends(network)
         network.run()
-        assert sum(n.mac.immediate_sends for n in network.nodes) == 0, scheme
+        assert immediate[0] == 0, scheme
 
 
 def test_rerr_purges_caches_network_wide():
@@ -95,12 +120,9 @@ def test_rerr_purges_caches_network_wide():
 
 
 def test_announcement_counters_positive_under_traffic():
-    network = make_network("rcast")
-    network.run()
-    announcements = sum(n.mac.announcements_made for n in network.nodes)
-    assert announcements > 0
-    elections = sum(n.mac.overhear_elections for n in network.nodes)
-    assert elections > 0
+    _, metrics, log = run_traced("rcast", "atim")
+    assert any(r.event == "advertise" for r in log)
+    assert metrics.overhear_elections > 0
 
 
 def test_psm_family_macs_share_peer_table():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -22,6 +22,7 @@ from repro.phy.channel import Channel
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.trace import TraceLog, TraceRecord
 
 
 class DummyPacket:
@@ -37,11 +38,13 @@ class DummyPacket:
 
 
 class MacRig:
-    """A simulator + channel + one MAC per node, with recording uppers."""
+    """A simulator + channel + one MAC per node, with recording uppers and
+    a trace log the MACs write to."""
 
     def __init__(self, positions, mac_factory, tx_range=150.0, cs_range=300.0):
         self.sim = Simulator()
         self.rngs = RngRegistry(99)
+        self.trace = TraceLog()
         arena = Arena(max(x for x, _ in positions) + 100.0,
                       max(y for _, y in positions) + 100.0)
         model = StaticPlacement(list(positions), arena)
@@ -71,6 +74,12 @@ class MacRig:
         for mac in self.macs.values():
             mac.start()
 
+    def records(self, category: str, event: str,
+                node: Optional[int] = None) -> List[TraceRecord]:
+        """Trace records of one ``category``/``event`` (at one node)."""
+        return [r for r in self.trace.filter(category, node)
+                if r.event == event]
+
     def run(self, until):
         self.start()
         self.sim.run(until=until)
@@ -78,7 +87,8 @@ class MacRig:
 
 def always_on_factory(rig: MacRig, node_id: int) -> AlwaysOnMac:
     return AlwaysOnMac(rig.sim, node_id, rig.channel, rig.radios[node_id],
-                       rig.positions, rig.rngs.stream(f"mac:{node_id}"))
+                       rig.positions, rig.rngs.stream(f"mac:{node_id}"),
+                       trace=rig.trace)
 
 
 def psm_factory(sender_policy_cls=RcastPolicy, power_manager_factory=AlwaysPs,
@@ -95,7 +105,7 @@ def psm_factory(sender_policy_cls=RcastPolicy, power_manager_factory=AlwaysPs,
             rig.sim, node_id, rig.channel, rig.radios[node_id],
             rig.positions, rig.rngs.stream(f"mac:{node_id}"),
             rcast=rcast, power_manager=power_manager_factory(),
-            **psm_kwargs,
+            trace=rig.trace, **psm_kwargs,
         )
         return mac
 

@@ -45,8 +45,7 @@ def test_link_failure_reported_for_dead_receiver():
     packet = DummyPacket()
     rig.macs[0].send(packet, 1)
     rig.sim.run(until=5.0)
-    assert (0, packet, 1) in rig.failures
-    assert rig.macs[0].unicasts_failed == 1
+    assert rig.failures == [(0, packet, 1)]
 
 
 def test_radio_always_awake():
@@ -59,11 +58,13 @@ def test_radio_always_awake():
 
 def test_counters():
     rig = make_rig()
-    rig.macs[0].send(DummyPacket(), 1)
-    rig.macs[0].send(DummyPacket(kind="rreq"), BROADCAST)
+    unicast = DummyPacket()
+    broadcast = DummyPacket(kind="rreq")
+    rig.macs[0].send(unicast, 1)
+    rig.macs[0].send(broadcast, BROADCAST)
     rig.sim.run(until=1.0)
-    assert rig.macs[0].unicasts_sent == 1
-    assert rig.macs[0].broadcasts_sent == 1
+    assert rig.sent == [(0, unicast, 1), (0, broadcast, BROADCAST)]
+    assert rig.failures == []
 
 
 def _cluster_rig():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.constants import MAC_RETRY_LIMIT
 from repro.mac.dcf import DcfTransmitter, TxOutcome
 from repro.mac.frames import BROADCAST, Frame
 
@@ -44,8 +45,9 @@ def test_unicast_to_sleeping_receiver_fails_after_retries():
     outcomes = submit(rig, 0, Frame(0, 1, DummyPacket()))
     rig.sim.run(until=5.0)
     assert outcomes[0][0] is TxOutcome.FAILED
-    assert rig.macs[0].dcf.retries >= 1
-    assert rig.macs[0].dcf.failures == 1
+    assert rig.records("dcf", "tx_ok") == []
+    [fail] = rig.records("dcf", "tx_fail")
+    assert fail.node == 0 and fail.get("attempts") == MAC_RETRY_LIMIT
 
 
 def test_deadline_defers_when_airtime_does_not_fit():
@@ -78,8 +80,13 @@ def test_busy_medium_defers_attempt():
         Frame(2, 1, DummyPacket()), lambda f, o, d: outcomes.append((o, d))
     ))
     rig.sim.run(until=2.0)
-    assert rig.macs[2].dcf.busy_deferrals >= 1
     assert outcomes[0][0] is TxOutcome.DELIVERED
+    # Node 2 waited for the medium: its one attempt went out after node
+    # 0's frame, and nothing collided.
+    [first] = rig.records("dcf", "tx_ok", node=0)
+    [second] = rig.records("dcf", "tx_ok", node=2)
+    assert second.get("attempts") == 1 and second.time > first.time
+    assert rig.channel.frames_collided == 0
 
 
 def test_cancel_all_silences_pending():

@@ -108,23 +108,21 @@ class ScriptedChannel:
 
 
 def _poll_model_reference(seed: int, windows: List[Tuple[float, float]],
-                          airtime: float) -> Tuple[float, int, object]:
+                          airtime: float) -> Tuple[float, object]:
     """The pre-wake-on-idle poll model, draw-for-draw.
 
     Uses a second :class:`DcfTransmitter`'s ``_backoff`` with an
     identically-seeded rng so every draw is bit-identical to the real
     transmitter's (the inlined expovariate is sensitive to operation
-    order).  Returns (transmit time, busy deferrals, rng state).
+    order).  Returns (transmit time, rng state).
     """
     rng = random.Random(seed)
     donor = DcfTransmitter(Simulator(), 0,
                            ScriptedChannel(Simulator(), [], airtime), rng)
-    deferrals = 0
     t = DIFS_S + donor._backoff(0)
     while any(start <= t < end for start, end in windows):
-        deferrals += 1
         t += donor._backoff(0)
-    return t, deferrals, rng.getstate()
+    return t, rng.getstate()
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,10 +142,10 @@ def test_bulk_replay_matches_poll_model(seed, raw_windows):
     """Event-for-event equivalence of the bulk backoff replay.
 
     On an arbitrary busy/idle schedule, the wake-on-idle transmitter must
-    (a) transmit at the exact instant the poll model would have, (b) count
-    the same number of busy deferrals, and (c) leave its rng stream at the
-    same position — i.e. the replay made exactly the draws the eliminated
-    poll events would have made, in order.
+    (a) transmit at the exact instant the poll model would have and (b)
+    leave its rng stream at the same position — i.e. the replay made
+    exactly the draws the eliminated poll events would have made, in
+    order, one per busy deferral.
     """
     windows = _merge([(start, start + dur) for start, dur in raw_windows])
     airtime = 0.002
@@ -162,11 +160,10 @@ def test_bulk_replay_matches_poll_model(seed, raw_windows):
                lambda f, o, d: outcomes.append((o, d)))
     sim.run(until=5.0)
 
-    expected_t, expected_deferrals, expected_state = _poll_model_reference(
-        seed, windows, airtime)
+    expected_t, expected_state = _poll_model_reference(seed, windows,
+                                                       airtime)
     assert outcomes == [(TxOutcome.DELIVERED, {1})]
     assert channel.transmit_times == [expected_t]
-    assert dcf.busy_deferrals == expected_deferrals
     assert rng.getstate() == expected_state
 
 
@@ -236,9 +233,12 @@ def test_idle_wait_counts_and_delivers_after_wake():
     rig = _busy_rig()
     dcf2 = rig.macs[2].dcf
     outcomes = []
+    waiting = []
     rig.sim.schedule(0.01, lambda: dcf2.submit(
         Frame(2, 1, DummyPacket()), lambda f, o, d: outcomes.append(o)))
+    rig.sim.schedule(0.02, lambda: waiting.append(
+        2 in rig.channel._idle_waiters))
     rig.sim.run(until=2.0)
+    assert waiting == [True]
     assert outcomes == [TxOutcome.DELIVERED]
-    assert dcf2.idle_waits >= 1
-    assert dcf2.busy_deferrals >= dcf2.idle_waits
+    assert 2 not in rig.channel._idle_waiters

@@ -15,6 +15,15 @@ def odpm_rig(**kwargs):
                         tap_in_am=True, **kwargs)
 
 
+def sent_without_immediate_attempt(rig, node=0):
+    """``node`` announced its frame before any transmission attempt of
+    it completed: the frame took the ATIM path from the start."""
+    announced = rig.records("atim", "advertise", node)
+    return bool(announced) and all(
+        record.time > announced[0].time
+        for record in rig.trace.filter("dcf", node))
+
+
 def test_belief_expires_after_ttl():
     """A belief is usable for PSM_MODE_BELIEF_TTL_S (2 s)."""
     rig = odpm_rig()
@@ -33,7 +42,7 @@ def test_no_belief_means_no_immediate_send():
     packet = DummyPacket()
     rig.sim.schedule(0.06, lambda: rig.macs[0].send(packet, 1))
     rig.sim.run(until=1.0)
-    assert rig.macs[0].immediate_sends == 0
+    assert sent_without_immediate_attempt(rig)
     assert (1, packet, 0) in rig.received  # delivered via the ATIM path
 
 
@@ -44,7 +53,7 @@ def test_ps_belief_blocks_immediate_send():
     rig.macs[0]._mode_beliefs[1] = (PowerMode.PS, 0.0)
     rig.sim.schedule(0.06, lambda: rig.macs[0].send(DummyPacket(), 1))
     rig.sim.run(until=1.0)
-    assert rig.macs[0].immediate_sends == 0
+    assert sent_without_immediate_attempt(rig)
 
 
 def test_ps_sender_never_sends_immediately_even_with_am_belief():
@@ -54,7 +63,7 @@ def test_ps_sender_never_sends_immediately_even_with_am_belief():
     rig.macs[0]._mode_beliefs[1] = (PowerMode.AM, 0.0)
     rig.sim.schedule(0.06, lambda: rig.macs[0].send(DummyPacket(), 1))
     rig.sim.run(until=1.0)
-    assert rig.macs[0].immediate_sends == 0
+    assert sent_without_immediate_attempt(rig)
 
 
 def test_failed_immediate_send_clears_belief():
@@ -64,7 +73,10 @@ def test_failed_immediate_send_clears_belief():
     rig.macs[0]._mode_beliefs[1] = (PowerMode.AM, 0.0)  # wrong: 1 is PS
     rig.sim.schedule(0.06, lambda: rig.macs[0].send(DummyPacket(), 1))
     rig.sim.run(until=1.0)
-    assert rig.macs[0].immediate_fallbacks == 1
+    # The immediate attempt failed, and the frame fell back to an
+    # announcement.
+    [failed] = rig.records("dcf", "tx_fail", node=0)
+    assert rig.records("atim", "advertise", node=0)[0].time > failed.time
     assert not rig.macs[0]._believes_am(1)
 
 

@@ -1,10 +1,11 @@
-"""Tests for power-mode managers (AlwaysPs/AlwaysAm and ODPM)."""
+"""Tests for power-mode managers (AlwaysPs and ODPM)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.mac.odpm import OdpmPowerManager
-from repro.mac.power import AlwaysAm, AlwaysPs, PowerMode
+from repro.mac.power import AlwaysPs, PowerMode
+from repro.sim.trace import TraceLog
 
 
 def test_always_ps():
@@ -12,12 +13,6 @@ def test_always_ps():
     assert manager.mode(0.0) is PowerMode.PS
     manager.note_event("data", 0.0)  # ignored
     assert manager.mode(1e6) is PowerMode.PS
-
-
-def test_always_am():
-    manager = AlwaysAm()
-    assert manager.mode(0.0) is PowerMode.AM
-    assert manager.mode(1e6) is PowerMode.AM
 
 
 def test_odpm_starts_in_ps():
@@ -65,11 +60,13 @@ def test_odpm_paper_interpacket_behaviour():
 
 
 def test_odpm_counts_ps_to_am_switches():
-    manager = OdpmPowerManager()
+    trace = TraceLog()
+    manager = OdpmPowerManager(trace=trace)
     manager.note_event("data", 0.0)    # PS -> AM
     manager.note_event("data", 1.0)    # still AM, no switch
     manager.note_event("data", 10.0)   # expired, PS -> AM again
-    assert manager.switches_to_am == 2
+    assert [(r.time, r.event) for r in trace] == [(0.0, "am_enter"),
+                                                  (10.0, "am_enter")]
 
 
 def test_odpm_rejects_unknown_event():

@@ -30,7 +30,7 @@ def test_unicast_delivered_in_next_interval():
     rig.sim.run(until=1.0)
     assert (1, packet, 0) in rig.received
     # The delivery must have waited for the next beacon interval.
-    assert rig.macs[0].announcements_made >= 1
+    assert rig.records("atim", "advertise", node=0)
 
 
 def test_idle_node_sleeps_after_atim_window():
@@ -121,7 +121,8 @@ def test_deferred_frame_reannounced_next_interval():
     rig.macs[0].send(packet, 1)
     rig.sim.run(until=2.0)
     assert (0, packet, 1) not in rig.failures
-    assert rig.macs[0].announcements_made >= 4  # re-announced repeatedly
+    # Re-announced repeatedly.
+    assert len(rig.records("atim", "advertise", node=0)) >= 4
 
 
 def test_odpm_am_node_stays_awake_entire_interval():
@@ -148,7 +149,8 @@ def test_odpm_immediate_send_to_believed_am_neighbor():
     rig.sim.schedule(0.06, lambda: rig.macs[0].send(packet, 1))
     rig.sim.run(until=0.2)  # still inside the first beacon interval
     assert (1, packet, 0) in rig.received
-    assert rig.macs[0].immediate_sends == 1
+    # Sent after the ATIM window closed, without an announcement.
+    assert rig.records("atim", "advertise", node=0) == []
 
 
 def test_odpm_wrong_belief_falls_back_to_atim_path():
@@ -160,7 +162,12 @@ def test_odpm_wrong_belief_falls_back_to_atim_path():
     packet = DummyPacket()
     rig.sim.schedule(0.06, lambda: rig.macs[0].send(packet, 1))
     rig.sim.run(until=1.0)
-    assert rig.macs[0].immediate_fallbacks == 1
+    # The immediate send failed in the first interval; the frame was then
+    # announced in the next one.
+    [failed] = rig.records("dcf", "tx_fail", node=0)
+    [announced] = rig.records("atim", "advertise", node=0)
+    assert failed.time < 0.25 <= announced.time
+    assert announced.get("dst") == 1
     assert (1, packet, 0) in rig.received  # delivered via the ATIM path
     assert (0, packet, 1) not in rig.failures
 
@@ -186,8 +193,9 @@ def test_atim_window_validation():
 def test_interval_counters():
     rig = make_psm_rig(LINE3)
     rig.run(until=2.5)  # 10 intervals
-    mac = rig.macs[0]
-    assert mac.intervals_slept + mac.intervals_awake == 10
+    decisions = (rig.records("psm", "sleep", node=0)
+                 + rig.records("psm", "awake", node=0))
+    assert len(decisions) == 10
 
 
 def test_one_announcement_per_destination():
@@ -197,7 +205,8 @@ def test_one_announcement_per_destination():
     for i in range(5):
         rig.macs[1].send(DummyPacket(label=str(i)), 0)
     rig.sim.run(until=0.06)
-    assert rig.macs[1].announcements_made == 1
+    [announcement] = rig.records("atim", "advertise", node=1)
+    assert announcement.get("frames") == 5
 
 
 def test_announcement_budget_limits_destinations_per_window():
@@ -211,9 +220,10 @@ def test_announcement_budget_limits_destinations_per_window():
     for dst in range(1, 10):
         rig.macs[0].send(DummyPacket(), dst)
     rig.sim.run(until=0.06)  # first ATIM window: the budget's worth
-    assert rig.macs[0].announcements_made == PSM_MAX_ANNOUNCEMENTS == 8
+    assert (len(rig.records("atim", "advertise", node=0))
+            == PSM_MAX_ANNOUNCEMENTS == 8)
     rig.sim.run(until=0.31)  # second window covers the last destination
-    assert rig.macs[0].announcements_made == 9
+    assert len(rig.records("atim", "advertise", node=0)) == 9
 
 
 def test_strongest_level_wins_within_one_atim():
@@ -226,7 +236,8 @@ def test_strongest_level_wins_within_one_atim():
     rig.macs[1].send(data, 0)
     rig.macs[1].send(rerr, 0)
     rig.sim.run(until=1.0)
-    assert rig.macs[1].announcements_made == 1
+    [announcement] = rig.records("atim", "advertise", node=1)
+    assert announcement.get("level") == "UNCONDITIONAL"
     # Node 2 overheard BOTH frames (it stayed awake unconditionally and
     # elected to overhear node 1's traffic for the interval).
     tapped = [p for n, p, s in rig.promiscuous if n == 2]

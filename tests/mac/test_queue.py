@@ -43,7 +43,6 @@ def test_overflow_drops_oldest_and_fires_failure():
     assert evicted is first
     assert dropped == [first.frame]
     assert len(q) == 2
-    assert q.dropped_overflow == 1
 
 
 def test_remove_specific_entry():

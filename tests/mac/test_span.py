@@ -109,4 +109,4 @@ def test_span_statistics_move():
     sim, election = make_election([(i * 100.0, 50.0) for i in range(5)])
     election.start()
     sim.run(until=10.0)
-    assert election.elections >= 3
+    assert election.backbone_size >= 3

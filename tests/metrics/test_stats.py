@@ -5,7 +5,6 @@ import pytest
 from repro.metrics.stats import (
     confidence_interval_95,
     mean,
-    percentile,
     sample_variance,
     t_critical_95,
 )
@@ -22,28 +21,6 @@ def test_sample_variance():
     assert sample_variance([]) == 0.0
     assert sample_variance([3.0]) == 0.0
     assert sample_variance([5.0, 5.0, 5.0]) == 0.0
-
-
-def test_percentile_basics():
-    data = list(range(11))  # 0..10
-    assert percentile(data, 0) == 0.0
-    assert percentile(data, 50) == 5.0
-    assert percentile(data, 100) == 10.0
-
-
-def test_percentile_interpolates():
-    assert percentile([0.0, 10.0], 25) == pytest.approx(2.5)
-
-
-def test_percentile_edge_cases():
-    assert percentile([], 50) == 0.0
-    assert percentile([7.0], 99) == 7.0
-    with pytest.raises(ValueError):
-        percentile([1.0], 101)
-
-
-def test_percentile_unsorted_input():
-    assert percentile([9.0, 1.0, 5.0], 50) == 5.0
 
 
 def test_confidence_interval():

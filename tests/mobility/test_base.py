@@ -20,12 +20,6 @@ def test_arena_rejects_outside_points():
     assert not arena.contains(50.0, 51.0)
 
 
-def test_arena_clamp():
-    arena = Arena(100.0, 50.0)
-    assert arena.clamp(-5.0, 60.0) == (0.0, 50.0)
-    assert arena.clamp(30.0, 20.0) == (30.0, 20.0)
-
-
 # Arena and MobilityModel trust their arguments: the config is the one
 # place a bad arena or node count is rejected.
 @pytest.mark.parametrize("w,h", [(0.0, 10.0), (10.0, 0.0), (-1.0, 5.0)])

@@ -59,7 +59,8 @@ def test_line_topology_spacing():
 
 
 def test_grid_topology():
-    model = StaticPlacement.grid(3, 4, spacing=50.0)
+    positions = [(c * 50.0, r * 50.0) for r in range(3) for c in range(4)]
+    model = StaticPlacement(positions, Arena(151.0, 101.0))
     assert model.num_nodes == 12
     pos = model.positions_at(0.0)
     assert pos[:, 0].max() == pytest.approx(150.0)

@@ -52,17 +52,23 @@ class TestLiveRunMonitor:
         telemetry = TelemetryWriter(tmp_path / "t.jsonl")
         monitor = LiveRunMonitor(config.sim_time, stream=stream,
                                  telemetry=telemetry)
-        network.run(observer=monitor.observe, observe_period=1.0)
+        ticks = []
+
+        def observe(net):
+            ticks.append(net.sim.now)
+            monitor.observe(net)
+
+        network.run(observer=observe, observe_period=1.0)
         monitor.finish()
         telemetry.close()
-        assert monitor.ticks > 0
+        assert ticks
         output = stream.getvalue()
         assert "/10s" in output
         assert "ev/s" in output
         assert "pending=" in output
         records = [json.loads(ln) for ln
                    in (tmp_path / "t.jsonl").read_text().splitlines()]
-        assert len(records) == monitor.ticks
+        assert len(records) == len(ticks)
         assert all(r["kind"] == "run-tick" for r in records)
         times = [r["virtual_time"] for r in records]
         assert times == sorted(times)

@@ -61,11 +61,12 @@ class TestJsonlSink:
         for i in range(20):
             sink.emit(float(i), "mac", 0, f"event-{i:04d}")
         sink.close()
-        assert sink.rotated, "expected at least one rotation"
-        assert sink.rotated[0].name == "trace.00001.jsonl"
+        rotated = sorted(tmp_path.glob("trace.*.jsonl"))
+        assert rotated, "expected at least one rotation"
+        assert rotated[0].name == "trace.00001.jsonl"
         # All parts plus the active file read back to the full stream.
         events = []
-        for part in sink.rotated + [path]:
+        for part in rotated + [path]:
             events.extend(r.event for r in read_jsonl(part))
         assert events == [f"event-{i:04d}" for i in range(20)]
         assert sink.written == 20
@@ -76,10 +77,11 @@ class TestJsonlSink:
         for i in range(12):
             sink.emit(float(i), "mac", 0, f"event-{i:04d}")
         sink.close()
-        assert sink.rotated
-        assert sink.rotated[0].name == "trace.00001.jsonl.gz"
+        rotated = sorted(tmp_path.glob("trace.*.jsonl.gz"))
+        assert rotated
+        assert rotated[0].name == "trace.00001.jsonl.gz"
         events = []
-        for part in sink.rotated + [path]:
+        for part in rotated + [path]:
             events.extend(r.event for r in read_jsonl(part))
         assert events == [f"event-{i:04d}" for i in range(12)]
 
@@ -91,7 +93,8 @@ class TestJsonlSink:
             for i in range(30):
                 sink.emit(float(i), "mac", i % 5, f"event-{i:04d}")
             sink.close()
-            counts.append([len(read_jsonl(p)) for p in sink.rotated])
+            counts.append([len(read_jsonl(p)) for p in
+                           sorted(tmp_path.glob(f"t{run}.*.jsonl"))])
         assert counts[0] == counts[1]
 
     def test_rejects_nonpositive_rotate_bytes(self, tmp_path):

@@ -200,7 +200,7 @@ class TestRendering:
             sink.emit(rec.time, rec.category, rec.node, rec.event,
                       **dict(rec.fields))
         sink.close()
-        paths = sink.rotated + [sink.path]
+        paths = sorted(tmp_path.glob("trace.*.jsonl.gz")) + [sink.path]
         flights = load_flights(paths)
         direct = assemble_flights(list(trace))
         assert [f.uid for f in flights] == [f.uid for f in direct]

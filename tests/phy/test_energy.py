@@ -93,13 +93,12 @@ def test_battery_fraction_and_depletion():
     meter = EnergyMeter(battery_joules=POWER_AWAKE_W * 10.0)
     assert meter.remaining_fraction(0.0) == pytest.approx(1.0)
     assert meter.remaining_fraction(5.0) == pytest.approx(0.5)
-    assert not meter.depleted(9.0)
-    assert meter.depleted(10.0)
+    assert meter.remaining_fraction(9.0) > 0.0
+    assert meter.remaining_fraction(10.0) == 0.0
     assert meter.remaining_fraction(20.0) == 0.0  # clamped
 
 
 def test_no_battery_means_full_fraction():
     meter = EnergyMeter()
     assert meter.remaining_fraction(1e6) == 1.0
-    assert not meter.depleted(1e6)
 

@@ -86,7 +86,7 @@ _windows = st.lists(
 def _state(policy: MeasuredDegreePolicy):
     """Everything the estimator carries across epochs."""
     return (policy.estimate, policy.warm, policy._active_windows,
-            policy._epochs, policy.announcements_heard)
+            policy._epochs, policy._window_senders)
 
 
 def _replay(windows, order_seed=None) -> MeasuredDegreePolicy:

@@ -73,7 +73,7 @@ def _psm_epoch_factory(offsets, shared: bool):
             rig.positions, rig.rngs.stream(f"mac:{node_id}"),
             rcast=rcast, power_manager=AlwaysPs(),
             beacon_interval=BEACON, atim_window=ATIM,
-            clock_offset=offsets[node_id], epochs=epochs,
+            clock_offset=offsets[node_id], epochs=epochs, trace=rig.trace,
         )
 
     return factory
@@ -96,8 +96,9 @@ def _run_psm_scenario(offsets, sends, crashes, shared: bool):
         "promiscuous": [(n, p.label, s) for n, p, s in rig.promiscuous],
         "sent": [(n, p.label, d) for n, p, d in rig.sent],
         "dropped": [(n, p.label) for n, p in rig.dropped],
-        "intervals": {i: (mac.intervals_awake, mac.intervals_slept)
-                      for i, mac in rig.macs.items()},
+        "intervals": {i: (len(rig.records("psm", "awake", i)),
+                          len(rig.records("psm", "sleep", i)))
+                      for i in rig.macs},
         "energy": {i: (radio.meter.awake_time, radio.meter.sleep_time)
                    for i, radio in rig.radios.items()},
         "rng": {name: rig.rngs.stream(name).getstate()

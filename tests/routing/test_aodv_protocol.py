@@ -35,10 +35,10 @@ def test_second_send_reuses_route():
     rig = line_rig(4)
     rig.aodv[0].send_data(3, 256)
     rig.run(until=2.0)
-    rreqs = rig.aodv[0].rreq_sent
+    rreqs = rig.originated(0, "rreq")
     rig.aodv[0].send_data(3, 256)  # within the route lifetime
     rig.run(until=4.0)
-    assert rig.aodv[0].rreq_sent == rreqs
+    assert rig.originated(0, "rreq") == rreqs
     assert len(rig.delivered) == 2
 
 
@@ -50,10 +50,10 @@ def test_route_expires_without_traffic():
     # Routes live 3 s past their last use: idle until then, and a new
     # send re-discovers.
     rig.run(until=8.0)
-    rreqs = rig.aodv[0].rreq_sent
+    rreqs = rig.originated(0, "rreq")
     rig.aodv[0].send_data(2, 256)
     rig.run(until=13.0)
-    assert rig.aodv[0].rreq_sent > rreqs
+    assert rig.originated(0, "rreq") > rreqs
     assert len(rig.delivered) == 2
 
 
@@ -63,7 +63,7 @@ def test_expanding_ring_widens():
     rig.run(until=10.0)
     # Target at 4 hops: the TTL-1 ring cannot reach it, so the source
     # retried with wider rings.
-    assert rig.aodv[0].rreq_sent >= 2
+    assert rig.originated(0, "rreq") >= 2
     assert len(rig.delivered) == 1
 
 
@@ -83,12 +83,12 @@ def test_intermediate_reply_from_fresh_route():
     # the destination sequence, so node 1's equally-fresh table entry can
     # answer the rediscovery without the flood reaching node 3 again).
     rig.aodv[0].table._routes[3].expires_at = rig.sim.now
-    rreps_at_target = rig.aodv[3].rrep_sent
+    rreps_at_target = rig.originated(3, "rrep")
     rig.aodv[0].send_data(3, 256)
     rig.run(until=4.0)
     assert len(rig.delivered) == 2
-    assert rig.aodv[3].rrep_sent == rreps_at_target  # answered mid-path
-    assert rig.aodv[1].rrep_sent >= 1
+    assert rig.originated(3, "rrep") == rreps_at_target  # answered mid-path
+    assert rig.originated(1, "rrep") >= 1
 
 
 def test_link_failure_triggers_rerr_and_rediscovery():

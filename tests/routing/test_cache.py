@@ -28,9 +28,9 @@ def test_route_to_prefers_shortest():
 
 def test_miss_returns_none_and_counts():
     cache = RouteCache(0)
+    cache.add_path((0, 1), now=0.0, source="rrep")
     assert cache.route_to(5, 0.0) is None
-    assert cache.misses == 1
-    assert cache.hits == 0
+    assert [entry.uses for entry in cache.paths()] == [0]
 
 
 def test_path_must_start_at_owner():
@@ -142,9 +142,9 @@ def test_refreshed_entry_survives_later_eviction():
 def test_promotion_on_use():
     cache = RouteCache(0, capacity=8, primary_capacity=8)
     cache.add_path((0, 1, 9), now=0.0, source="overhear")
-    assert cache.promotions == 0
+    assert (0, 1, 9) in cache._secondary.entries
     cache.route_to(9, 1.0)
-    assert cache.promotions == 1
+    assert (0, 1, 9) in cache._primary.entries
     # Now a secondary flood cannot touch it.
     for i in range(20):
         cache.add_path((0, 2, 50 + i), now=2.0 + i, source="overhear")
@@ -185,10 +185,10 @@ def test_remove_link_untouched_paths_survive():
 def test_has_route_to_does_not_touch_counters():
     cache = RouteCache(0)
     cache.add_path((0, 1), now=0.0, source="rrep")
-    hits, misses = cache.hits, cache.misses
     assert cache.has_route_to(1)
     assert not cache.has_route_to(9)
-    assert (cache.hits, cache.misses) == (hits, misses)
+    [entry] = cache.paths()
+    assert (entry.last_used, entry.uses) == (0.0, 0)
 
 
 def test_clear():
@@ -218,4 +218,4 @@ def test_full_segment_reuses_the_victims_entry_as_a_fresh_one():
             victim.uses) == ((0, 3, 4), 2.0, 2.0, "forward", 0)
     assert primary.by_hop == {3: [victim]}
     assert len(primary.heap) == 1
-    assert cache.evictions == 1 and cache.insertions == 2
+    assert (0, 1, 2) not in cache and len(cache) == 1

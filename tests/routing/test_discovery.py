@@ -16,7 +16,7 @@ def test_target_replies_to_multiple_rreq_copies():
     rig = DsrRig(positions, tx_range=160.0, cs_range=350.0)
     rig.dsr[0].send_data(3, 128)
     rig.run(until=5.0)
-    assert rig.dsr[3].rrep_sent == 2
+    assert len(rig.records("rrep", node=3)) == 2
 
 
 def test_target_reply_cap_respected():
@@ -27,7 +27,7 @@ def test_target_reply_cap_respected():
     rig.dsr[0].send_data(1, 128)
     rig.run(until=5.0)
     assert len(rig.delivered) == 1
-    assert rig.dsr[1].rrep_sent == 3
+    assert len(rig.records("rrep", node=1)) == 3
 
 
 def test_rreq_ttl_limits_propagation():
@@ -90,9 +90,9 @@ def test_discovery_completes_only_once():
     rig.run(until=5.0)
     assert 3 not in rig.dsr[0]._discoveries  # cleaned up
     # Timer was cancelled: no stray retry floods after completion.
-    rreq_after_completion = rig.dsr[0].rreq_sent
+    rreq_after_completion = len(rig.records("rreq", node=0))
     rig.run(until=12.0)
-    assert rig.dsr[0].rreq_sent == rreq_after_completion
+    assert len(rig.records("rreq", node=0)) == rreq_after_completion
 
 
 def test_salvage_count_bounded():

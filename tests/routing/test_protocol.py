@@ -33,10 +33,10 @@ def test_route_cached_after_discovery(rig5):
 def test_second_send_uses_cache_without_new_rreq(rig5):
     rig5.dsr[0].send_data(4, 512)
     rig5.run(until=5.0)
-    rreqs_before = rig5.dsr[0].rreq_sent
+    rreqs_before = len(rig5.records("rreq", node=0))
     rig5.dsr[0].send_data(4, 512)
     rig5.run(until=10.0)
-    assert rig5.dsr[0].rreq_sent == rreqs_before
+    assert len(rig5.records("rreq", node=0)) == rreqs_before
     assert len(rig5.delivered) == 2
 
 
@@ -113,7 +113,7 @@ def test_network_flood_after_ring_failure(rig5):
     rig5.dsr[0].send_data(4, 512)
     rig5.run(until=5.0)
     # Target is 4 hops away: ring-0 fails, then a network-wide flood runs.
-    assert rig5.dsr[0].rreq_sent == 2
+    assert len(rig5.records("rreq", node=0)) == 2
     assert rig5.metrics.transmissions["rreq"] > 2  # rebroadcasts happened
 
 
@@ -176,7 +176,7 @@ def test_salvage_uses_alternate_route():
     rig.sim.schedule(0.5, rig.radios[3].wake)
     rig.dsr[0].send_data(3, 256)
     rig.run(until=10.0)
-    assert rig.dsr[1].data_salvaged >= 1
+    assert rig.records("salvage", node=1)
 
 
 def test_rerr_informs_overhearers(rig5):
